@@ -47,19 +47,16 @@ def simulated_blocked_data(rng):
 def main() -> None:
     data, space = simulated_blocked_data(np.random.default_rng(8))
     prior = np.asarray(data.counts, dtype=float) / sum(data.counts)
-    scheme = WeightScheme("per_observation")
-    weights = make_weights(scheme, data.counts)
+    weights = make_weights(WeightScheme("per_observation"), data.counts)
 
     print("counts per category:", data.counts, " blocks:", space.block_sizes)
     held = loocv_posteriors(data, space, prior, n_draws=150, seed=0)
 
     def config(variant):
-        return CVConfig(EPSILON, DELTA, scheme, variant,
-                        grid_lo=0.05, grid_hi=2.0, grid_step=0.05,
-                        n_draws=150, seed=0)
+        return CVConfig(EPSILON, DELTA, variant,
+                        grid_lo=0.05, grid_hi=2.0, grid_step=0.05)
 
-    report = evaluate_curves(config(BinaryReward.CONTAINS_TRUTH),
-                             None, space, prior, weights, held=held)
+    report = evaluate_curves(config(BinaryReward.CONTAINS_TRUTH), held, weights)
 
     print("\ncross-validated reward rates along the cost grid (excerpt):")
     print(f"  {'b':>5s}  {'R1':>6s}  {'R2':>6s}  {'R3':>6s}  {'R4':>6s}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,6 +30,7 @@ from .dataset import (
     generate_rows,
     load_dataset,
     load_generator_spec,
+    read_csv_rows,
     write_dataset,
 )
 from .errors import (
@@ -95,6 +95,21 @@ def _parse_reward(text: str):
         raise SchemaError(str(exc)) from None
 
 
+def _number_list(text: str, expected: str) -> list:
+    """The values of a JSON list of numbers, as parsed, so that reports
+    record them as given; ``expected`` says what the option accepts when
+    ``text`` is anything else."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError:
+        values = None
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise SchemaError(f"{expected}, got {text!r}")
+    return values
+
+
 def _resolve_prior(text: str, counts) -> np.ndarray:
     """Prior weights from 'flat', 'prop', or an explicit JSON list."""
     n = len(counts)
@@ -103,12 +118,7 @@ def _resolve_prior(text: str, counts) -> np.ndarray:
     if text == "prop":
         total = sum(counts)
         return np.asarray(counts, dtype=float) / total
-    try:
-        values = json.loads(text)
-    except json.JSONDecodeError:
-        raise OutOfRange(
-            f"prior must be 'flat', 'prop', or a JSON list, got {text!r}"
-        ) from None
+    values = _number_list(text, "prior must be 'flat', 'prop' or a JSON list of numbers")
     arr = np.asarray(values, dtype=float)
     if arr.shape != (n,):
         raise OutOfRange(f"prior has {arr.size} entries, model has {n} categories")
@@ -136,37 +146,15 @@ class _ModelFile:
 
 def _read_observations(path, feature_names) -> np.ndarray:
     """Numeric matrix of the named feature columns from a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            header = [h.strip() for h in row]
-            break
-        if header is None:
-            raise SchemaError("empty file; expected a header row")
-        try:
-            cols = [header.index(name) for name in feature_names]
-        except ValueError:
-            missing = sorted(set(feature_names) - set(header))
-            raise SchemaError(f"missing feature column(s): {', '.join(missing)}") from None
-        rows = []
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(row[c]) for c in cols]
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise SchemaError(f"line {lineno}: feature values must be finite")
-            rows.append(values)
+
+    def feature_columns(header):
+        names = [h.strip() for h in header]
+        missing = sorted(set(feature_names) - set(names))
+        if missing:
+            raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
+        return [names.index(name) for name in feature_names]
+
+    rows = [values for _, _, values in read_csv_rows(path, feature_columns)]
     if not rows:
         raise SchemaError("no observation rows")
     return np.asarray(rows, dtype=float)
@@ -263,7 +251,9 @@ def _cmd_tune(args) -> int:
     prior = _resolve_prior(args.prior, loaded.counts)
     real_prior = None
     if args.real_prior is not None:
-        real_prior = tuple(json.loads(args.real_prior))
+        real_prior = tuple(
+            _number_list(args.real_prior, "real prior must be a JSON list of numbers")
+        )
     scheme = WeightScheme(args.weights, real_prior)
     weights = make_weights(scheme, loaded.counts)
     held = loocv_posteriors(
@@ -278,20 +268,10 @@ def _cmd_tune(args) -> int:
 
     def config(variant: BinaryReward) -> CVConfig:
         return CVConfig(
-            args.epsilon,
-            args.delta,
-            scheme,
-            variant,
-            args.grid_lo,
-            args.grid_hi,
-            args.grid_step,
-            args.draws,
-            args.seed,
+            args.epsilon, args.delta, variant, args.grid_lo, args.grid_hi, args.grid_step
         )
 
-    report = evaluate_curves(
-        config(BinaryReward.CONTAINS_TRUTH), None, loaded.space, prior, weights, held=held
-    )
+    report = evaluate_curves(config(BinaryReward.CONTAINS_TRUTH), held, weights)
     metadata = {
         "command": "tune",
         "epsilon": args.epsilon,

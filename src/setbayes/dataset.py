@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,46 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
     return features, label_col, block_col
 
 
+def read_csv_rows(path, numeric_columns):
+    """Yield ``(line number, fields, values)`` for each data row of a CSV file.
+
+    Comment lines starting with ``#`` before the header are skipped, and so
+    are blank rows.  ``numeric_columns(header)`` checks the header row and
+    returns the indices of the columns read as numbers; ``values`` holds
+    those columns as floats, in that order.
+
+    Raises
+    ------
+    SchemaError
+        On an empty file, a row whose field count differs from the
+        header's, or a value that is not a finite number, with the
+        offending line number.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(
+            (row for row in reader if not (row and row[0].lstrip().startswith("#"))), None
+        )
+        if header is None:
+            raise SchemaError("empty file; expected a header row")
+        cols = numeric_columns(header)
+        for row in reader:
+            lineno = reader.line_num
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                values = [float(row[c]) for c in cols]
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in values):
+                raise SchemaError(f"line {lineno}: feature values must be finite")
+            yield lineno, row, values
+
+
 def load_dataset(path) -> LoadedDataset:
     """Read a dataset CSV and relabel categories to contiguous blocks.
 
@@ -65,53 +106,35 @@ def load_dataset(path) -> LoadedDataset:
     SchemaError
         On any malformed content, with the offending line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            header = row
-            break
-        if header is None:
-            raise SchemaError("empty file; expected a header row")
+    features = label_col = block_col = None
+
+    def feature_columns(header):
+        nonlocal features, label_col, block_col
         features, label_col, block_col = _parse_header(header)
-        feature_cols = [
-            idx for idx in range(len(header)) if idx not in (label_col, block_col)
-        ]
-        rows_by_label: dict[str, list[list[float]]] = {}
-        block_of_label: dict[str, str] = {}
-        block_order: list[str] = []
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
+        return [idx for idx in range(len(header)) if idx not in (label_col, block_col)]
+
+    rows_by_label: dict[str, list[list[float]]] = {}
+    block_of_label: dict[str, str] = {}
+    block_order: list[str] = []
+    for lineno, row, values in read_csv_rows(path, feature_columns):
+        label = row[label_col].strip()
+        if not label:
+            raise SchemaError(f"line {lineno}: empty label")
+        block = row[block_col].strip() if block_col is not None else ""
+        if block_col is not None and not block:
+            raise SchemaError(f"line {lineno}: empty block")
+        if label in block_of_label:
+            if block_of_label[label] != block:
                 raise SchemaError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"line {lineno}: label {label!r} appears in blocks "
+                    f"{block_of_label[label]!r} and {block!r}"
                 )
-            label = row[label_col].strip()
-            if not label:
-                raise SchemaError(f"line {lineno}: empty label")
-            block = row[block_col].strip() if block_col is not None else ""
-            if block_col is not None and not block:
-                raise SchemaError(f"line {lineno}: empty block")
-            try:
-                values = [float(row[idx]) for idx in feature_cols]
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-            if label in block_of_label:
-                if block_of_label[label] != block:
-                    raise SchemaError(
-                        f"line {lineno}: label {label!r} appears in blocks "
-                        f"{block_of_label[label]!r} and {block!r}"
-                    )
-            else:
-                block_of_label[label] = block
-                if block not in block_order:
-                    block_order.append(block)
-                rows_by_label[label] = []
-            rows_by_label[label].append(values)
+        else:
+            block_of_label[label] = block
+            if block not in block_order:
+                block_order.append(block)
+            rows_by_label[label] = []
+        rows_by_label[label].append(values)
     if not rows_by_label:
         raise SchemaError("no data rows")
 

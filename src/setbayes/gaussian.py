@@ -301,18 +301,6 @@ class GaussianCategoryModel:
     def dim(self) -> int:
         return self.posteriors[0].dim
 
-    def with_category(
-        self, category: int, posterior: NormalInverseWishart, draws: CategoryDraws
-    ) -> "GaussianCategoryModel":
-        """A copy of the model with one category's posterior and draws swapped."""
-        posts = list(self.posteriors)
-        all_draws = list(self.draws)
-        posts[category - 1] = posterior
-        all_draws[category - 1] = draws
-        return GaussianCategoryModel(
-            tuple(posts), self.n_draws, self.seed, self.space, tuple(all_draws)
-        )
-
 
 def category_rng(seed: int, category: int) -> np.random.Generator:
     """The dedicated stream for one category's cached draws."""
@@ -401,15 +389,15 @@ def _check_prior(prior, n: int) -> np.ndarray:
     return arr / total
 
 
-def log_posterior_matrix(
-    model: GaussianCategoryModel, prior, points: np.ndarray
-) -> np.ndarray:
-    """Log posterior category probabilities for each row of ``points``."""
-    pi = _check_prior(prior, model.n_categories)
+def _log_densities(model: GaussianCategoryModel, points) -> np.ndarray:
     z = np.asarray(points, dtype=float)
     if z.ndim == 1:
         z = z.reshape(1, -1)
-    logf = np.column_stack([d.log_density(z) for d in model.draws])
+    return np.column_stack([d.log_density(z) for d in model.draws])
+
+
+def _log_posterior_rows(logf: np.ndarray, prior) -> np.ndarray:
+    pi = _check_prior(prior, logf.shape[1])
     with np.errstate(divide="ignore"):
         logpost = logf + np.log(pi)[None, :]
     norm = logsumexp(logpost, axis=1, keepdims=True)
@@ -417,6 +405,33 @@ def log_posterior_matrix(
     if bad.size:
         raise AllZeroMass(f"every category has zero posterior mass at row {bad[0] + 1}")
     return logpost - norm
+
+
+def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
+    """Posterior rows from an (R, N) matrix of per-category log densities.
+
+    Adds the log prior, normalizes each row in log space, then
+    exponentiates and divides by the row sum.  ``posterior_matrix``,
+    ``posterior_over_categories`` and the held-out rows of
+    ``loocv_posteriors`` all come from here.
+
+    Raises
+    ------
+    DimensionMismatch, InvalidDistribution
+        If the prior is not a probability vector over the N columns.
+    AllZeroMass
+        If some row gets zero mass in every category; the message names
+        the first such row.
+    """
+    p = np.exp(_log_posterior_rows(logf, prior))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def log_posterior_matrix(
+    model: GaussianCategoryModel, prior, points: np.ndarray
+) -> np.ndarray:
+    """Log posterior category probabilities for each row of ``points``."""
+    return _log_posterior_rows(_log_densities(model, points), prior)
 
 
 def posterior_over_categories(
@@ -438,16 +453,13 @@ def posterior_over_categories(
         raise DimensionMismatch(f"point has shape {z.shape}, expected ({model.dim},)")
     if not np.all(np.isfinite(z)):
         raise OutOfRange("observation must be finite")
-    logpost = log_posterior_matrix(model, prior, z)[0]
-    p = np.exp(logpost)
-    return PosteriorVector(p / p.sum(), model.space)
+    post = posterior_from_log_densities(_log_densities(model, z), prior)
+    return PosteriorVector(post[0], model.space)
 
 
 def posterior_matrix(model: GaussianCategoryModel, prior, points) -> np.ndarray:
     """Row-normalized posterior probabilities for a batch of observations."""
-    logpost = log_posterior_matrix(model, prior, np.asarray(points, float))
-    p = np.exp(logpost)
-    return p / p.sum(axis=1, keepdims=True)
+    return posterior_from_log_densities(_log_densities(model, points), prior)
 
 
 def sample_mixture(
@@ -504,6 +516,15 @@ class CalibrationCurve:
         return float(self.sorted_scores[j - 1])
 
 
+def _own_category_scores(
+    model: GaussianCategoryModel, prior, n_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Posterior probability of each mixture draw's own category."""
+    points, cats = sample_mixture(model, prior, n_samples, rng)
+    post = posterior_matrix(model, prior, points)
+    return post[np.arange(n_samples), cats - 1]
+
+
 def calibration_curve(
     model: GaussianCategoryModel, prior, n_samples: int, seed: int
 ) -> CalibrationCurve:
@@ -511,10 +532,7 @@ def calibration_curve(
     if n_samples < 100:
         raise OutOfRange(f"need at least 100 calibration samples, got {n_samples}")
     rng = np.random.default_rng([int(seed), 0])
-    points, cats = sample_mixture(model, prior, n_samples, rng)
-    post = posterior_matrix(model, prior, points)
-    scores = post[np.arange(n_samples), cats - 1]
-    return CalibrationCurve(scores)
+    return CalibrationCurve(_own_category_scores(model, prior, n_samples, rng))
 
 
 def calibrate_conformal_cost(
@@ -543,10 +561,7 @@ def conformal_coverage(
     an honest fresh-sample estimate.
     """
     rng = np.random.default_rng([int(seed), 1])
-    points, cats = sample_mixture(model, prior, n_samples, rng)
-    post = posterior_matrix(model, prior, points)
-    scores = post[np.arange(n_samples), cats - 1]
-    return float(np.mean(scores >= cost))
+    return float(np.mean(_own_category_scores(model, prior, n_samples, rng) >= cost))
 
 
 def model_to_json(model: GaussianCategoryModel) -> dict:

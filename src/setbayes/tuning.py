@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import CategorySpace, Ranking, posterior_rows
+from .core import CategorySpace, Ranking
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps tuning.PosteriorVector
 from .errors import (
     CategoryTooSmall,
@@ -36,12 +36,12 @@ from .errors import (
 from .gaussian import (
     NormalInverseWishart,
     TrainingData,
-    _check_prior,
     conjugate_update,
     default_hyperprior,
     draw_category_sample,
     fit,
     fold_rng,
+    posterior_from_log_densities,
 )
 from .rewards import BinaryReward, CompositeProportion
 
@@ -71,7 +71,7 @@ class WeightScheme:
             object.__setattr__(self, "real_prior", rp)
 
 
-def make_weights(scheme: WeightScheme, counts, real_prior=None) -> np.ndarray:
+def make_weights(scheme: WeightScheme, counts) -> np.ndarray:
     """Category weights summing to one under the given scheme.
 
     Parameters
@@ -79,14 +79,11 @@ def make_weights(scheme: WeightScheme, counts, real_prior=None) -> np.ndarray:
     scheme : WeightScheme
     counts : sequence of int
         Per-category sample sizes.
-    real_prior : array_like, optional
-        Real-world frequencies for the rarity scheme; overrides any
-        frequencies stored on the scheme.
 
     Raises
     ------
     MissingRealPrior
-        If the rarity scheme has no frequencies from either source.
+        If the rarity scheme carries no real-world frequencies.
     """
     n = np.asarray(counts, dtype=float)
     if n.ndim != 1 or n.size < 1 or np.any(n < 0):
@@ -98,10 +95,9 @@ def make_weights(scheme: WeightScheme, counts, real_prior=None) -> np.ndarray:
         return n / total
     if scheme.kind == "per_category":
         return np.full(n.size, 1.0 / n.size)
-    freq = real_prior if real_prior is not None else scheme.real_prior
-    if freq is None:
+    if scheme.real_prior is None:
         raise MissingRealPrior("rarity weighting needs real-world frequencies")
-    f = np.asarray(freq, dtype=float)
+    f = np.asarray(scheme.real_prior, dtype=float)
     if f.shape != n.shape:
         raise DimensionMismatch(f"frequencies have shape {f.shape}, counts {n.shape}")
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
@@ -112,23 +108,22 @@ def make_weights(scheme: WeightScheme, counts, real_prior=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CVConfig:
-    """Settings for one leave-one-out tuning run.
+    """Settings for sweeping and selecting the cost over held-out posteriors.
 
     ``epsilon`` ties the within-block cost to the swept cross-block cost:
     within = epsilon * cross at every grid point.  ``delta`` is the error
-    bound used by the threshold selection rule.  The grid runs from
-    ``grid_lo`` to ``grid_hi`` in steps of ``grid_step``.
+    bound used by the threshold selection rule, and ``variant`` the score
+    that the selection rules read.  The grid runs from ``grid_lo`` to
+    ``grid_hi`` in steps of ``grid_step``.  The Monte Carlo draws and the
+    seed of the held-out posteriors are arguments of ``loocv_posteriors``.
     """
 
     epsilon: float
     delta: float
-    weights: WeightScheme
     variant: BinaryReward
     grid_lo: float
     grid_hi: float
     grid_step: float
-    n_draws: int = 200
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
@@ -141,8 +136,6 @@ class CVConfig:
             )
         if self.grid_step <= 0:
             raise OutOfRange(f"grid step must be positive, got {self.grid_step}")
-        if self.n_draws < 1:
-            raise OutOfRange(f"need at least one draw, got {self.n_draws}")
 
     def grid(self) -> np.ndarray:
         """The cost grid lo, lo + step, ..., up to hi inclusive."""
@@ -210,21 +203,22 @@ def loocv_posteriors(
     For each fold only the left-out observation's category is refitted (an
     exact conjugate update on the remaining rows) and redrawn from a stream
     keyed by (seed, category, row); the other categories reuse the full
-    fit.  The prior over categories stays fixed at ``prior`` throughout.
+    fit.  The held-out log densities replace the full-fit ones in the
+    matrix that ``posterior_from_log_densities`` turns into rows, with the
+    same fixed ``prior`` for every fold.
 
     Raises
     ------
     CategoryTooSmall
         If any category has fewer than two observations.
-    InvalidDistribution
-        If the prior is not a probability vector.
+    DimensionMismatch, InvalidDistribution
+        If the prior is not a probability vector; this is checked when the
+        rows are normalized, after the folds have run.
     OutOfRange
         If ``threads`` is below one.
     """
     if threads < 1:
         raise OutOfRange(f"need at least one thread, got {threads}")
-    # Validation only: the weights are used as given, so the values keep their bits.
-    _check_prior(prior, space.n_categories)
     counts = data.counts
     if min(counts) < 2:
         raise CategoryTooSmall(
@@ -234,38 +228,24 @@ def loocv_posteriors(
         hyperprior = default_hyperprior(data)
     model = fit(data, hyperprior, n_draws, seed, space)
     rows, labels = data.stacked()
-    base_logf = np.column_stack([d.log_density(rows) for d in model.draws])
-    pi = np.asarray(prior, dtype=float)
+    logf = np.column_stack([d.log_density(rows) for d in model.draws])
 
-    folds = []
-    r = 0
-    for i, group in enumerate(data.groups, start=1):
-        for j in range(group.shape[0]):
-            folds.append((r, i, j))
-            r += 1
+    # Fold r holds out row j of category i, which is row r of ``rows``.
+    folds = [(i, j) for i, g in enumerate(data.groups, start=1) for j in range(g.shape[0])]
 
     def run_fold(fold):
-        r, i, j = fold
-        retained = data.drop_row(i, j)
-        post = conjugate_update(retained, hyperprior)
+        i, j = fold
+        post = conjugate_update(data.drop_row(i, j), hyperprior)
         draws = draw_category_sample(post, n_draws, fold_rng(seed, i, j))
-        return r, float(draws.log_density(rows[r])[0])
+        return float(draws.log_density(data.groups[i - 1][j])[0])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_fold, folds))
+            held_out = list(pool.map(run_fold, folds))
     else:
-        results = [run_fold(f) for f in folds]
-
-    logf = base_logf.copy()
-    for r, value in results:
-        logf[r, labels[r] - 1] = value
-    with np.errstate(divide="ignore"):
-        logpost = logf + np.log(pi)[None, :]
-    logpost -= logpost.max(axis=1, keepdims=True)
-    post = np.exp(logpost)
-    post /= post.sum(axis=1, keepdims=True)
-    return HeldOutPosteriors(posterior_rows(post, space), labels, counts, space)
+        held_out = [run_fold(f) for f in folds]
+    logf[np.arange(len(folds)), labels - 1] = held_out
+    return HeldOutPosteriors(posterior_from_log_densities(logf, prior), labels, counts, space)
 
 
 @dataclass(frozen=True)
@@ -274,8 +254,6 @@ class CVReport:
 
     grid: np.ndarray
     rates: dict[BinaryReward, np.ndarray]
-    epsilon: float
-    metadata: dict = field(default_factory=dict)
 
     def non_reward(self, variant: BinaryReward) -> np.ndarray:
         return 1.0 - self.rates[variant]
@@ -291,29 +269,28 @@ class CVReport:
         ]
 
 
+def _rates(
+    held: HeldOutPosteriors, fold_w: np.ndarray, within_cost: float, cross_cost: float
+) -> dict[BinaryReward, float]:
+    """Weighted held-out rate of each binary score at one cost pair."""
+    scores = held.binary_scores(within_cost, cross_cost)
+    return {v: min(1.0, max(0.0, float(fold_w @ scores[v]))) for v in BinaryReward}
+
+
 def evaluate_curves(
-    config: CVConfig,
-    data: TrainingData | None,
-    space: CategorySpace,
-    prior,
-    weights: np.ndarray,
-    held: HeldOutPosteriors | None = None,
+    config: CVConfig, held: HeldOutPosteriors, weights: np.ndarray
 ) -> CVReport:
-    """Sweep the cost grid, reusing one set of held-out posteriors."""
-    if held is None:
-        if data is None:
-            raise DimensionMismatch("need training data or precomputed posteriors")
-        held = loocv_posteriors(
-            data, space, prior, None, config.n_draws, config.seed
-        )
+    """Sweep the cost grid over one set of held-out posteriors.
+
+    ``weights`` are the per-category weights from ``make_weights``.
+    """
     grid = config.grid()
     fold_w = held.fold_weights(weights)
     curves = {v: np.empty(grid.size) for v in BinaryReward}
     for idx, cost in enumerate(grid):
-        scores = held.binary_scores(config.epsilon * cost, cost)
-        for v in BinaryReward:
-            curves[v][idx] = min(1.0, max(0.0, float(fold_w @ scores[v])))
-    return CVReport(grid, curves, config.epsilon)
+        for v, rate in _rates(held, fold_w, config.epsilon * cost, cost).items():
+            curves[v][idx] = rate
+    return CVReport(grid, curves)
 
 
 @dataclass(frozen=True)
@@ -410,8 +387,7 @@ def select_b_minimize(
     fold_w = held.fold_weights(weights)
 
     def objective(cost: float) -> float:
-        scores = held.binary_scores(config.epsilon * cost, cost)
-        return 1.0 - min(1.0, max(0.0, float(fold_w @ scores[config.variant])))
+        return 1.0 - _rates(held, fold_w, config.epsilon * cost, cost)[config.variant]
 
     lo = float(report.grid[idx - 1])
     hi = float(report.grid[idx + 1])
@@ -456,6 +432,5 @@ def grid_scan_costs(
     out = np.empty((a_grid.size, b_grid.size))
     for ai, a in enumerate(a_grid):
         for bi, b in enumerate(b_grid):
-            scores = held.binary_scores(a, b)
-            out[ai, bi] = 1.0 - min(1.0, max(0.0, float(fold_w @ scores[variant])))
+            out[ai, bi] = 1.0 - _rates(held, fold_w, a, b)[variant]
     return out

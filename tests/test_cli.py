@@ -81,6 +81,12 @@ class TestFit:
         assert main(["fit", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "m.json")]) == 3
 
+    def test_non_finite_value_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x,label\n0.0,a\nnan,a\n1.0,b\n2.0,b\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert "line 3: feature values must be finite" in capsys.readouterr().err
+
 
 class TestClassify:
     def probes(self, tmp_path):
@@ -147,6 +153,9 @@ class TestClassify:
                           '{"kind": "penalty", "g": [0, 0, 1, 1], "convex": "no"}'):
             assert main(base + ["--reward", malformed]) == 2
         assert main(base + ["--reward", '{"kind": "map"}', "--prior", "[0.5, 0.5]"]) == 3
+        for malformed in ("notjson", '{"a": 1}', "[[0.5, 0.5]]", "[null, 1, 1]",
+                          "[true, false, true]", '"flat"'):
+            assert main(base + ["--reward", '{"kind": "map"}', "--prior", malformed]) == 2
         bad_probe = tmp_path / "bad.csv"
         bad_probe.write_text("z1,z2\n0,0\n")
         assert main(["classify", "--model", str(model), "--data", str(bad_probe),
@@ -218,11 +227,22 @@ class TestTune:
     @pytest.mark.parametrize("extra", [
         ["--threads", "0"], ["--threads", "-1"], ["--prior", "[0.7, 0.7, 0.7]"],
         ["--prior", "[1.2, -0.1, -0.1]"],
+        ["--weights", "rarity", "--real-prior", "[0.5, 0.5]"],
+        ["--weights", "rarity", "--real-prior", "[0.5, -0.5, 1.0]"],
     ])
     def test_bad_threads_or_prior_exits_3(self, workspace, extra):
         tmp_path, _, data, _ = workspace
         args = self.tune_args(data, tmp_path / "c.csv", tmp_path / "s.json")
         assert main(args + extra) == 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--real-prior", "5"], ["--real-prior", "[null, 1]"], ["--real-prior", "notjson"],
+        ["--prior", '{"a": 1}'], ["--prior", "[[0.5, 0.5]]"], ["--prior", "uniform"],
+    ])
+    def test_malformed_prior_lists_exit_2(self, workspace, extra):
+        tmp_path, _, data, _ = workspace
+        args = self.tune_args(data, tmp_path / "c.csv", tmp_path / "s.json")
+        assert main(args + extra) == 2
 
 
 class TestConformal:

@@ -85,9 +85,12 @@ class TestLoadDataset:
 
     def test_bad_number_reports_line(self, tmp_path):
         f = tmp_path / "d.csv"
-        write_text(f, "x,label\n1.0,a\noops,a\n")
-        with pytest.raises(SchemaError, match="line 3"):
-            load_dataset(f)
+        for value, message in (("oops", "line 3"),
+                               ("nan", "line 3: feature values must be finite"),
+                               ("inf", "line 3: feature values must be finite")):
+            write_text(f, f"x,label\n1.0,a\n{value},a\n")
+            with pytest.raises(SchemaError, match=message):
+                load_dataset(f)
 
     def test_ragged_row(self, tmp_path):
         f = tmp_path / "d.csv"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from setbayes import (
     BinaryReward,
@@ -19,6 +21,8 @@ from setbayes import (
     WeightScheme,
     binary_reward,
     brute_force_optimal,
+    conjugate_update,
+    default_hyperprior,
     evaluate_curves,
     grid_scan_costs,
     loocv_posteriors,
@@ -26,6 +30,7 @@ from setbayes import (
     select_b_minimize,
     select_b_threshold,
 )
+from setbayes.gaussian import category_rng, draw_category_sample, fold_rng
 
 VARIANTS = (
     BinaryReward.EXACT_SINGLETON,
@@ -109,23 +114,20 @@ class TestWeights:
 
 class TestCVConfig:
     def test_grid_inclusive_of_hi(self):
-        cfg = CVConfig(1.0, 0.05, WeightScheme("per_category"),
-                       BinaryReward.CONTAINS_TRUTH, 0.05, 0.2, 0.05)
+        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.05, 0.2, 0.05)
         np.testing.assert_allclose(cfg.grid(), [0.05, 0.1, 0.15, 0.2])
 
     def test_grid_stops_below_uneven_hi(self):
-        cfg = CVConfig(1.0, 0.05, WeightScheme("per_category"),
-                       BinaryReward.CONTAINS_TRUTH, 0.1, 0.25, 0.1)
+        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 0.25, 0.1)
         np.testing.assert_allclose(cfg.grid(), [0.1, 0.2])
 
     def test_validation(self):
-        w = WeightScheme("per_category")
         with pytest.raises(OutOfRange):
-            CVConfig(1.0, 0.0, w, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
+            CVConfig(1.0, 0.0, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
         with pytest.raises(OutOfRange):
-            CVConfig(1.0, 0.05, w, BinaryReward.CONTAINS_TRUTH, 0.0, 1.0, 0.1)
+            CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.0, 1.0, 0.1)
         with pytest.raises(OutOfRange):
-            CVConfig(-1.0, 0.05, w, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
+            CVConfig(-1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
 
 
 class TestHeldOutPosteriors:
@@ -136,6 +138,40 @@ class TestHeldOutPosteriors:
         assert held.n_folds == data.total
         assert held.categories.tolist() == [1] * 18 + [2] * 10 + [3] * 8
         np.testing.assert_allclose(held.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_rows_match_an_independent_recomputation(self):
+        """Rebuild the first and last fold of every category with scipy: refit
+        the held-out row's category on the retained rows, redraw it from the
+        fold's stream, average the per-draw Gaussian densities, take the
+        full-fit draws for the other categories and apply Bayes' rule."""
+        data, space = blocked_data(np.random.default_rng(47), counts=(7, 5, 4))
+        prior = np.array([0.5, 0.3, 0.2])
+        seed, n_draws = 9, 25
+        held = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed)
+        hyper = default_hyperprior(data)
+        full = [
+            draw_category_sample(conjugate_update(g, hyper), n_draws, category_rng(seed, i))
+            for i, g in enumerate(data.groups, start=1)
+        ]
+
+        def log_density(draws, x):
+            covs = draws.chols @ np.swapaxes(draws.chols, 1, 2)
+            per_draw = [multivariate_normal.logpdf(x, m, c) for m, c in zip(draws.means, covs)]
+            return logsumexp(per_draw) - np.log(n_draws)
+
+        first = 0
+        for i, group in enumerate(data.groups, start=1):
+            for j in (0, group.shape[0] - 1):
+                refit = conjugate_update(np.delete(group, j, axis=0), hyper)
+                own = draw_category_sample(refit, n_draws, fold_rng(seed, i, j))
+                logf = np.array([
+                    log_density(own if k == i else full[k - 1], group[j])
+                    for k in range(1, space.n_categories + 1)
+                ])
+                logpost = logf + np.log(prior)
+                want = np.exp(logpost - logsumexp(logpost))
+                np.testing.assert_allclose(held.matrix[first + j], want, rtol=0, atol=1e-12)
+            first += group.shape[0]
 
     def test_requires_two_per_category(self):
         data = TrainingData([np.zeros((3, 1)) + [[0], [1], [2]], np.array([[5.0]])])
@@ -224,15 +260,14 @@ def curve_setup():
 
 class TestCurves:
     def config(self, variant, epsilon=1.0, delta=0.1, lo=0.05, hi=2.0, step=0.05):
-        return CVConfig(epsilon, delta, WeightScheme("per_observation"),
-                        variant, lo, hi, step)
+        return CVConfig(epsilon, delta, variant, lo, hi, step)
 
     def test_hierarchy_at_every_grid_point(self, curve_setup):
         space, prior, held, weights = curve_setup
         for eps in (0.5, 1.0, 2.0):
             report = evaluate_curves(
                 self.config(BinaryReward.CONTAINS_TRUTH, epsilon=eps),
-                None, space, prior, weights, held=held,
+                held, weights,
             )
             r1, r2, r3, r4 = (report.rates[v] for v in VARIANTS)
             assert np.all(r1 <= r2 + 1e-12)
@@ -243,7 +278,7 @@ class TestCurves:
         space, prior, held, weights = curve_setup
         report = evaluate_curves(
             self.config(BinaryReward.CONTAINS_TRUTH),
-            None, space, prior, weights, held=held,
+            held, weights,
         )
         for variant in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
             non_reward = report.non_reward(variant)
@@ -253,7 +288,7 @@ class TestCurves:
         space, prior, held, weights = curve_setup
         report = evaluate_curves(
             self.config(BinaryReward.CONTAINS_TRUTH),
-            None, space, prior, weights, held=held,
+            held, weights,
         )
         for variant in VARIANTS:
             assert np.all(report.rates[variant] >= 0.0)
@@ -266,7 +301,7 @@ class TestCurves:
         for variant in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
             for delta in (0.02, 0.05, 0.1, 0.3):
                 cfg = self.config(variant, delta=delta)
-                report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+                report = evaluate_curves(cfg, held, weights)
                 curve = report.non_reward(variant)
                 try:
                     sel = select_b_threshold(cfg, report)
@@ -284,14 +319,14 @@ class TestCurves:
     def test_threshold_rejects_singleton_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
         cfg = self.config(BinaryReward.EXACT_SINGLETON)
-        report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+        report = evaluate_curves(cfg, held, weights)
         with pytest.raises(OutOfRange):
             select_b_threshold(cfg, report)
 
     def test_no_feasible_cost(self, curve_setup):
         space, prior, held, weights = curve_setup
         cfg = self.config(BinaryReward.CONTAINS_TRUTH, delta=1e-6, lo=3.0, hi=5.0, step=0.5)
-        report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+        report = evaluate_curves(cfg, held, weights)
         if np.all(report.non_reward(BinaryReward.CONTAINS_TRUTH) > 1e-6):
             with pytest.raises(NoFeasibleB):
                 select_b_threshold(cfg, report)
@@ -300,7 +335,7 @@ class TestCurves:
         space, prior, held, weights = curve_setup
         for variant in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
             cfg = self.config(variant)
-            report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+            report = evaluate_curves(cfg, held, weights)
             sel = select_b_minimize(cfg, report, held, weights)
             assert sel.non_reward_rate <= report.non_reward(variant).min() + 1e-15
             assert cfg.grid_lo <= sel.cost <= cfg.grid_hi
@@ -313,9 +348,8 @@ class TestCurves:
         prior = uniform_prior(3)
         held = loocv_posteriors(data, space, prior, n_draws=40, seed=13)
         weights = make_weights(WeightScheme("per_observation"), data.counts)
-        cfg = CVConfig(1.0, 0.05, WeightScheme("per_observation"),
-                       BinaryReward.EXACT_SINGLETON, 0.5, 2.0, 0.25)
-        report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+        cfg = CVConfig(1.0, 0.05, BinaryReward.EXACT_SINGLETON, 0.5, 2.0, 0.25)
+        report = evaluate_curves(cfg, held, weights)
         curve = report.non_reward(BinaryReward.EXACT_SINGLETON)
         assert np.ptp(curve) == 0.0  # genuinely flat, or the test is vacuous
         sel = select_b_minimize(cfg, report, held, weights)
@@ -325,7 +359,7 @@ class TestCurves:
     def test_minimize_rejects_containment_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
         cfg = self.config(BinaryReward.CONTAINS_TRUTH)
-        report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+        report = evaluate_curves(cfg, held, weights)
         with pytest.raises(OutOfRange):
             select_b_minimize(cfg, report, held, weights)
 
@@ -339,9 +373,8 @@ class TestGridScan:
         prior = uniform_prior(3)
         held = loocv_posteriors(data, space, prior, n_draws=30, seed=3)
         weights = make_weights(WeightScheme("per_category"), data.counts)
-        cfg = CVConfig(1.0, 0.05, WeightScheme("per_category"),
-                       BinaryReward.CONTAINS_TRUTH, 0.1, 0.5, 0.1)
-        report = evaluate_curves(cfg, None, space, prior, weights, held=held)
+        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 0.5, 0.1)
+        report = evaluate_curves(cfg, held, weights)
         grid = cfg.grid()
         lattice = grid_scan_costs(grid, grid, held, weights, BinaryReward.CONTAINS_TRUTH)
         np.testing.assert_allclose(
