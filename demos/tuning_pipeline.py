@@ -24,7 +24,6 @@ from setbayes import (
     CategorySpace,
     CVConfig,
     TrainingData,
-    WeightScheme,
     evaluate_curves,
     loocv_posteriors,
     make_weights,
@@ -47,16 +46,12 @@ def simulated_blocked_data(rng):
 def main() -> None:
     data, space = simulated_blocked_data(np.random.default_rng(8))
     prior = np.asarray(data.counts, dtype=float) / sum(data.counts)
-    weights = make_weights(WeightScheme("per_observation"), data.counts)
+    weights = make_weights("per_observation", data.counts)
 
     print("counts per category:", data.counts, " blocks:", space.block_sizes)
     held = loocv_posteriors(data, space, prior, n_draws=150, seed=0)
-
-    def config(variant):
-        return CVConfig(EPSILON, DELTA, variant,
-                        grid_lo=0.05, grid_hi=2.0, grid_step=0.05)
-
-    report = evaluate_curves(config(BinaryReward.CONTAINS_TRUTH), held, weights)
+    config = CVConfig(EPSILON, DELTA, grid_lo=0.05, grid_hi=2.0, grid_step=0.05)
+    report = evaluate_curves(config, held, weights)
 
     print("\ncross-validated reward rates along the cost grid (excerpt):")
     print(f"  {'b':>5s}  {'R1':>6s}  {'R2':>6s}  {'R3':>6s}  {'R4':>6s}")
@@ -69,13 +64,13 @@ def main() -> None:
     print(f"\nlargest b keeping non-containment under {DELTA}:")
     for name, variant in (("R3", BinaryReward.CONTAINS_TRUTH),
                           ("R4", BinaryReward.HITS_TRUE_BLOCK)):
-        sel = select_b_threshold(config(variant), report)
+        sel = select_b_threshold(report, variant)
         print(f"  {name}: b = {sel.display()}  (non-reward {sel.non_reward_rate:.4f})")
 
     print("\nb minimizing the error of the exact variants:")
     for name, variant in (("R1", BinaryReward.EXACT_SINGLETON),
                           ("R2", BinaryReward.WITHIN_BLOCK)):
-        sel = select_b_minimize(config(variant), report, held, weights)
+        sel = select_b_minimize(report, variant)
         tag = "refined off-grid" if sel.refined else "grid point"
         print(f"  {name}: b = {sel.cost:.4f}  (non-reward {sel.non_reward_rate:.4f}, {tag})")
 

@@ -37,13 +37,13 @@ from .errors import (
     CategoryTooSmall,
     EmptyCategory,
     NoFeasibleB,
-    OutOfRange,
     SchemaError,
     SetBayesError,
 )
 from .gaussian import (
     GaussianCategoryModel,
     calibrate_conformal_cost,
+    check_prior,
     conformal_coverage,
     fit,
     model_from_json,
@@ -53,7 +53,6 @@ from .gaussian import (
 from .rewards import BinaryReward, reward_spec_from_json
 from .tuning import (
     CVConfig,
-    WeightScheme,
     evaluate_curves,
     loocv_posteriors,
     make_weights,
@@ -111,7 +110,10 @@ def _number_list(text: str, expected: str) -> list:
 
 
 def _resolve_prior(text: str, counts) -> np.ndarray:
-    """Prior weights from 'flat', 'prop', or an explicit JSON list."""
+    """Prior weights from 'flat', 'prop', or an explicit JSON list.
+
+    A list is checked as a prior over the categories but returned as
+    given, not divided by its sum, so that outputs keep their bits."""
     n = len(counts)
     if text == "flat":
         return np.full(n, 1.0 / n)
@@ -120,8 +122,7 @@ def _resolve_prior(text: str, counts) -> np.ndarray:
         return np.asarray(counts, dtype=float) / total
     values = _number_list(text, "prior must be 'flat', 'prop' or a JSON list of numbers")
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise OutOfRange(f"prior has {arr.size} entries, model has {n} categories")
+    check_prior(arr, n)
     return arr
 
 
@@ -251,11 +252,9 @@ def _cmd_tune(args) -> int:
     prior = _resolve_prior(args.prior, loaded.counts)
     real_prior = None
     if args.real_prior is not None:
-        real_prior = tuple(
-            _number_list(args.real_prior, "real prior must be a JSON list of numbers")
-        )
-    scheme = WeightScheme(args.weights, real_prior)
-    weights = make_weights(scheme, loaded.counts)
+        real_prior = _number_list(args.real_prior, "real prior must be a JSON list of numbers")
+    weights = make_weights(args.weights, loaded.counts, real_prior)
+    config = CVConfig(args.epsilon, args.delta, args.grid_lo, args.grid_hi, args.grid_step)
     held = loocv_posteriors(
         loaded.data,
         loaded.space,
@@ -265,19 +264,13 @@ def _cmd_tune(args) -> int:
         args.seed,
         threads=args.threads,
     )
-
-    def config(variant: BinaryReward) -> CVConfig:
-        return CVConfig(
-            args.epsilon, args.delta, variant, args.grid_lo, args.grid_hi, args.grid_step
-        )
-
-    report = evaluate_curves(config(BinaryReward.CONTAINS_TRUTH), held, weights)
+    report = evaluate_curves(config, held, weights)
     metadata = {
         "command": "tune",
         "epsilon": args.epsilon,
         "delta": args.delta,
         "weights": args.weights,
-        "real_prior": list(real_prior) if real_prior else None,
+        "real_prior": real_prior or None,
         "prior": args.prior,
         "grid": [args.grid_lo, args.grid_hi, args.grid_step],
         "draws": args.draws,
@@ -295,9 +288,8 @@ def _cmd_tune(args) -> int:
 
     selections: dict[str, dict] = {"threshold": {}, "minimize": {}}
     for name in ("R3", "R4"):
-        cfg = config(BinaryReward(name))
         try:
-            sel = select_b_threshold(cfg, report)
+            sel = select_b_threshold(report, BinaryReward(name))
             selections["threshold"][name] = {
                 "selected_b": sel.cost,
                 "within_cost": args.epsilon * sel.cost,
@@ -311,8 +303,7 @@ def _cmd_tune(args) -> int:
             selections["threshold"][name] = {"selected_b": None, "note": str(exc)}
             print(f"{name} threshold rule: no feasible cost ({exc})")
     for name in ("R1", "R2"):
-        cfg = config(BinaryReward(name))
-        sel = select_b_minimize(cfg, report, held, weights)
+        sel = select_b_minimize(report, BinaryReward(name))
         selections["minimize"][name] = {
             "selected_b": sel.cost,
             "within_cost": args.epsilon * sel.cost,

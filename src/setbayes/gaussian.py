@@ -377,15 +377,18 @@ def predictive_density(model: GaussianCategoryModel, category: int, point) -> fl
     return math.exp(log_predictive_density(model, category, point))
 
 
-def _check_prior(prior, n: int) -> np.ndarray:
+def check_prior(prior, n: int) -> np.ndarray:
+    """The prior over ``n`` categories divided by its sum; raises
+    ``DimensionMismatch`` for a wrong length and ``InvalidDistribution``
+    for a negative or non-finite weight or a sum off 1 by more than 1e-9."""
     arr = np.asarray(prior, dtype=float)
     if arr.shape != (n,):
         raise DimensionMismatch(f"prior has shape {arr.shape}, expected ({n},)")
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise InvalidDistribution("prior weights must be finite and nonnegative")
-    total = arr.sum()
+    total = float(arr.sum())
     if abs(total - 1.0) > 1e-9:
-        raise InvalidDistribution(f"prior sums to {total!r}, expected 1")
+        raise InvalidDistribution(f"prior sums to {total}, expected 1")
     return arr / total
 
 
@@ -394,17 +397,6 @@ def _log_densities(model: GaussianCategoryModel, points) -> np.ndarray:
     if z.ndim == 1:
         z = z.reshape(1, -1)
     return np.column_stack([d.log_density(z) for d in model.draws])
-
-
-def _log_posterior_rows(logf: np.ndarray, prior) -> np.ndarray:
-    pi = _check_prior(prior, logf.shape[1])
-    with np.errstate(divide="ignore"):
-        logpost = logf + np.log(pi)[None, :]
-    norm = logsumexp(logpost, axis=1, keepdims=True)
-    bad = np.flatnonzero(~np.isfinite(norm[:, 0]))
-    if bad.size:
-        raise AllZeroMass(f"every category has zero posterior mass at row {bad[0] + 1}")
-    return logpost - norm
 
 
 def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
@@ -423,15 +415,15 @@ def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
         If some row gets zero mass in every category; the message names
         the first such row.
     """
-    p = np.exp(_log_posterior_rows(logf, prior))
+    pi = check_prior(prior, logf.shape[1])
+    with np.errstate(divide="ignore"):
+        logpost = logf + np.log(pi)[None, :]
+    norm = logsumexp(logpost, axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(norm[:, 0]))
+    if bad.size:
+        raise AllZeroMass(f"every category has zero posterior mass at row {bad[0] + 1}")
+    p = np.exp(logpost - norm)
     return p / p.sum(axis=1, keepdims=True)
-
-
-def log_posterior_matrix(
-    model: GaussianCategoryModel, prior, points: np.ndarray
-) -> np.ndarray:
-    """Log posterior category probabilities for each row of ``points``."""
-    return _log_posterior_rows(_log_densities(model, points), prior)
 
 
 def posterior_over_categories(
@@ -472,7 +464,7 @@ def sample_mixture(
     from it, which is exactly a draw from the Monte Carlo predictive.
     Returns the points and their 1-based categories.
     """
-    pi = _check_prior(prior, model.n_categories)
+    pi = check_prior(prior, model.n_categories)
     cats = rng.choice(model.n_categories, size=n_samples, p=pi)
     points = np.empty((n_samples, model.dim))
     for i in range(model.n_categories):
@@ -560,6 +552,8 @@ def conformal_coverage(
     identical seed, so calibrating and auditing with one seed still gives
     an honest fresh-sample estimate.
     """
+    if n_samples < 1:
+        raise OutOfRange(f"need at least one audit sample, got {n_samples}")
     rng = np.random.default_rng([int(seed), 1])
     return float(np.mean(_own_category_scores(model, prior, n_samples, rng) >= cost))
 

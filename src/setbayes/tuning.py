@@ -48,56 +48,48 @@ from .rewards import BinaryReward, CompositeProportion
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """How held-out observations are weighted in the cross-validated rate.
+def make_weights(kind: str, counts, real_prior=None) -> np.ndarray:
+    """Category weights summing to one.
 
     ``per_observation`` weights categories by their sample counts, so every
     observation counts equally.  ``per_category`` weights categories
     equally regardless of size.  ``rarity`` weights categories by the
-    inverse of their real-world frequencies, which must be supplied.
-    """
-
-    kind: str
-    real_prior: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("per_observation", "per_category", "rarity"):
-            raise OutOfRange(f"unknown weighting scheme {self.kind!r}")
-        if self.real_prior is not None:
-            rp = tuple(float(v) for v in self.real_prior)
-            if any(v <= 0 or not np.isfinite(v) for v in rp):
-                raise OutOfRange("real-world frequencies must be positive and finite")
-            object.__setattr__(self, "real_prior", rp)
-
-
-def make_weights(scheme: WeightScheme, counts) -> np.ndarray:
-    """Category weights summing to one under the given scheme.
+    inverse of their real-world frequencies ``real_prior``, which only
+    this kind reads.
 
     Parameters
     ----------
-    scheme : WeightScheme
+    kind : {"per_observation", "per_category", "rarity"}
     counts : sequence of int
         Per-category sample sizes.
+    real_prior : sequence of float, optional
+        Real-world category frequencies, for ``rarity`` only.
 
     Raises
     ------
+    OutOfRange
+        For an unknown kind, ``real_prior`` with another kind than
+        ``rarity``, or nonpositive or non-finite frequencies.
     MissingRealPrior
-        If the rarity scheme carries no real-world frequencies.
+        If ``rarity`` comes without real-world frequencies.
     """
+    if kind not in ("per_observation", "per_category", "rarity"):
+        raise OutOfRange(f"unknown weighting scheme {kind!r}")
+    if real_prior is not None and kind != "rarity":
+        raise OutOfRange(f"real-world frequencies apply to rarity weights, not {kind!r}")
     n = np.asarray(counts, dtype=float)
     if n.ndim != 1 or n.size < 1 or np.any(n < 0):
         raise OutOfRange(f"counts must be nonnegative, got {counts!r}")
-    if scheme.kind == "per_observation":
+    if kind == "per_observation":
         total = n.sum()
         if total <= 0:
             raise OutOfRange("counts sum to zero")
         return n / total
-    if scheme.kind == "per_category":
+    if kind == "per_category":
         return np.full(n.size, 1.0 / n.size)
-    if scheme.real_prior is None:
+    if real_prior is None:
         raise MissingRealPrior("rarity weighting needs real-world frequencies")
-    f = np.asarray(scheme.real_prior, dtype=float)
+    f = np.asarray(real_prior, dtype=float)
     if f.shape != n.shape:
         raise DimensionMismatch(f"frequencies have shape {f.shape}, counts {n.shape}")
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
@@ -112,15 +104,15 @@ class CVConfig:
 
     ``epsilon`` ties the within-block cost to the swept cross-block cost:
     within = epsilon * cross at every grid point.  ``delta`` is the error
-    bound used by the threshold selection rule, and ``variant`` the score
-    that the selection rules read.  The grid runs from ``grid_lo`` to
-    ``grid_hi`` in steps of ``grid_step``.  The Monte Carlo draws and the
-    seed of the held-out posteriors are arguments of ``loocv_posteriors``.
+    bound used by the threshold selection rule.  The grid runs from
+    ``grid_lo`` to ``grid_hi`` in steps of ``grid_step``.  The score a
+    selection rule reads is its own argument, and the Monte Carlo draws
+    and the seed of the held-out posteriors are arguments of
+    ``loocv_posteriors``.
     """
 
     epsilon: float
     delta: float
-    variant: BinaryReward
     grid_lo: float
     grid_hi: float
     grid_step: float
@@ -130,12 +122,12 @@ class CVConfig:
             raise OutOfRange(f"epsilon must be nonnegative, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise OutOfRange(f"delta {self.delta} outside (0, 1)")
-        if not 0.0 < self.grid_lo <= self.grid_hi:
+        if not 0.0 < self.grid_lo <= self.grid_hi < math.inf:
             raise OutOfRange(
-                f"grid needs 0 < lo <= hi, got lo={self.grid_lo} hi={self.grid_hi}"
+                f"grid needs 0 < lo <= hi < inf, got lo={self.grid_lo} hi={self.grid_hi}"
             )
-        if self.grid_step <= 0:
-            raise OutOfRange(f"grid step must be positive, got {self.grid_step}")
+        if not 0.0 < self.grid_step < math.inf:
+            raise OutOfRange(f"grid step must be positive and finite, got {self.grid_step}")
 
     def grid(self) -> np.ndarray:
         """The cost grid lo, lo + step, ..., up to hi inclusive."""
@@ -250,10 +242,15 @@ def loocv_posteriors(
 
 @dataclass(frozen=True)
 class CVReport:
-    """Reward-rate curves of all four binary scores along the cost grid."""
+    """Reward-rate curves of all four binary scores along the cost grid,
+    with the settings, held-out rows and fold weights that produced them,
+    which the selection rules read."""
 
     grid: np.ndarray
     rates: dict[BinaryReward, np.ndarray]
+    config: CVConfig
+    held: HeldOutPosteriors
+    fold_weights: np.ndarray
 
     def non_reward(self, variant: BinaryReward) -> np.ndarray:
         return 1.0 - self.rates[variant]
@@ -290,7 +287,7 @@ def evaluate_curves(
     for idx, cost in enumerate(grid):
         for v, rate in _rates(held, fold_w, config.epsilon * cost, cost).items():
             curves[v][idx] = rate
-    return CVReport(grid, curves)
+    return CVReport(grid, curves, config, held, fold_w)
 
 
 @dataclass(frozen=True)
@@ -306,10 +303,9 @@ class ThresholdSelection:
         return f">= {text}" if self.at_grid_top else text
 
 
-def select_b_threshold(
-    config: CVConfig, report: CVReport
-) -> ThresholdSelection:
-    """Pick the largest grid cost whose non-reward rate is at most delta.
+def select_b_threshold(report: CVReport, variant: BinaryReward) -> ThresholdSelection:
+    """Pick the largest grid cost whose non-reward rate of ``variant`` is
+    at most the report's delta.
 
     Only meaningful for the two scores whose non-reward rate grows with
     the cost (truth containment and true-block hit); the curve is checked
@@ -322,22 +318,21 @@ def select_b_threshold(
     NoFeasibleB
         If no grid point satisfies the bound.
     """
-    if config.variant not in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
+    if variant not in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
         raise OutOfRange(
             "threshold selection applies to the containment scores; "
             "use select_b_minimize for the singleton-style scores"
         )
-    curve = report.non_reward(config.variant)
+    delta = report.config.delta
+    curve = report.non_reward(variant)
     if np.any(np.diff(curve) < -1e-12):
         raise AssertionError(
             "non-reward rate decreased along the cost grid; this should be "
             "impossible for containment scores"
         )
-    feasible = np.flatnonzero(curve <= config.delta)
+    feasible = np.flatnonzero(curve <= delta)
     if feasible.size == 0:
-        raise NoFeasibleB(
-            f"no grid cost keeps the non-reward rate within {config.delta}"
-        )
+        raise NoFeasibleB(f"no grid cost keeps the non-reward rate within {delta}")
     idx = int(feasible[-1])
     return ThresholdSelection(
         float(report.grid[idx]),
@@ -355,27 +350,24 @@ class MinimizeSelection:
     refined: bool
 
 
-def select_b_minimize(
-    config: CVConfig,
-    report: CVReport,
-    held: HeldOutPosteriors,
-    weights: np.ndarray,
-) -> MinimizeSelection:
-    """Minimize the non-reward rate over the grid, then refine locally.
+def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelection:
+    """Minimize the non-reward rate of ``variant`` over the grid, then
+    refine locally.
 
     The coarse grid supplies a bracketing triple around its best point; a
     golden section search inside that bracket then looks for a better
-    cost.  On plateaus (several grid points sharing the minimum) the
+    cost, scoring the report's held-out rows with its fold weights and
+    epsilon.  On plateaus (several grid points sharing the minimum) the
     smallest cost is returned unrefined, which keeps the rule
     deterministic.  The refined answer is never worse than the grid
     minimum, because the grid point stays among the candidates.
     """
-    if config.variant not in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
+    if variant not in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
         raise OutOfRange(
             "rate minimization applies to the singleton-style scores; "
             "use select_b_threshold for the containment scores"
         )
-    curve = report.non_reward(config.variant)
+    curve = report.non_reward(variant)
     best_rate = float(curve.min())
     at_minimum = np.flatnonzero(curve == best_rate)
     idx = int(at_minimum[0])
@@ -384,10 +376,10 @@ def select_b_minimize(
     if plateau or not interior:
         return MinimizeSelection(float(report.grid[idx]), best_rate, False)
 
-    fold_w = held.fold_weights(weights)
+    held, fold_w, config = report.held, report.fold_weights, report.config
 
     def objective(cost: float) -> float:
-        return 1.0 - _rates(held, fold_w, config.epsilon * cost, cost)[config.variant]
+        return 1.0 - _rates(held, fold_w, config.epsilon * cost, cost)[variant]
 
     lo = float(report.grid[idx - 1])
     hi = float(report.grid[idx + 1])

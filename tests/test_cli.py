@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from setbayes import cli
 from setbayes.cli import main
+
+
+def must_not_run(name):
+    def stub(*args, **kwargs):
+        pytest.fail(f"{name} ran before the settings were checked")
+    return stub
 
 
 SPEC = {
@@ -140,7 +147,7 @@ class TestClassify:
                    "--out", str(out)])
         assert rc == 0
 
-    def test_error_exit_codes(self, workspace):
+    def test_error_exit_codes(self, workspace, capsys):
         tmp_path, _, _, model = workspace
         probe = self.probes(tmp_path)
         out = tmp_path / "sets.csv"
@@ -153,6 +160,13 @@ class TestClassify:
                           '{"kind": "penalty", "g": [0, 0, 1, 1], "convex": "no"}'):
             assert main(base + ["--reward", malformed]) == 2
         assert main(base + ["--reward", '{"kind": "map"}', "--prior", "[0.5, 0.5]"]) == 3
+        capsys.readouterr()
+        assert main(base + ["--reward", '{"kind": "map"}', "--prior", "[0.7, 0.7, 0.7, 0.7]"]) == 3
+        assert main(base + ["--reward", '{"kind": "map"}', "--prior", "[0.7, 0.7, 0.7]"]) == 3
+        assert capsys.readouterr().err == (
+            "error: prior has shape (4,), expected (3,)\n"
+            "error: prior sums to 2.0999999999999996, expected 1\n"
+        )
         for malformed in ("notjson", '{"a": 1}', "[[0.5, 0.5]]", "[null, 1, 1]",
                           "[true, false, true]", '"flat"'):
             assert main(base + ["--reward", '{"kind": "map"}', "--prior", malformed]) == 2
@@ -173,6 +187,13 @@ class TestClassify:
                    "--reward", '{"kind": "map"}', "--out", str(tmp_path / "sets.csv")])
         assert rc == code
         assert where in capsys.readouterr().err
+
+    def test_bad_prior_fails_before_any_density(self, workspace, monkeypatch):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(cli, "posterior_matrix", must_not_run("posterior_matrix"))
+        assert main(["classify", "--model", str(model), "--data", str(self.probes(tmp_path)),
+                     "--reward", '{"kind": "map"}', "--prior", "[0.2, 0.3, 0.6]",
+                     "--out", str(tmp_path / "sets.csv")]) == 3
 
     def test_rejects_wrong_model_format(self, workspace):
         tmp_path, _, _, _ = workspace
@@ -236,6 +257,18 @@ class TestTune:
         assert main(args + extra) == 3
 
     @pytest.mark.parametrize("extra", [
+        ["--delta", "0"], ["--grid-step", "0"], ["--grid-lo", "0"], ["--epsilon", "-1"],
+        ["--grid-hi", "inf"], ["--grid-step", "nan"],
+        ["--prior", "[0.7, 0.7, 0.7]"],
+        ["--weights", "per_category", "--real-prior", "[0.2, 0.3, 0.5]"],
+    ])
+    def test_bad_setting_fails_before_any_fold(self, workspace, monkeypatch, extra):
+        tmp_path, _, data, _ = workspace
+        monkeypatch.setattr(cli, "loocv_posteriors", must_not_run("loocv_posteriors"))
+        args = self.tune_args(data, tmp_path / "c.csv", tmp_path / "s.json")
+        assert main(args + extra) == 3
+
+    @pytest.mark.parametrize("extra", [
         ["--real-prior", "5"], ["--real-prior", "[null, 1]"], ["--real-prior", "notjson"],
         ["--prior", '{"a": 1}'], ["--prior", "[[0.5, 0.5]]"], ["--prior", "uniform"],
     ])
@@ -263,8 +296,11 @@ class TestConformal:
 
     def test_delta_out_of_range_exits_3(self, workspace):
         tmp_path, _, _, model = workspace
-        assert main(["conformal", "--model", str(model), "--delta", "1.5",
-                     "--samples", "2000"]) == 3
+        base = ["conformal", "--model", str(model), "--samples", "2000"]
+        assert main(base + ["--delta", "1.5"]) == 3
+        for audit_samples in ("0", "-1"):
+            assert main(base + ["--delta", "0.1", "--audit",
+                                "--audit-samples", audit_samples]) == 3
 
 
 class TestArgparseBehavior:

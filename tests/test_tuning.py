@@ -18,7 +18,6 @@ from setbayes import (
     OutOfRange,
     PosteriorVector,
     TrainingData,
-    WeightScheme,
     binary_reward,
     brute_force_optimal,
     conjugate_update,
@@ -79,24 +78,24 @@ def reference_rate(held, within_cost, cross_cost, weights, variant):
 
 class TestWeights:
     def test_per_observation(self):
-        w = make_weights(WeightScheme("per_observation"), (3, 1))
+        w = make_weights("per_observation", (3, 1))
         np.testing.assert_allclose(w, [0.75, 0.25])
 
     def test_per_category(self):
-        w = make_weights(WeightScheme("per_category"), (3, 1))
+        w = make_weights("per_category", (3, 1))
         np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_rarity_inverts_frequencies(self):
-        w = make_weights(WeightScheme("rarity", (0.9, 0.1)), (3, 1))
+        w = make_weights("rarity", (3, 1), (0.9, 0.1))
         np.testing.assert_allclose(w, [0.1, 0.9])
 
     def test_rarity_requires_frequencies(self):
         with pytest.raises(MissingRealPrior):
-            make_weights(WeightScheme("rarity"), (3, 1))
+            make_weights("rarity", (3, 1))
 
     def test_unknown_scheme(self):
         with pytest.raises(OutOfRange):
-            WeightScheme("uniform")
+            make_weights("uniform", (3, 1))
 
     def test_all_schemes_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -104,30 +103,30 @@ class TestWeights:
             n = int(rng.integers(2, 8))
             counts = tuple(int(c) for c in rng.integers(1, 50, size=n))
             freq = rng.dirichlet(np.ones(n))
-            for scheme in (
-                WeightScheme("per_observation"),
-                WeightScheme("per_category"),
-                WeightScheme("rarity", tuple(freq)),
+            for kind, real_prior in (
+                ("per_observation", None),
+                ("per_category", None),
+                ("rarity", tuple(freq)),
             ):
-                assert make_weights(scheme, counts).sum() == pytest.approx(1.0)
+                assert make_weights(kind, counts, real_prior).sum() == pytest.approx(1.0)
 
 
 class TestCVConfig:
     def test_grid_inclusive_of_hi(self):
-        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.05, 0.2, 0.05)
+        cfg = CVConfig(1.0, 0.05, 0.05, 0.2, 0.05)
         np.testing.assert_allclose(cfg.grid(), [0.05, 0.1, 0.15, 0.2])
 
     def test_grid_stops_below_uneven_hi(self):
-        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 0.25, 0.1)
+        cfg = CVConfig(1.0, 0.05, 0.1, 0.25, 0.1)
         np.testing.assert_allclose(cfg.grid(), [0.1, 0.2])
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
-            CVConfig(1.0, 0.0, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
+            CVConfig(1.0, 0.0, 0.1, 1.0, 0.1)
         with pytest.raises(OutOfRange):
-            CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.0, 1.0, 0.1)
+            CVConfig(1.0, 0.05, 0.0, 1.0, 0.1)
         with pytest.raises(OutOfRange):
-            CVConfig(-1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 1.0, 0.1)
+            CVConfig(-1.0, 0.05, 0.1, 1.0, 0.1)
 
 
 class TestHeldOutPosteriors:
@@ -236,7 +235,7 @@ class TestKernelAgainstReference:
         data, space = blocked_data(rng, counts=(9, 6, 5))
         prior = uniform_prior(3)
         held = loocv_posteriors(data, space, prior, n_draws=40, seed=5)
-        weights = make_weights(WeightScheme("per_category"), data.counts)
+        weights = make_weights("per_category", data.counts)
         fold_w = held.fold_weights(weights)
         for _ in range(20):
             b = float(rng.uniform(0.05, 1.5))
@@ -254,19 +253,19 @@ def curve_setup():
     data, space = blocked_data(rng, counts=(20, 12, 9), spread=2.5)
     prior = uniform_prior(3)
     held = loocv_posteriors(data, space, prior, n_draws=60, seed=11)
-    weights = make_weights(WeightScheme("per_observation"), data.counts)
+    weights = make_weights("per_observation", data.counts)
     return space, prior, held, weights
 
 
 class TestCurves:
-    def config(self, variant, epsilon=1.0, delta=0.1, lo=0.05, hi=2.0, step=0.05):
-        return CVConfig(epsilon, delta, variant, lo, hi, step)
+    def config(self, epsilon=1.0, delta=0.1, lo=0.05, hi=2.0, step=0.05):
+        return CVConfig(epsilon, delta, lo, hi, step)
 
     def test_hierarchy_at_every_grid_point(self, curve_setup):
         space, prior, held, weights = curve_setup
         for eps in (0.5, 1.0, 2.0):
             report = evaluate_curves(
-                self.config(BinaryReward.CONTAINS_TRUTH, epsilon=eps),
+                self.config(epsilon=eps),
                 held, weights,
             )
             r1, r2, r3, r4 = (report.rates[v] for v in VARIANTS)
@@ -277,7 +276,7 @@ class TestCurves:
     def test_containment_curves_monotone(self, curve_setup):
         space, prior, held, weights = curve_setup
         report = evaluate_curves(
-            self.config(BinaryReward.CONTAINS_TRUTH),
+            self.config(),
             held, weights,
         )
         for variant in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
@@ -287,7 +286,7 @@ class TestCurves:
     def test_rates_stay_in_unit_interval(self, curve_setup):
         space, prior, held, weights = curve_setup
         report = evaluate_curves(
-            self.config(BinaryReward.CONTAINS_TRUTH),
+            self.config(),
             held, weights,
         )
         for variant in VARIANTS:
@@ -300,11 +299,11 @@ class TestCurves:
         space, prior, held, weights = curve_setup
         for variant in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
             for delta in (0.02, 0.05, 0.1, 0.3):
-                cfg = self.config(variant, delta=delta)
+                cfg = self.config(delta=delta)
                 report = evaluate_curves(cfg, held, weights)
                 curve = report.non_reward(variant)
                 try:
-                    sel = select_b_threshold(cfg, report)
+                    sel = select_b_threshold(report, variant)
                 except NoFeasibleB:
                     assert np.all(curve > delta)
                     continue
@@ -318,25 +317,24 @@ class TestCurves:
 
     def test_threshold_rejects_singleton_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
-        cfg = self.config(BinaryReward.EXACT_SINGLETON)
-        report = evaluate_curves(cfg, held, weights)
+        report = evaluate_curves(self.config(), held, weights)
         with pytest.raises(OutOfRange):
-            select_b_threshold(cfg, report)
+            select_b_threshold(report, BinaryReward.EXACT_SINGLETON)
 
     def test_no_feasible_cost(self, curve_setup):
         space, prior, held, weights = curve_setup
-        cfg = self.config(BinaryReward.CONTAINS_TRUTH, delta=1e-6, lo=3.0, hi=5.0, step=0.5)
+        cfg = self.config(delta=1e-6, lo=3.0, hi=5.0, step=0.5)
         report = evaluate_curves(cfg, held, weights)
         if np.all(report.non_reward(BinaryReward.CONTAINS_TRUTH) > 1e-6):
             with pytest.raises(NoFeasibleB):
-                select_b_threshold(cfg, report)
+                select_b_threshold(report, BinaryReward.CONTAINS_TRUTH)
 
     def test_minimize_never_worse_than_grid(self, curve_setup):
         space, prior, held, weights = curve_setup
         for variant in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
-            cfg = self.config(variant)
+            cfg = self.config()
             report = evaluate_curves(cfg, held, weights)
-            sel = select_b_minimize(cfg, report, held, weights)
+            sel = select_b_minimize(report, variant)
             assert sel.non_reward_rate <= report.non_reward(variant).min() + 1e-15
             assert cfg.grid_lo <= sel.cost <= cfg.grid_hi
 
@@ -347,21 +345,20 @@ class TestCurves:
         data, space = blocked_data(rng, counts=(15, 10, 8), spread=30.0)
         prior = uniform_prior(3)
         held = loocv_posteriors(data, space, prior, n_draws=40, seed=13)
-        weights = make_weights(WeightScheme("per_observation"), data.counts)
-        cfg = CVConfig(1.0, 0.05, BinaryReward.EXACT_SINGLETON, 0.5, 2.0, 0.25)
+        weights = make_weights("per_observation", data.counts)
+        cfg = CVConfig(1.0, 0.05, 0.5, 2.0, 0.25)
         report = evaluate_curves(cfg, held, weights)
         curve = report.non_reward(BinaryReward.EXACT_SINGLETON)
         assert np.ptp(curve) == 0.0  # genuinely flat, or the test is vacuous
-        sel = select_b_minimize(cfg, report, held, weights)
+        sel = select_b_minimize(report, BinaryReward.EXACT_SINGLETON)
         assert sel.cost == pytest.approx(0.5)
         assert not sel.refined
 
     def test_minimize_rejects_containment_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
-        cfg = self.config(BinaryReward.CONTAINS_TRUTH)
-        report = evaluate_curves(cfg, held, weights)
+        report = evaluate_curves(self.config(), held, weights)
         with pytest.raises(OutOfRange):
-            select_b_minimize(cfg, report, held, weights)
+            select_b_minimize(report, BinaryReward.CONTAINS_TRUTH)
 
 
 class TestGridScan:
@@ -372,8 +369,8 @@ class TestGridScan:
         data, space = blocked_data(rng, counts=(8, 6, 5))
         prior = uniform_prior(3)
         held = loocv_posteriors(data, space, prior, n_draws=30, seed=3)
-        weights = make_weights(WeightScheme("per_category"), data.counts)
-        cfg = CVConfig(1.0, 0.05, BinaryReward.CONTAINS_TRUTH, 0.1, 0.5, 0.1)
+        weights = make_weights("per_category", data.counts)
+        cfg = CVConfig(1.0, 0.05, 0.1, 0.5, 0.1)
         report = evaluate_curves(cfg, held, weights)
         grid = cfg.grid()
         lattice = grid_scan_costs(grid, grid, held, weights, BinaryReward.CONTAINS_TRUTH)
@@ -387,6 +384,6 @@ class TestGridScan:
         rng = np.random.default_rng(43)
         data, space = blocked_data(rng, counts=(4, 3, 2))
         held = loocv_posteriors(data, space, uniform_prior(3), n_draws=20, seed=1)
-        weights = make_weights(WeightScheme("per_category"), data.counts)
+        weights = make_weights("per_category", data.counts)
         with pytest.raises(OutOfRange):
             grid_scan_costs([], [0.1], held, weights, BinaryReward.CONTAINS_TRUTH)
