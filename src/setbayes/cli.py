@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import brute_force_optimal, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
-from .core import PosteriorVector, posterior_rows
+from .core import PosteriorVector
 from .dataset import (
     format_float,
     generate_rows,
@@ -37,6 +37,7 @@ from .errors import (
     CategoryTooSmall,
     EmptyCategory,
     NoFeasibleB,
+    OutOfRange,
     SchemaError,
     SetBayesError,
 )
@@ -209,7 +210,6 @@ def _cmd_classify(args) -> int:
     points = _read_observations(args.data, bundle.feature_names)
     model = bundle.model
     post = posterior_matrix(model, prior, points)
-    probs = posterior_rows(post, model.space)
     members, values = optimal_sets(spec, post, model.space)
     header = (
         ["row"]
@@ -228,7 +228,7 @@ def _cmd_classify(args) -> int:
         fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for r, (row, mask, value) in enumerate(zip(probs, members, values)):
+        for r, (row, mask, value) in enumerate(zip(post, members, values)):
             chosen = np.flatnonzero(mask)
             record = (
                 [str(r + 1)]
@@ -320,6 +320,8 @@ def _cmd_tune(args) -> int:
 def _cmd_conformal(args) -> int:
     bundle = _ModelFile(_read_json(args.model))
     prior = _resolve_prior(args.prior, bundle.counts)
+    if args.audit and args.audit_samples < 1:
+        raise OutOfRange(f"need at least one audit sample, got {args.audit_samples}")
     cost = calibrate_conformal_cost(
         bundle.model, prior, args.delta, args.samples, args.seed
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -29,8 +29,11 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Observations per chunk when evaluating densities for large batches.
-_BATCH = 512
+#: Elements of one chunk's (rows, draws) log-density array in
+#: ``CategoryDraws.log_density``: 4 MB of float64.  A chunk holds
+#: ``_BUDGET // n_draws`` rows (at least one), so its temporaries stay
+#: bounded whatever the draw count.
+_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -211,16 +214,53 @@ def conjugate_update(
     )
 
 
-class CategoryDraws:
-    """A Monte Carlo sample of (mean, covariance) pairs for one category."""
+@cache
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices (i, j) of the upper triangle i <= j of a d x d matrix, and
+    the weight of each product u_i u_j in a quadratic form: 1 on the
+    diagonal, 2 off it."""
+    i, j = np.triu_indices(d)
+    weight = np.where(i == j, 1.0, 2.0)
+    for arr in (i, j, weight):
+        arr.setflags(write=False)
+    return i, j, weight
 
-    __slots__ = ("means", "chols", "inv_chols", "logdets")
+
+def _features(u: np.ndarray) -> np.ndarray:
+    """(rows, k) features of centered points: the weighted products
+    u_i u_j for i <= j, then u, then 1."""
+    i, j, weight = _pairs(u.shape[1])
+    return np.hstack([u[:, i] * weight * u[:, j], u, np.ones((u.shape[0], 1))])
+
+
+class CategoryDraws:
+    """A Monte Carlo sample of (mean, covariance) pairs for one category.
+
+    About ``center``, the mean of the draw means, each draw's Gaussian
+    log density is linear in the features of ``z - center``.  With
+    precision A_l = L_l^-T L_l^-1 (L_l the Cholesky factor) and offset
+    m_l = mean_l - center, column l of the (k, n_draws) matrix ``coef``
+    is -1/2 [upper triangle of A_l, -2 A_l m_l, m_l' A_l m_l + log|cov_l|
+    + d log 2 pi], so one GEMM gives every draw's log density at a chunk
+    of points.
+    """
+
+    __slots__ = ("means", "chols", "center", "coef")
 
     def __init__(self, means: np.ndarray, chols: np.ndarray):
         self.means = means
         self.chols = chols
-        self.inv_chols = np.linalg.inv(chols)
-        self.logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        d = means.shape[1]
+        i, j, _ = _pairs(d)
+        inv = np.linalg.inv(chols)
+        self.center = means.mean(axis=0)
+        y = np.einsum("lij,lj->li", inv, means - self.center)  # L_l^-1 m_l
+        logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        self.coef = -0.5 * np.vstack([
+            (inv[:, :, i] * inv[:, :, j]).sum(axis=1).T,
+            -2.0 * np.einsum("lji,lj->il", inv, y),
+            (y * y).sum(axis=1) + logdets + d * _LOG_2PI,
+        ])
 
     @property
     def n_draws(self) -> int:
@@ -234,23 +274,36 @@ class CategoryDraws:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
         Computed in log space with the usual max shift, so heavy tails and
-        tiny densities cannot underflow to an unusable zero.
+        tiny densities cannot underflow to an unusable zero.  Rows go in
+        chunks of ``_BUDGET // n_draws`` (at least one), each one GEMM of
+        their features against ``coef`` plus an in-place log-sum-exp.  A
+        finite point so far out that the arithmetic overflows gets -inf,
+        as every draw's density underflows there.
         """
         z = np.asarray(points, dtype=float)
         if z.ndim == 1:
             z = z.reshape(1, -1)
         if z.shape[1] != self.dim:
             raise DimensionMismatch(f"points have dimension {z.shape[1]}, expected {self.dim}")
-        d = self.dim
+        u = z - self.center
+        finite = np.isfinite(z).all(axis=1)
+        step = max(1, _BUDGET // self.n_draws)
         out = np.empty(z.shape[0])
-        for start in range(0, z.shape[0], _BATCH):
-            chunk = z[start : start + _BATCH]
-            diff = chunk[:, None, :] - self.means[None, :, :]
-            y = np.einsum("lij,mlj->mli", self.inv_chols, diff)
-            maha = np.einsum("mli,mli->ml", y, y)
-            logpdf = -0.5 * (d * _LOG_2PI + self.logdets[None, :] + maha)
-            out[start : start + _BATCH] = logsumexp(logpdf, axis=1) - math.log(self.n_draws)
-        return out
+        for start in range(0, z.shape[0], step):
+            rows = slice(start, start + step)
+            # An overflow leaves inf, -inf or nan (inf - inf) in the row, so
+            # its maximum is not finite; such rows are set at the end.
+            with np.errstate(over="ignore", invalid="ignore"):
+                logp = _features(u[rows]) @ self.coef
+            top = logp.max(axis=1)
+            far = ~np.isfinite(top)
+            top[far] = 0.0
+            logp -= top[:, None]
+            np.exp(logp, out=logp)
+            with np.errstate(divide="ignore"):
+                out[rows] = np.log(logp.sum(axis=1)) + top
+            out[rows][far & finite[rows]] = -np.inf
+        return out - math.log(self.n_draws)
 
 
 def draw_category_sample(

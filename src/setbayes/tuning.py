@@ -36,6 +36,7 @@ from .errors import (
 from .gaussian import (
     NormalInverseWishart,
     TrainingData,
+    check_prior,
     conjugate_update,
     default_hyperprior,
     draw_category_sample,
@@ -46,6 +47,11 @@ from .gaussian import (
 from .rewards import BinaryReward, CompositeProportion
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Most points a ``CVConfig`` cost grid may have.  The sweep makes one pass
+#: of the composite rule over every fold per point, so a larger grid would
+#: run for hours or fail to allocate its curves after all the folds.
+MAX_GRID_POINTS = 10**6
 
 
 def make_weights(kind: str, counts, real_prior=None) -> np.ndarray:
@@ -105,7 +111,8 @@ class CVConfig:
     ``epsilon`` ties the within-block cost to the swept cross-block cost:
     within = epsilon * cross at every grid point.  ``delta`` is the error
     bound used by the threshold selection rule.  The grid runs from
-    ``grid_lo`` to ``grid_hi`` in steps of ``grid_step``.  The score a
+    ``grid_lo`` to ``grid_hi`` in steps of ``grid_step``, with at most
+    ``MAX_GRID_POINTS`` points.  The score a
     selection rule reads is its own argument, and the Monte Carlo draws
     and the seed of the held-out posteriors are arguments of
     ``loocv_posteriors``.
@@ -128,11 +135,19 @@ class CVConfig:
             )
         if not 0.0 < self.grid_step < math.inf:
             raise OutOfRange(f"grid step must be positive and finite, got {self.grid_step}")
+        if self._n_points() > MAX_GRID_POINTS:
+            raise OutOfRange(
+                f"grid from {self.grid_lo} to {self.grid_hi} in steps of {self.grid_step} "
+                f"has {self._n_points():.3g} points, more than {MAX_GRID_POINTS}"
+            )
+
+    def _n_points(self) -> float:
+        # A float, so that a count too large for an integer still compares.
+        return float(np.floor((self.grid_hi - self.grid_lo) / self.grid_step + 1e-9)) + 1.0
 
     def grid(self) -> np.ndarray:
         """The cost grid lo, lo + step, ..., up to hi inclusive."""
-        count = int(math.floor((self.grid_hi - self.grid_lo) / self.grid_step + 1e-9)) + 1
-        return self.grid_lo + self.grid_step * np.arange(count)
+        return self.grid_lo + self.grid_step * np.arange(int(self._n_points()))
 
 
 @dataclass(eq=False)
@@ -204,13 +219,14 @@ def loocv_posteriors(
     CategoryTooSmall
         If any category has fewer than two observations.
     DimensionMismatch, InvalidDistribution
-        If the prior is not a probability vector; this is checked when the
-        rows are normalized, after the folds have run.
+        If the prior is not a probability vector over the categories;
+        this is checked before any fold runs.
     OutOfRange
         If ``threads`` is below one.
     """
     if threads < 1:
         raise OutOfRange(f"need at least one thread, got {threads}")
+    check_prior(prior, data.n_categories)
     counts = data.counts
     if min(counts) < 2:
         raise CategoryTooSmall(

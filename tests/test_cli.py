@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +192,33 @@ class TestClassify:
         assert rc == code
         assert where in capsys.readouterr().err
 
+    def test_blas_thread_count_leaves_the_csv_unchanged(self, workspace):
+        """``classify`` run in child processes with one and with two BLAS
+        threads writes the same bytes.  The chunks (262 rows of 2000
+        draws) are large enough for the BLAS to split their products
+        across threads."""
+        tmp_path, _, data, _ = workspace
+        model = tmp_path / "big.json"
+        assert main(["fit", "--data", str(data), "--out", str(model),
+                     "--draws", "2000", "--seed", "2"]) == 0
+        points = 2.0 + 2.0 * np.random.default_rng(5).standard_normal((501, 2))
+        probe = tmp_path / "many.csv"
+        probe.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sets{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run(
+                [sys.executable, "-m", "setbayes.cli", "classify", "--model", str(model),
+                 "--data", str(probe), "--reward", '{"kind": "proportion", "c": 0.2}',
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_bad_prior_fails_before_any_density(self, workspace, monkeypatch):
         tmp_path, _, _, model = workspace
         monkeypatch.setattr(cli, "posterior_matrix", must_not_run("posterior_matrix"))
@@ -261,6 +292,7 @@ class TestTune:
         ["--grid-hi", "inf"], ["--grid-step", "nan"],
         ["--prior", "[0.7, 0.7, 0.7]"],
         ["--weights", "per_category", "--real-prior", "[0.2, 0.3, 0.5]"],
+        ["--grid-hi", "1e9", "--grid-step", "1e-9"],
     ])
     def test_bad_setting_fails_before_any_fold(self, workspace, monkeypatch, extra):
         tmp_path, _, data, _ = workspace
@@ -301,6 +333,18 @@ class TestConformal:
         for audit_samples in ("0", "-1"):
             assert main(base + ["--delta", "0.1", "--audit",
                                 "--audit-samples", audit_samples]) == 3
+
+    @pytest.mark.parametrize("audit_samples", ["0", "-1"])
+    def test_bad_audit_samples_fail_before_calibration(
+        self, workspace, monkeypatch, capsys, audit_samples
+    ):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(cli, "calibrate_conformal_cost", must_not_run("calibration"))
+        assert main(["conformal", "--model", str(model), "--delta", "0.1", "--audit",
+                     "--audit-samples", audit_samples]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need at least one audit sample, got {audit_samples}\n"
 
 
 class TestArgparseBehavior:

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, multivariate_t
 
 from setbayes import (
@@ -24,6 +28,7 @@ from setbayes import (
     predictive_density,
     sample_mixture,
 )
+from setbayes import gaussian
 from setbayes.gaussian import CategoryDraws
 
 
@@ -204,6 +209,14 @@ class TestFitDeterminism:
             fit(TrainingData([rows, np.empty((0, 1))]), hyper, n_draws=10)
 
 
+def random_draws(rng, d, n_draws):
+    """Draws with random means and covariances of eigenvalues at least 1."""
+    means = rng.standard_normal((n_draws, d))
+    mats = rng.standard_normal((n_draws, d, d))
+    covs = mats @ np.swapaxes(mats, 1, 2) + np.eye(d)[None]
+    return CategoryDraws(means, np.linalg.cholesky(covs))
+
+
 class TestPredictiveDensity:
     def test_log_density_kernel_against_naive(self):
         """The vectorized draw-average equals a per-draw scipy evaluation."""
@@ -220,6 +233,65 @@ class TestPredictiveDensity:
             axis=0,
         )
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("radius", [2.0, 100.0])
+    def test_log_density_against_triangular_solves(self, d, radius):
+        """Log densities near the draws and 100 units out (23 to 100
+        standard deviations) equal a per-draw evaluation by triangular
+        solves, to 1e-12 relative."""
+        rng = np.random.default_rng(101 + d)
+        draws = random_draws(rng, d, 40)
+        directions = rng.standard_normal((25, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        points = draws.means.mean(axis=0) + radius * directions
+        per_draw = np.empty((points.shape[0], draws.n_draws))
+        for l in range(draws.n_draws):
+            y = solve_triangular(draws.chols[l], (points - draws.means[l]).T, lower=True)
+            logdet = 2.0 * np.log(np.diag(draws.chols[l])).sum()
+            per_draw[:, l] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + (y * y).sum(axis=0))
+        want = logsumexp(per_draw, axis=1) - np.log(draws.n_draws)
+        np.testing.assert_allclose(draws.log_density(points), want, rtol=1e-12, atol=0.0)
+
+    def test_chunks_stay_within_the_budget(self, monkeypatch):
+        """Rows go in chunks of budget // draws; several chunks give the
+        bits of one, and with more draws than the budget a chunk is one
+        row."""
+        rng = np.random.default_rng(107)
+        draws = random_draws(rng, 3, 50)
+        points = rng.standard_normal((11, 3)) * 2.0
+        whole = draws.log_density(points)
+        rows = []
+        features = gaussian._features
+        monkeypatch.setattr(gaussian, "_features", lambda u: rows.append(len(u)) or features(u))
+        monkeypatch.setattr(gaussian, "_BUDGET", 3 * 50)
+        np.testing.assert_array_equal(draws.log_density(points), whole)
+        assert rows == [3, 3, 3, 2]
+        rows.clear()
+        monkeypatch.setattr(gaussian, "_BUDGET", 10)
+        # A one-row product goes through BLAS's matrix-vector routine,
+        # whose sums may round differently, so this compares values only.
+        np.testing.assert_allclose(draws.log_density(points[:4]), whole[:4], rtol=1e-13)
+        assert rows == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("far, chol_scale", [
+        ([1e200, 1.0, 1.0], 1.0),  # a square overflows
+        ([1e200, -1e200, 1e200], 1.0),  # the product meets inf - inf
+        ([1e152, 0.0, 0.0], 1e-5),  # the squares are finite, the product overflows
+    ])
+    def test_row_where_every_draw_underflows_is_minus_inf(self, far, chol_scale):
+        """A finite point so far out that the arithmetic overflows gets
+        -inf, with no NaN, no RuntimeWarning and no effect on the other
+        rows."""
+        base = random_draws(np.random.default_rng(109), 3, 30)
+        draws = CategoryDraws(base.means, base.chols * chol_scale)
+        points = np.array([[0.5, 0.0, -0.5], far, [1.0, 2.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = draws.log_density(points)
+        assert got[1] == -np.inf
+        assert np.all(np.isfinite(got[[0, 2]]))
+        np.testing.assert_array_equal(got[[0, 2]], draws.log_density(points[[0, 2]]))
 
     def test_monte_carlo_matches_closed_form(self):
         """With many draws the averaged density approaches the exact

@@ -29,7 +29,9 @@ from setbayes import (
     select_b_minimize,
     select_b_threshold,
 )
+from setbayes import tuning
 from setbayes.gaussian import category_rng, draw_category_sample, fold_rng
+from setbayes.tuning import MAX_GRID_POINTS
 
 VARIANTS = (
     BinaryReward.EXACT_SINGLETON,
@@ -128,6 +130,13 @@ class TestCVConfig:
         with pytest.raises(OutOfRange):
             CVConfig(-1.0, 0.05, 0.1, 1.0, 0.1)
 
+    def test_grid_point_limit(self):
+        top = float(MAX_GRID_POINTS)
+        assert CVConfig(1.0, 0.05, 1.0, top, 1.0).grid().size == MAX_GRID_POINTS
+        for lo, hi, step in ((1.0, top + 1.0, 1.0), (0.05, 1e9, 1e-9), (1e-300, 1e300, 1e-300)):
+            with pytest.raises(OutOfRange, match="points, more than"):
+                CVConfig(1.0, 0.05, lo, hi, step)
+
 
 class TestHeldOutPosteriors:
     def test_shapes_and_normalization(self):
@@ -178,8 +187,14 @@ class TestHeldOutPosteriors:
             loocv_posteriors(data, CategorySpace(2), uniform_prior(2))
 
     @pytest.mark.parametrize("prior", [[0.7, 0.7, 0.7], [1.2, -0.1, -0.1], [0.5, 0.5]])
-    def test_prior_checked_like_posterior_matrix(self, prior):
+    def test_prior_checked_like_posterior_matrix(self, monkeypatch, prior):
         data, space = blocked_data(np.random.default_rng(3), counts=(4, 3, 2))
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a fit or a fold ran before the prior was checked")
+
+        monkeypatch.setattr(tuning, "fit", must_not_run)
+        monkeypatch.setattr(tuning, "draw_category_sample", must_not_run)
         with pytest.raises((InvalidDistribution, DimensionMismatch)):
             loocv_posteriors(data, space, prior, n_draws=10)
 
