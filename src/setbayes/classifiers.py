@@ -18,21 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ClassifiedSet, PosteriorVector, posterior_rows
-from .errors import (
-    DimensionMismatch,
-    OutOfRange,
-    TooManyCategories,
-    UnsupportedReward,
-)
+from .errors import OutOfRange, TooManyCategories, UnsupportedReward
 from .rewards import (
     CompositeProportion,
-    IndifferenceZone,
     InvariantPenalty,
     MapZeroOne,
     PenaltySequence,
     ProportionBased,
     RewardSpec,
-    RipleyReject,
     value_function,  # unused here, but bench/tracing.py wraps classifiers.value_function
 )
 
@@ -161,16 +154,6 @@ def rho_classifier(p: PosteriorVector, ratio: float) -> ClassifiedSet:
     return ClassifiedSet.of(members.tolist(), p.n_categories)
 
 
-def ripley_classifier(p: PosteriorVector, reject_reward: float) -> ClassifiedSet:
-    """Name the most probable category, or reject to the full space.
-
-    The singleton wins exactly when its probability exceeds
-    ``reject_reward``; at equality the full space is preferred (both have
-    the same expected reward).
-    """
-    return _one_row(RipleyReject(reject_reward), p).chosen
-
-
 def conformal_classifier(p: PosteriorVector, cost: float) -> ClassifiedSet:
     """All categories with probability at least ``cost``; may be empty.
 
@@ -202,29 +185,15 @@ def composite_classifier(
     return _one_row(CompositeProportion(within_cost, cross_cost), p)
 
 
-def indifference_zone_classifier(probs, empty_reward: float) -> ClassifiedSet:
-    """Singleton-or-nothing rule with the last category acting as a zone.
-
-    ``probs`` holds N + 1 probabilities whose final entry belongs to the
-    zone.  The most probable regular category is reported as a singleton
-    when its probability is at least ``empty_reward`` times the zone
-    probability; otherwise the empty set is returned.
-    """
-    spec = IndifferenceZone(empty_reward)
-    p = probs if isinstance(probs, PosteriorVector) else PosteriorVector(probs)
-    if p.n_categories < 2:
-        raise DimensionMismatch("need at least one regular category plus the zone")
-    return _one_row(spec, p).chosen
-
-
 def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
     """Maximize expected reward by checking every subset of categories.
 
     Every subset is scored through the family's reward definition, with
     the same expected-reward sum as ``value_function``.  Exponential in N
-    and refused above ``BRUTE_FORCE_LIMIT`` categories.  Ties are resolved
-    toward the smallest bitmask, where bit j of the mask means category
-    j + 1 is in the set.
+    and refused above ``BRUTE_FORCE_LIMIT`` categories.  Among sets of equal
+    value the largest wins, then the smallest bitmask, where bit j of the
+    mask means category j + 1 is in the set; on exact ties this is the set
+    the fast rules pick.
 
     Raises
     ------
@@ -244,11 +213,15 @@ def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
         )
     spec.check(p.space)
     bits = np.arange(n)
-    best, best_value = 0, -np.inf
+    best, best_key = 0, (-np.inf, -1)
     for start in range(0, 1 << n, _MASK_CHUNK):
         masks = np.arange(start, min(start + _MASK_CHUNK, 1 << n))
-        values = spec.expected(p.p[None, :], (masks[:, None] >> bits & 1) == 1, p.space)
-        j = int(np.argmax(values))  # first maximum = smallest bitmask
-        if values[j] > best_value:
-            best, best_value = start + j, values[j]
-    return _decision((best >> bits & 1) == 1, best_value, p.space)
+        members = (masks[:, None] >> bits & 1) == 1
+        values = spec.expected(p.p[None, :], members, p.space)
+        top = np.flatnonzero(values == values.max())
+        sizes = members[top].sum(axis=1)
+        j = int(top[np.argmax(sizes)])  # first of the largest = smallest bitmask
+        key = (values[j], int(sizes.max()))
+        if key > best_key:  # later chunks hold larger bitmasks
+            best, best_key = start + j, key
+    return _decision((best >> bits & 1) == 1, best_key[0], p.space)

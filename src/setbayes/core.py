@@ -13,13 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import (
-    AllZeroMass,
-    BlockOutOfRange,
-    DimensionMismatch,
-    InvalidDistribution,
-    OutOfRange,
-)
+from .errors import BlockOutOfRange, DimensionMismatch, InvalidDistribution, OutOfRange
 
 #: Largest tolerated deviation of sum(p) from 1 before construction fails.
 SUM_TOLERANCE = 1e-9
@@ -289,72 +283,11 @@ class PosteriorVector:
         """Total posterior probability of block k."""
         return float(self._ranked.mass[0, self.space.check_block(k) - 1])
 
-    def top_m_set_in_block(self, k: int, m: int) -> ClassifiedSet:
-        """The m most probable categories of block k."""
-        m = self._check_block_size(k, m)
-        sl = self.space.block_slice(k)
-        members = np.flatnonzero(self._ranked.rank[0, sl] < m) + sl.start + 1
-        return ClassifiedSet.of(members.tolist(), self.n_categories)
-
-    def top_m_cumsum_in_block(self, k: int, m: int) -> float:
-        """Total probability of the m most probable categories of block k."""
-        m = self._check_block_size(k, m)
-        return float(np.cumsum(self._ranked.sorted[0, k - 1, :m])[-1]) if m else 0.0
-
     def _check_size(self, m: int) -> int:
         m = int(m)
         if not 0 <= m <= self.n_categories:
             raise OutOfRange(f"size {m} outside 0..{self.n_categories}")
         return m
 
-    def _check_block_size(self, k: int, m: int) -> int:
-        k, m = self.space.check_block(k), int(m)
-        limit = self.space.block_sizes[k - 1]
-        if not 0 <= m <= limit:
-            raise OutOfRange(f"size {m} outside 0..{limit} for block {k}")
-        return m
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PosteriorVector({np.array2string(self.p, precision=4)})"
-
-
-def posterior_from_likelihoods(
-    prior, likelihoods, space: CategorySpace | None = None
-) -> PosteriorVector:
-    """Combine prior weights with per-category likelihoods via Bayes' rule.
-
-    Parameters
-    ----------
-    prior : array_like
-        Nonnegative prior weights, one per category.  They need not be
-        normalized.
-    likelihoods : array_like
-        Nonnegative density values f_i(z) of the observation under each
-        category, in the same order as ``prior``.
-    space : CategorySpace, optional
-        Attached to the result; defaults to a single block.
-
-    Returns
-    -------
-    PosteriorVector
-
-    Raises
-    ------
-    DimensionMismatch
-        If the two vectors differ in length.
-    AllZeroMass
-        If every product prior[i] * likelihoods[i] is zero.
-    """
-    w = np.asarray(prior, dtype=float)
-    f = np.asarray(likelihoods, dtype=float)
-    if w.shape != f.shape or w.ndim != 1:
-        raise DimensionMismatch(
-            f"prior has shape {w.shape} but likelihoods have shape {f.shape}"
-        )
-    if np.any(w < 0) or np.any(f < 0) or not (np.all(np.isfinite(w)) and np.all(np.isfinite(f))):
-        raise InvalidDistribution("prior and likelihoods must be finite and nonnegative")
-    mass = w * f
-    total = mass.sum()
-    if total <= 0.0:
-        raise AllZeroMass("all categories received zero posterior mass")
-    return PosteriorVector(mass / total, space)

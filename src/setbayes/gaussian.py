@@ -418,16 +418,12 @@ def fit(
     )
 
 
-def log_predictive_density(model: GaussianCategoryModel, category: int, point) -> float:
-    """Log Monte Carlo predictive density of one category at one point."""
+def predictive_density(model: GaussianCategoryModel, category: int, point) -> float:
+    """Monte Carlo predictive density of one category at one point;
+    strictly positive by construction."""
     if not 1 <= int(category) <= model.n_categories:
         raise OutOfRange(f"category {category} outside 1..{model.n_categories}")
-    return float(model.draws[int(category) - 1].log_density(np.asarray(point, float))[0])
-
-
-def predictive_density(model: GaussianCategoryModel, category: int, point) -> float:
-    """Monte Carlo predictive density; strictly positive by construction."""
-    return math.exp(log_predictive_density(model, category, point))
+    return math.exp(model.draws[int(category) - 1].log_density(np.asarray(point, float))[0])
 
 
 def check_prior(prior, n: int) -> np.ndarray:
@@ -531,6 +527,12 @@ def sample_mixture(
     return points, cats + 1
 
 
+def check_delta(delta: float) -> None:
+    """Raise ``OutOfRange`` unless the miss rate ``delta`` lies in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise OutOfRange(f"delta {delta} outside (0, 1)")
+
+
 @dataclass(frozen=True)
 class CalibrationCurve:
     """Sorted nonconformity scores from the fitted mixture.
@@ -552,8 +554,7 @@ class CalibrationCurve:
 
         Returns 0 when delta is below 1/M, so tiny delta excludes nothing.
         """
-        if not 0.0 < delta < 1.0:
-            raise OutOfRange(f"delta {delta} outside (0, 1)")
+        check_delta(delta)
         m = self.sorted_scores.size
         j = int(math.floor(delta * m))
         if j == 0:
@@ -590,10 +591,11 @@ def calibrate_conformal_cost(
     returns the lower empirical delta-quantile of the scores.  Reporting
     every category whose posterior probability reaches the returned cost
     then covers the truth with probability about 1 - delta under the
-    model.  As delta grows the cost grows and the sets shrink.
+    model.  As delta grows the cost grows and the sets shrink.  A delta
+    outside (0, 1) is refused before any sampling.
     """
-    curve = calibration_curve(model, prior, n_samples, seed)
-    return curve.quantile(delta)
+    check_delta(delta)
+    return calibration_curve(model, prior, n_samples, seed).quantile(delta)
 
 
 def conformal_coverage(

@@ -406,14 +406,6 @@ def _check_set(chosen: ClassifiedSet, space: CategorySpace) -> None:
         )
 
 
-def _check_pair(chosen: ClassifiedSet, true_category: int, space: CategorySpace) -> int:
-    _check_set(chosen, space)
-    i = int(true_category)
-    if not 1 <= i <= space.n_categories:
-        raise OutOfRange(f"true category {i} outside 1..{space.n_categories}")
-    return i
-
-
 def reward(
     spec: RewardSpec, chosen: ClassifiedSet, true_category: int, space: CategorySpace
 ) -> float:
@@ -435,27 +427,12 @@ def reward(
     -------
     float
     """
-    i = _check_pair(chosen, true_category, space)
+    _check_set(chosen, space)
+    i = int(true_category)
+    if not 1 <= i <= space.n_categories:
+        raise OutOfRange(f"true category {i} outside 1..{space.n_categories}")
     spec.check(space)
     return float(spec.rewards(chosen.as_mask()[None, :], space)[0, i - 1])
-
-
-def binary_reward(
-    variant: BinaryReward, chosen: ClassifiedSet, true_category: int, space: CategorySpace
-) -> int:
-    """Evaluate one of the four 0/1 scores."""
-    i = _check_pair(chosen, true_category, space)
-    if variant is BinaryReward.EXACT_SINGLETON:
-        return int(chosen.size == 1 and i in chosen)
-    k = space.block_of(i)
-    sl = space.block_slice(k)
-    if variant is BinaryReward.WITHIN_BLOCK:
-        return int(i in chosen and all(sl.start < j <= sl.stop for j in chosen))
-    if variant is BinaryReward.CONTAINS_TRUTH:
-        return int(i in chosen)
-    if variant is BinaryReward.HITS_TRUE_BLOCK:
-        return int(any(sl.start < j <= sl.stop for j in chosen))
-    raise TypeError(f"unknown binary reward {variant!r}")
 
 
 def value_function(spec: RewardSpec, p: PosteriorVector, chosen: ClassifiedSet) -> float:

@@ -36,6 +36,8 @@ from .errors import (
 from .gaussian import (
     NormalInverseWishart,
     TrainingData,
+    _log_densities,
+    check_delta,
     check_prior,
     conjugate_update,
     default_hyperprior,
@@ -127,8 +129,7 @@ class CVConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise OutOfRange(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise OutOfRange(f"delta {self.delta} outside (0, 1)")
+        check_delta(self.delta)
         if not 0.0 < self.grid_lo <= self.grid_hi < math.inf:
             raise OutOfRange(
                 f"grid needs 0 < lo <= hi < inf, got lo={self.grid_lo} hi={self.grid_hi}"
@@ -236,7 +237,7 @@ def loocv_posteriors(
         hyperprior = default_hyperprior(data)
     model = fit(data, hyperprior, n_draws, seed, space)
     rows, labels = data.stacked()
-    logf = np.column_stack([d.log_density(rows) for d in model.draws])
+    logf = _log_densities(model, rows)
 
     # Fold r holds out row j of category i, which is row r of ``rows``.
     folds = [(i, j) for i, g in enumerate(data.groups, start=1) for j in range(g.shape[0])]
@@ -418,27 +419,3 @@ def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelect
             candidates.append((x2, f2))
     cost, rate = min(candidates, key=lambda t: (t[1], t[0]))
     return MinimizeSelection(float(cost), float(rate), True)
-
-
-def grid_scan_costs(
-    within_grid,
-    cross_grid,
-    held: HeldOutPosteriors,
-    weights: np.ndarray,
-    variant: BinaryReward,
-) -> np.ndarray:
-    """Non-reward rates over a full (within, cross) cost lattice.
-
-    Rows follow ``within_grid``, columns ``cross_grid``.  Unlike the
-    one-dimensional sweeps the two costs vary independently here.
-    """
-    a_grid = np.asarray(within_grid, dtype=float)
-    b_grid = np.asarray(cross_grid, dtype=float)
-    if a_grid.ndim != 1 or b_grid.ndim != 1 or not a_grid.size or not b_grid.size:
-        raise OutOfRange("cost grids must be nonempty 1-d arrays")
-    fold_w = held.fold_weights(weights)
-    out = np.empty((a_grid.size, b_grid.size))
-    for ai, a in enumerate(a_grid):
-        for bi, b in enumerate(b_grid):
-            out[ai, bi] = 1.0 - _rates(held, fold_w, a, b)[variant]
-    return out

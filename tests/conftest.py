@@ -1,6 +1,6 @@
 import numpy as np
 
-from setbayes import CategorySpace, PosteriorVector
+from setbayes import BinaryReward, CategorySpace, PosteriorVector
 
 
 def random_partition(rng, n, k):
@@ -21,3 +21,17 @@ def random_space(rng, n_lo=2, n_hi=10, k_hi=4):
 def random_posterior(rng, space, concentration=1.0):
     p = rng.dirichlet(np.full(space.n_categories, concentration))
     return PosteriorVector(p, space)
+
+
+def binary_reward(variant, chosen, true_category, space):
+    """One of the four 0/1 scores of a (set, truth) pair, scored set by set:
+    the reference for ``HeldOutPosteriors.binary_scores``."""
+    i = int(true_category)
+    block = set(space.block_members(space.block_of(i)))
+    if variant is BinaryReward.EXACT_SINGLETON:
+        return int(chosen.members == (i,))
+    if variant is BinaryReward.WITHIN_BLOCK:
+        return int(i in chosen and set(chosen) <= block)
+    if variant is BinaryReward.CONTAINS_TRUTH:
+        return int(i in chosen)
+    return int(bool(block & set(chosen)))  # HITS_TRUE_BLOCK

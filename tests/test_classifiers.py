@@ -19,12 +19,12 @@ from setbayes import (
     PosteriorVector,
     ProportionBased,
     RipleyReject,
+    SpecSpaceMismatch,
     TooManyCategories,
     UnsupportedReward,
     brute_force_optimal,
     composite_classifier,
     conformal_classifier,
-    indifference_zone_classifier,
     map_classifier,
     mmp_convex,
     mmp_general,
@@ -32,7 +32,6 @@ from setbayes import (
     optimal_sets,
     proportion_classifier,
     rho_classifier,
-    ripley_classifier,
     value_function,
 )
 
@@ -86,10 +85,10 @@ class TestWorkedExamples:
         assert got.value == pytest.approx(0.35)
 
     def test_ripley_both_branches(self):
-        assert ripley_classifier(P532, 0.45).members == (1,)
-        assert ripley_classifier(P532, 0.6).is_full
+        assert optimal_set(RipleyReject(0.45), P532)[0].members == (1,)
+        assert optimal_set(RipleyReject(0.6), P532)[0].is_full
         # equality goes to the full space: both actions earn the same
-        assert ripley_classifier(P532, 0.5).is_full
+        assert optimal_set(RipleyReject(0.5), P532)[0].is_full
 
     def test_conformal_cut(self):
         assert conformal_classifier(P532, 0.25).members == (1, 2)
@@ -103,11 +102,13 @@ class TestWorkedExamples:
         assert rho_classifier(p, 0.0).is_full
 
     def test_indifference_zone(self):
-        # last entry is the zone
-        assert indifference_zone_classifier([0.5, 0.2, 0.3], 1.5).members == (1,)
-        assert indifference_zone_classifier([0.3, 0.2, 0.5], 1.5).is_empty
+        def zone(probs, empty_reward):  # last entry is the zone
+            return optimal_set(IndifferenceZone(empty_reward), PosteriorVector(probs))[0]
+
+        assert zone([0.5, 0.2, 0.3], 1.5).members == (1,)
+        assert zone([0.3, 0.2, 0.5], 1.5).is_empty
         # equality keeps the singleton
-        assert indifference_zone_classifier([0.4, 0.2, 0.4], 1.0).members == (1,)
+        assert zone([0.4, 0.2, 0.4], 1.0).members == (1,)
 
 
 class TestTieRules:
@@ -159,14 +160,24 @@ class TestTieRules:
         chosen, _ = optimal_set(spec, p)
         assert chosen.members == members
 
+    ORACLE_CASES = [
+        (ProportionBased(0.5), [0.5, 0.5], None, (1, 2)),
+        (RipleyReject(0.5), [0.25, 0.25, 0.5], None, (1, 2, 3)),
+        (InvariantPenalty(PenaltySequence((0.0, 0.25, 0.5, 0.75), convex=True)),
+         [0.25, 0.25, 0.5], None, (1, 2, 3)),
+        (CompositeProportion(0.25, 0.5), [0.25] * 4, (2, 2), (1, 3)),
+    ]
+
     def test_oracle_takes_smallest_bitmask_where_fast_rules_differ(self):
-        """Exact value ties the fast rules and the oracle break differently."""
-        p = PosteriorVector([0.5, 0.5])
-        assert brute_force_optimal(ProportionBased(0.5), p).chosen.members == (1,)
-        assert optimal_set(ProportionBased(0.5), p)[0].members == (1, 2)
-        q = PosteriorVector([0.25] * 4, CategorySpace(4, (2, 2)))
-        assert brute_force_optimal(CompositeProportion(0.25, 0.5), q).chosen.is_empty
-        assert optimal_set(CompositeProportion(0.25, 0.5), q)[0].members == (1, 3)
+        """Exact value ties where the smallest bitmask alone would pick a
+        smaller set than the fast rule: the oracle prefers the larger set
+        first, so both choose the same one."""
+        for spec, probs, blocks, members in self.ORACLE_CASES:
+            p = PosteriorVector(probs, CategorySpace(len(probs), blocks))
+            oracle = brute_force_optimal(spec, p)
+            chosen, value = optimal_set(spec, p)
+            assert oracle.chosen.members == chosen.members == members
+            assert oracle.value == value
 
 
 class TestBruteForceAgreement:
@@ -250,7 +261,7 @@ class TestBruteForceAgreement:
             n = space.n_categories
             r = float(rng.uniform(1.0 / n + 1e-6, 1.0 - 1e-9))
             p = random_posterior(rng, space)
-            direct = ripley_classifier(p, r)
+            direct, _ = optimal_set(RipleyReject(r), p)
             via_penalty = mmp_general(p, PenaltySequence.reject_plateau(r, n))
             assert direct == via_penalty.chosen
 
@@ -308,8 +319,8 @@ class TestGuards:
             rho_classifier(P532, 1.5)
 
     def test_zone_needs_regular_category(self):
-        with pytest.raises(DimensionMismatch):
-            indifference_zone_classifier([1.0], 0.5)
+        with pytest.raises(SpecSpaceMismatch):
+            optimal_set(IndifferenceZone(0.5), PosteriorVector([1.0]))
 
 
 class TestOptimalSetDispatch:
@@ -378,6 +389,13 @@ def decision_problems(draw):
     return draw(st.sampled_from(families)), space, np.array(matrix)
 
 
+def _on_eighths(spec, row):
+    """Whether the row and every parameter of ``spec`` are multiples of 1/8,
+    so that equal expected rewards are equal in floating point."""
+    x = np.hstack([row, *spec.json_values()]) * 8
+    return bool(np.all(x == np.round(x)))
+
+
 def _exhaustive_value(spec, p):
     """Best value_function over every subset, for the family the oracle refuses."""
     n = p.n_categories
@@ -402,7 +420,10 @@ class TestBatchedPath:
             assert values[r] == value_function(spec, p, chosen)
             assert optimal_set(spec, p) == (chosen, values[r])
             if spec.exhaustive:
-                best = brute_force_optimal(spec, p).value
+                oracle = brute_force_optimal(spec, p)
+                best = oracle.value
+                if _on_eighths(spec, row):  # exact ties: one tie rule for both
+                    assert oracle.chosen == chosen
             else:
                 best = _exhaustive_value(spec, p)
             assert abs(values[r] - best) <= 1e-12

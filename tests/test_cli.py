@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setbayes import cli
+from setbayes import cli, gaussian
 from setbayes.cli import main
 
 
@@ -333,6 +333,16 @@ class TestConformal:
         for audit_samples in ("0", "-1"):
             assert main(base + ["--delta", "0.1", "--audit",
                                 "--audit-samples", audit_samples]) == 3
+
+    @pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+    def test_bad_delta_fails_before_sampling(self, workspace, monkeypatch, capsys, delta):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(gaussian, "sample_mixture", must_not_run("sample_mixture"))
+        assert main(["conformal", "--model", str(model), "--delta", delta,
+                     "--samples", "200000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: delta {float(delta)} outside (0, 1)\n"
 
     @pytest.mark.parametrize("audit_samples", ["0", "-1"])
     def test_bad_audit_samples_fail_before_calibration(

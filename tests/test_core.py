@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from setbayes import (
-    AllZeroMass,
     BlockOutOfRange,
     CategorySpace,
     ClassifiedSet,
@@ -10,7 +9,6 @@ from setbayes import (
     InvalidDistribution,
     OutOfRange,
     PosteriorVector,
-    posterior_from_likelihoods,
 )
 
 from conftest import random_posterior, random_space
@@ -132,9 +130,6 @@ class TestPosteriorVector:
         p = PosteriorVector([0.1, 0.2, 0.15, 0.3, 0.25], space)
         assert p.block_mass(1) == pytest.approx(0.3)
         assert p.block_mass(2) == pytest.approx(0.7)
-        assert p.top_m_set_in_block(2, 2).members == (4, 5)
-        assert p.top_m_cumsum_in_block(2, 2) == pytest.approx(0.55)
-        assert p.top_m_set_in_block(1, 0).is_empty
 
     def test_block_masses_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -148,25 +143,3 @@ class TestPosteriorVector:
         p = PosteriorVector([0.4, 0.6])
         with pytest.raises(OutOfRange):
             p.top_m_set(3)
-        with pytest.raises(OutOfRange):
-            p.top_m_set_in_block(1, 3)
-
-
-class TestPosteriorFromLikelihoods:
-    def test_matches_manual_bayes(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            n = int(rng.integers(2, 8))
-            prior = rng.dirichlet(np.ones(n))
-            lik = rng.gamma(1.0, 1.0, size=n)
-            p = posterior_from_likelihoods(prior, lik)
-            expected = prior * lik / (prior * lik).sum()
-            np.testing.assert_allclose(p.p, expected, atol=1e-14)
-
-    def test_zero_mass(self):
-        with pytest.raises(AllZeroMass):
-            posterior_from_likelihoods([0.5, 0.5], [0.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            posterior_from_likelihoods([0.5, 0.5], [1.0, 2.0, 3.0])

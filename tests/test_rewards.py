@@ -17,14 +17,13 @@ from setbayes import (
     ProportionBased,
     RipleyReject,
     SpecSpaceMismatch,
-    binary_reward,
     reward,
     reward_spec_from_json,
     reward_spec_to_json,
     value_function,
 )
 
-from conftest import random_posterior, random_space
+from conftest import binary_reward, random_posterior, random_space
 
 
 class TestPenaltySequence:

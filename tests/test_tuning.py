@@ -18,12 +18,10 @@ from setbayes import (
     OutOfRange,
     PosteriorVector,
     TrainingData,
-    binary_reward,
     brute_force_optimal,
     conjugate_update,
     default_hyperprior,
     evaluate_curves,
-    grid_scan_costs,
     loocv_posteriors,
     make_weights,
     select_b_minimize,
@@ -32,6 +30,8 @@ from setbayes import (
 from setbayes import tuning
 from setbayes.gaussian import category_rng, draw_category_sample, fold_rng
 from setbayes.tuning import MAX_GRID_POINTS
+
+from conftest import binary_reward
 
 VARIANTS = (
     BinaryReward.EXACT_SINGLETON,
@@ -374,31 +374,3 @@ class TestCurves:
         report = evaluate_curves(self.config(), held, weights)
         with pytest.raises(OutOfRange):
             select_b_minimize(report, BinaryReward.CONTAINS_TRUTH)
-
-
-class TestGridScan:
-    def test_diagonal_matches_sweep(self):
-        """Scanning (a, b) independently and sweeping with epsilon = 1 must
-        agree where a = b."""
-        rng = np.random.default_rng(41)
-        data, space = blocked_data(rng, counts=(8, 6, 5))
-        prior = uniform_prior(3)
-        held = loocv_posteriors(data, space, prior, n_draws=30, seed=3)
-        weights = make_weights("per_category", data.counts)
-        cfg = CVConfig(1.0, 0.05, 0.1, 0.5, 0.1)
-        report = evaluate_curves(cfg, held, weights)
-        grid = cfg.grid()
-        lattice = grid_scan_costs(grid, grid, held, weights, BinaryReward.CONTAINS_TRUTH)
-        np.testing.assert_allclose(
-            np.diagonal(lattice),
-            report.non_reward(BinaryReward.CONTAINS_TRUTH),
-            atol=1e-12,
-        )
-
-    def test_rejects_empty_grid(self):
-        rng = np.random.default_rng(43)
-        data, space = blocked_data(rng, counts=(4, 3, 2))
-        held = loocv_posteriors(data, space, uniform_prior(3), n_draws=20, seed=1)
-        weights = make_weights("per_category", data.counts)
-        with pytest.raises(OutOfRange):
-            grid_scan_costs([], [0.1], held, weights, BinaryReward.CONTAINS_TRUTH)
