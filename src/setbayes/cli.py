@@ -400,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", type=float, default=0.05)
     p.add_argument("--draws", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="at least 1; accepted for compatibility, it no longer changes the work")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("conformal", help="calibrate the coverage-controlling cost")

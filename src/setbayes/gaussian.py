@@ -4,7 +4,10 @@ Each category gets a multivariate normal likelihood with a
 normal-inverse-Wishart prior on its mean and covariance.  The posterior is
 again normal-inverse-Wishart, and predictive densities are Monte Carlo
 averages over a cached sample of (mean, covariance) draws, so everything
-downstream is reproducible from (data, hyperprior, n_draws, seed).
+downstream is reproducible from (data, hyperprior, n_draws, seed).  The
+draws are made here by Bartlett's method from numpy's ``Generator`` alone,
+so they depend on numpy's generator streams and on no other library's
+sampler code.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import invwishart
 
 from .core import CategorySpace, PosteriorVector
 from .errors import (
@@ -34,6 +35,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 #: ``_BUDGET // n_draws`` rows (at least one), so its temporaries stay
 #: bounded whatever the draw count.
 _BUDGET = 1 << 19
+
+#: Elements of one batch's (folds, draws, d, d) Bartlett factors in
+#: ``_held_out_log_densities``: 256 KB of float64, about 18 folds at 200
+#: draws and d = 3.  A batch holds ``_FOLD_BUDGET // (n_draws d d)`` folds
+#: (at least one).  Larger batches run no faster, since each fold's own
+#: generator calls then dominate; they only raise the peak memory.
+_FOLD_BUDGET = _BUDGET // 16
 
 
 @dataclass(frozen=True)
@@ -306,26 +314,66 @@ class CategoryDraws:
         return out - math.log(self.n_draws)
 
 
+@cache
+def _below(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict lower triangle of a d x d matrix."""
+    below = np.tril_indices(d, -1)
+    for arr in below:
+        arr.setflags(write=False)
+    return below
+
+
+def _standard_draws(
+    dof: float, rng: np.random.Generator, a: np.ndarray, eps: np.ndarray
+) -> None:
+    """Fill the Bartlett factors ``a`` (n, d, d), zero above the diagonal,
+    and the mean noise ``eps`` (n, d) of n normal-inverse-Wishart draws.
+
+    The generator calls, in order: ``normal`` below the diagonal, then the
+    square root of ``chisquare(dof - d + 1 + k)`` at diagonal k, then
+    ``standard_normal`` for the mean noise.  The first two are the calls of
+    the reference inverse-Wishart sampler the tests compare against, in
+    its order, so both draw the same factors from one generator state.
+    With C the Cholesky factor of the scatter, C A^-1 is the lower Cholesky
+    factor of an inverse-Wishart(dof, scatter) covariance draw.
+    """
+    n, d = eps.shape
+    rows, cols = _below(d)
+    a[:, rows, cols] = rng.normal(size=(n, rows.size))
+    k = np.arange(d)
+    a[:, k, k] = rng.chisquare(dof - d + 1 + k, size=(n, d)) ** 0.5
+    rng.standard_normal(out=eps)
+
+
+def _lower_factors(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """C A^-1 for a lower-triangular C (d, d) and a stack of lower-triangular
+    A (n, d, d), by back substitution over the columns of L A = C."""
+    out = np.zeros(a.shape)
+    for j in reversed(range(a.shape[1])):
+        rest = (out[:, :, j + 1:] @ a[:, j + 1:, j, None])[:, :, 0]
+        out[:, :, j] = (c[:, j] - rest) / a[:, j, j, None]
+    return out
+
+
 def draw_category_sample(
     posterior: NormalInverseWishart, n_draws: int, rng: np.random.Generator
 ) -> CategoryDraws:
     """Draw (mean, covariance) pairs from a normal-inverse-Wishart law.
 
-    The covariance comes first from the inverse-Wishart part, then the mean
-    from a Gaussian centered at the location with covariance cov / kappa.
-    The draw order is fixed, so a given generator state always produces the
-    same sample.
+    The covariance comes first from the inverse-Wishart part, as the lower
+    Cholesky factor C A^-1 of Bartlett's method (see ``_standard_draws``),
+    then the mean from a Gaussian centered at the location with covariance
+    cov / kappa.  The draw order is fixed, so a given generator state always
+    produces the same sample.
     """
     if n_draws < 1:
         raise OutOfRange(f"need at least one draw, got {n_draws}")
     d = posterior.dim
-    covs = invwishart.rvs(
-        df=posterior.dof, scale=posterior.scatter_array(), size=n_draws, random_state=rng
-    )
-    covs = np.asarray(covs, dtype=float).reshape(n_draws, d, d)
-    chols = np.linalg.cholesky(covs)
-    eps = rng.standard_normal((n_draws, d, 1))
-    means = posterior.mean_array() + (chols @ eps)[:, :, 0] / math.sqrt(posterior.kappa)
+    a, eps = np.zeros((n_draws, d, d)), np.empty((n_draws, d))
+    _standard_draws(posterior.dof, rng, a, eps)
+    chols = _lower_factors(np.linalg.cholesky(posterior.scatter_array()), a)
+    noise = (chols @ eps[:, :, None])[:, :, 0]
+    means = posterior.mean_array() + noise / math.sqrt(posterior.kappa)
     return CategoryDraws(means, chols)
 
 
@@ -363,6 +411,92 @@ def category_rng(seed: int, category: int) -> np.random.Generator:
 def fold_rng(seed: int, category: int, row: int) -> np.random.Generator:
     """The dedicated stream for a leave-one-out refit of (category, row)."""
     return np.random.default_rng([int(seed), int(category), int(row)])
+
+
+def _drop_one_posteriors(
+    observations: np.ndarray, prior: NormalInverseWishart
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """``conjugate_update`` of the rows other than j, for every row j at once.
+
+    The within scatter of fold j is the rank-one downdate U - n/(n - 1)
+    u_j u_j' of the full centered scatter U, with u_j row j minus the full
+    mean, and its sample mean is the full mean minus u_j / (n - 1).
+    Returns the (n, d) locations, the kappa and dof the folds share, and
+    the (n, d, d) scatters.  Needs n >= 2 rows.
+    """
+    n = observations.shape[0]
+    xbar = observations.mean(axis=0)
+    u = observations - xbar
+    within = u.T @ u - (n / (n - 1)) * (u[:, :, None] * u[:, None, :])
+    kept = xbar - u / (n - 1)
+    kappa = prior.kappa + (n - 1)
+    dev = kept - prior.mean_array()
+    scatter = (
+        prior.scatter_array() + within
+        + (prior.kappa * (n - 1) / kappa) * (dev[:, :, None] * dev[:, None, :])
+    )
+    means = (prior.kappa * prior.mean_array() + (n - 1) * kept) / kappa
+    return means, kappa, prior.dof + (n - 1), scatter
+
+
+def _held_out_log_densities(
+    observations: np.ndarray, prior: NormalInverseWishart, category: int,
+    n_draws: int, seed: int,
+) -> np.ndarray:
+    """Log Monte Carlo predictive density at each row of one category, under
+    the posterior of the category's other rows.
+
+    Fold j draws from ``fold_rng(seed, category, j)`` what
+    ``draw_category_sample`` draws from the fold's posterior, and
+    evaluates the draws at row j, without building a covariance, an
+    inverse or a ``CategoryDraws``.  With C the Cholesky factor of the
+    fold's scatter and m its location, draw l has the Cholesky factor
+    L = C A_l^-1, so L^-1 (x - mean_l) = A_l C^-1 (x - m) - eps_l / sqrt(kappa)
+    and log|cov_l| = 2 (sum log diag C - sum log diag A_l).  Folds go in
+    batches of ``_FOLD_BUDGET // (n_draws d d)`` (at least one).
+
+    Raises
+    ------
+    SingularScatter
+        If a fold's scatter is not positive definite; the message names the
+        category and the left-out row (1-based within the category).
+    """
+    n, d = observations.shape
+    means, kappa, dof, scatter = _drop_one_posteriors(observations, prior)
+    try:
+        chol = np.linalg.cholesky(scatter)
+    except np.linalg.LinAlgError:
+        for j in range(n):
+            try:
+                np.linalg.cholesky(scatter[j])
+            except np.linalg.LinAlgError:
+                raise SingularScatter(
+                    f"category {category} without its row {j + 1}: "
+                    "scatter matrix must be positive definite"
+                ) from None
+        raise
+    # v_j = C_j^-1 (x_j - m_j), by forward substitution.
+    v = observations - means
+    for i in range(d):
+        v[:, i] = (v[:, i] - (chol[:, i, :i] * v[:, :i]).sum(axis=1)) / chol[:, i, i]
+    k = np.arange(d)
+    log_diag_c = np.log(chol[:, k, k]).sum(axis=1)
+    step = min(n, max(1, _FOLD_BUDGET // (n_draws * d * d)))
+    a, eps = np.zeros((step, n_draws, d, d)), np.empty((step, n_draws, d))
+    out = np.empty(n)
+    for start in range(0, n, step):
+        b = min(step, n - start)
+        for f in range(b):
+            _standard_draws(dof, fold_rng(seed, category, start + f), a[f], eps[f])
+        folds = slice(start, start + b)
+        y = np.einsum("flij,fj->fli", a[:b], v[folds]) - eps[:b] / math.sqrt(kappa)
+        log_diag_a = np.log(a[:b, :, k, k]).sum(axis=2)
+        logp = -0.5 * (
+            np.einsum("fli,fli->fl", y, y)
+            + 2.0 * (log_diag_c[folds, None] - log_diag_a) + d * _LOG_2PI
+        )
+        out[folds] = _logsumexp(logp) - math.log(n_draws)
+    return out
 
 
 def fit(
@@ -448,6 +582,26 @@ def _log_densities(model: GaussianCategoryModel, points) -> np.ndarray:
     return np.column_stack([d.log_density(z) for d in model.draws])
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Log of the sum of exponentials along each row of a 2-D array.
+
+    Computed in the form of the reference log-sum-exp the tests compare
+    against, bit for bit: shift by the row maximum, leave its m tied
+    entries out of the sum s of the other shifted exponentials, and return
+    log1p(s / m) + log m + max.  A row where that is not finite, such as a
+    row of -inf, gets the unshifted log(sum(exp(a))) instead.
+    """
+    top = a.max(axis=1, keepdims=True)
+    tied = a == top
+    m = tied.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(tied, -np.inf, a) - top).sum(axis=1, keepdims=True)
+        out = (np.log1p(s / m) + np.log(m) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     """Posterior rows from an (R, N) matrix of per-category log densities.
 
@@ -467,11 +621,11 @@ def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     pi = check_prior(prior, logf.shape[1])
     with np.errstate(divide="ignore"):
         logpost = logf + np.log(pi)[None, :]
-    norm = logsumexp(logpost, axis=1, keepdims=True)
-    bad = np.flatnonzero(~np.isfinite(norm[:, 0]))
+    norm = _logsumexp(logpost)
+    bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
         raise AllZeroMass(f"every category has zero posterior mass at row {bad[0] + 1}")
-    p = np.exp(logpost - norm)
+    p = np.exp(logpost - norm[:, None])
     return p / p.sum(axis=1, keepdims=True)
 
 

@@ -6,6 +6,8 @@ swept along a grid while the within cost stays a fixed multiple
 ``epsilon`` of it.  Refitting touches only the left-out observation's
 category, so each fold is one conjugate update plus a fresh Monte Carlo
 sample for that category; every other category keeps the full-fit draws.
+The folds of one category run together, as a rank-one downdate of the
+category's scatter and batches of draws sized by a memory budget.
 
 The held-out posterior matrix is computed and ranked once; sweeping the
 grid afterwards costs one vectorized pass of the composite rule per cost
@@ -18,7 +20,6 @@ singleton-style scores).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,16 +37,16 @@ from .errors import (
 from .gaussian import (
     NormalInverseWishart,
     TrainingData,
+    _held_out_log_densities,
     _log_densities,
     check_delta,
     check_prior,
-    conjugate_update,
     default_hyperprior,
-    draw_category_sample,
     fit,
-    fold_rng,
     posterior_from_log_densities,
 )
+from .gaussian import conjugate_update  # unused here, but bench/tracing.py wraps tuning.conjugate_update
+from .gaussian import draw_category_sample  # unused here, but bench/tracing.py wraps tuning.draw_category_sample
 from .rewards import BinaryReward, CompositeProportion
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -211,9 +212,13 @@ def loocv_posteriors(
     For each fold only the left-out observation's category is refitted (an
     exact conjugate update on the remaining rows) and redrawn from a stream
     keyed by (seed, category, row); the other categories reuse the full
-    fit.  The held-out log densities replace the full-fit ones in the
-    matrix that ``posterior_from_log_densities`` turns into rows, with the
-    same fixed ``prior`` for every fold.
+    fit.  The folds of one category run as one batched path, in batches
+    under a memory budget (``gaussian._held_out_log_densities``).  The
+    held-out log densities replace the full-fit ones in the matrix that
+    ``posterior_from_log_densities`` turns into rows, with the same fixed
+    ``prior`` for every fold.  ``threads`` is checked but no longer changes
+    the work: every thread count gives the same rows from the same serial
+    path.
 
     Raises
     ------
@@ -224,6 +229,8 @@ def loocv_posteriors(
         this is checked before any fold runs.
     OutOfRange
         If ``threads`` is below one.
+    SingularScatter
+        If a fold's posterior scatter is not positive definite.
     """
     if threads < 1:
         raise OutOfRange(f"need at least one thread, got {threads}")
@@ -238,22 +245,12 @@ def loocv_posteriors(
     model = fit(data, hyperprior, n_draws, seed, space)
     rows, labels = data.stacked()
     logf = _log_densities(model, rows)
-
     # Fold r holds out row j of category i, which is row r of ``rows``.
-    folds = [(i, j) for i, g in enumerate(data.groups, start=1) for j in range(g.shape[0])]
-
-    def run_fold(fold):
-        i, j = fold
-        post = conjugate_update(data.drop_row(i, j), hyperprior)
-        draws = draw_category_sample(post, n_draws, fold_rng(seed, i, j))
-        return float(draws.log_density(data.groups[i - 1][j])[0])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            held_out = list(pool.map(run_fold, folds))
-    else:
-        held_out = [run_fold(f) for f in folds]
-    logf[np.arange(len(folds)), labels - 1] = held_out
+    held_out = np.concatenate([
+        _held_out_log_densities(g, hyperprior, i, n_draws, seed)
+        for i, g in enumerate(data.groups, start=1)
+    ])
+    logf[np.arange(rows.shape[0]), labels - 1] = held_out
     return HeldOutPosteriors(posterior_from_log_densities(logf, prior), labels, counts, space)
 
 

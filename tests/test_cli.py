@@ -266,6 +266,25 @@ class TestTune:
         assert (d1 / "c.csv").read_bytes() == (d2 / "c.csv").read_bytes()
         assert (d1 / "s.json").read_bytes() == (d2 / "s.json").read_bytes()
 
+    def test_blas_thread_count_leaves_the_outputs_unchanged(self, workspace):
+        """``tune`` run in child processes with one and with two BLAS
+        threads writes the same curve and selection bytes.  At 2000 draws
+        the full fit's density product (66 rows by 2000 draws) is large
+        enough for the BLAS to split it across threads."""
+        tmp_path, _, data, _ = workspace
+        src = str(Path(cli.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            curve, selection = tmp_path / f"c{threads}.csv", tmp_path / f"s{threads}.json"
+            args = self.tune_args(data, curve, selection)
+            args[args.index("--draws") + 1] = "2000"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "setbayes.cli", *args],
+                           env=env, check=True, capture_output=True, timeout=300)
+            written.append((curve.read_bytes(), selection.read_bytes()))
+        assert written[0] == written[1]
+
     def test_tiny_category_exits_4(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text("x,label\n0.0,a\n1.0,a\n0.5,b\n")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
-from scipy.stats import multivariate_normal, multivariate_t
+from scipy.stats import invwishart, multivariate_normal, multivariate_t
 
 from setbayes import (
+    AllZeroMass,
     CategorySpace,
     DimensionMismatch,
     EmptyCategory,
@@ -209,6 +210,34 @@ class TestFitDeterminism:
             fit(TrainingData([rows, np.empty((0, 1))]), hyper, n_draws=10)
 
 
+class TestSampler:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_scipy_invwishart_on_one_stream(self, d):
+        """From one generator state, the Bartlett sampler's Cholesky factors
+        are those of ``invwishart.rvs``'s covariances, its means follow from
+        the next standard normals, and both leave the stream at the same
+        place."""
+        rng = np.random.default_rng(70 + d)
+        mats = rng.standard_normal((d, d))
+        post = NormalInverseWishart(
+            tuple(rng.standard_normal(d)), 2.5, d + 3.5,
+            tuple(map(tuple, mats @ mats.T + np.eye(d))),
+        )
+        n_draws = 300
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        draws = gaussian.draw_category_sample(post, n_draws, ours)
+        covs = invwishart.rvs(
+            df=post.dof, scale=post.scatter_array(), size=n_draws, random_state=theirs
+        )
+        chols = np.linalg.cholesky(np.reshape(covs, (n_draws, d, d)))
+        means = post.mean_array() + (
+            chols @ theirs.standard_normal((n_draws, d, 1))
+        )[:, :, 0] / np.sqrt(post.kappa)
+        np.testing.assert_allclose(draws.chols, chols, rtol=1e-12)
+        np.testing.assert_allclose(draws.means, means, rtol=1e-12)
+        assert ours.random() == theirs.random()
+
+
 def random_draws(rng, d, n_draws):
     """Draws with random means and covariances of eigenvalues at least 1."""
     means = rng.standard_normal((n_draws, d))
@@ -321,6 +350,23 @@ class TestPosteriors:
         single = posterior_over_categories(model, np.full(3, 1 / 3), points[0])
         np.testing.assert_allclose(single.p, post[0], atol=1e-12)
         assert single.space.n_categories == 3
+
+    def test_logsumexp_matches_scipy_bit_for_bit(self):
+        """Rows with -inf entries, exact ties at the maximum, dyadic rows
+        full of ties and rows of -inf only."""
+        rng = np.random.default_rng(73)
+        a = rng.normal(scale=30.0, size=(5000, 6))
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        a[::5, 2] = a[::5].max(axis=1)
+        a[::7, :3] = a[::7, 3:]
+        a[::13] = rng.integers(-4, 5, size=a[::13].shape) / 4.0
+        a[::17] = -np.inf
+        np.testing.assert_array_equal(gaussian._logsumexp(a), logsumexp(a, axis=1))
+
+    def test_row_without_mass_fails_by_its_number(self):
+        logf = np.array([[0.0, 1.0], [-np.inf, -3.0], [-np.inf, 2.0]])
+        with pytest.raises(AllZeroMass, match="row 2"):
+            gaussian.posterior_from_log_densities(logf, [1.0, 0.0])
 
     def test_prior_validation(self):
         rng = np.random.default_rng(67)

@@ -15,8 +15,10 @@ from setbayes import (
     InvalidDistribution,
     MissingRealPrior,
     NoFeasibleB,
+    NormalInverseWishart,
     OutOfRange,
     PosteriorVector,
+    SingularScatter,
     TrainingData,
     brute_force_optimal,
     conjugate_update,
@@ -27,7 +29,7 @@ from setbayes import (
     select_b_minimize,
     select_b_threshold,
 )
-from setbayes import tuning
+from setbayes import gaussian, tuning
 from setbayes.gaussian import category_rng, draw_category_sample, fold_rng
 from setbayes.tuning import MAX_GRID_POINTS
 
@@ -147,15 +149,16 @@ class TestHeldOutPosteriors:
         assert held.categories.tolist() == [1] * 18 + [2] * 10 + [3] * 8
         np.testing.assert_allclose(held.matrix.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_rows_match_an_independent_recomputation(self):
-        """Rebuild the first and last fold of every category with scipy: refit
-        the held-out row's category on the retained rows, redraw it from the
-        fold's stream, average the per-draw Gaussian densities, take the
-        full-fit draws for the other categories and apply Bayes' rule."""
+    def test_rows_match_an_independent_recomputation(self, monkeypatch):
+        """Rebuild every fold with scipy: refit the held-out row's category on
+        the retained rows, redraw it from the fold's stream, average the
+        per-draw Gaussian densities, take the full-fit draws for the other
+        categories and apply Bayes' rule.  Checked at the default fold
+        budget, and at budgets of 1 and of 3 folds per batch, which split
+        the categories."""
         data, space = blocked_data(np.random.default_rng(47), counts=(7, 5, 4))
         prior = np.array([0.5, 0.3, 0.2])
         seed, n_draws = 9, 25
-        held = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed)
         hyper = default_hyperprior(data)
         full = [
             draw_category_sample(conjugate_update(g, hyper), n_draws, category_rng(seed, i))
@@ -167,19 +170,49 @@ class TestHeldOutPosteriors:
             per_draw = [multivariate_normal.logpdf(x, m, c) for m, c in zip(draws.means, covs)]
             return logsumexp(per_draw) - np.log(n_draws)
 
-        first = 0
+        want = []
         for i, group in enumerate(data.groups, start=1):
-            for j in (0, group.shape[0] - 1):
-                refit = conjugate_update(np.delete(group, j, axis=0), hyper)
+            for j in range(group.shape[0]):
+                refit = conjugate_update(data.drop_row(i, j), hyper)
                 own = draw_category_sample(refit, n_draws, fold_rng(seed, i, j))
                 logf = np.array([
                     log_density(own if k == i else full[k - 1], group[j])
                     for k in range(1, space.n_categories + 1)
                 ])
                 logpost = logf + np.log(prior)
-                want = np.exp(logpost - logsumexp(logpost))
-                np.testing.assert_allclose(held.matrix[first + j], want, rtol=0, atol=1e-12)
-            first += group.shape[0]
+                want.append(np.exp(logpost - logsumexp(logpost)))
+        for folds_per_batch in (None, 1, 3):
+            if folds_per_batch is not None:
+                budget = folds_per_batch * n_draws * data.dim ** 2
+                monkeypatch.setattr(gaussian, "_FOLD_BUDGET", budget)
+            held = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed)
+            np.testing.assert_allclose(held.matrix, np.array(want), rtol=0, atol=1e-12)
+
+    def test_downdate_matches_refit(self):
+        """The rank-one downdate of each fold equals ``conjugate_update`` on
+        the retained rows."""
+        data, _ = blocked_data(np.random.default_rng(53), counts=(9, 2, 5), d=3)
+        hyper = default_hyperprior(data)
+        for i, group in enumerate(data.groups, start=1):
+            means, kappa, dof, scatter = gaussian._drop_one_posteriors(group, hyper)
+            for j in range(group.shape[0]):
+                refit = conjugate_update(data.drop_row(i, j), hyper)
+                assert (kappa, dof) == (refit.kappa, refit.dof)
+                np.testing.assert_allclose(means[j], refit.mean_array(), rtol=1e-12)
+                np.testing.assert_allclose(scatter[j], refit.scatter_array(), rtol=1e-12)
+
+    def test_singular_fold_scatter_names_category_and_row(self):
+        """Without its third row, category 1 keeps two rows 4 apart on the
+        diagonal, with their mean 1 off the prior location along it: under a
+        negligible prior scatter, that fold's scatter is 9 in every entry,
+        whose Cholesky factorization fails exactly.  The full fit's does
+        not."""
+        group = np.array([[0.0, 0.0], [4.0, 4.0], [2.0, -4.0]])
+        other = np.array([[5.0, 1.0], [7.0, 2.0], [6.0, 4.0], [8.0, 5.0]])
+        data = TrainingData([group, other])
+        hyper = NormalInverseWishart((1.0, 1.0), 2.0, 4.0, ((1e-300, 0.0), (0.0, 1e-300)))
+        with pytest.raises(SingularScatter, match="category 1 without its row 3"):
+            loocv_posteriors(data, CategorySpace(2), uniform_prior(2), hyper, n_draws=10)
 
     def test_requires_two_per_category(self):
         data = TrainingData([np.zeros((3, 1)) + [[0], [1], [2]], np.array([[5.0]])])
@@ -194,6 +227,7 @@ class TestHeldOutPosteriors:
             pytest.fail("a fit or a fold ran before the prior was checked")
 
         monkeypatch.setattr(tuning, "fit", must_not_run)
+        monkeypatch.setattr(tuning, "_held_out_log_densities", must_not_run)
         monkeypatch.setattr(tuning, "draw_category_sample", must_not_run)
         with pytest.raises((InvalidDistribution, DimensionMismatch)):
             loocv_posteriors(data, space, prior, n_draws=10)
