@@ -185,6 +185,27 @@ def composite_classifier(
     return _one_row(CompositeProportion(within_cost, cross_cost), p)
 
 
+def check_exhaustive(spec: RewardSpec, space) -> None:
+    """Raise unless ``brute_force_optimal`` can search ``spec`` over ``space``.
+
+    Raises
+    ------
+    TooManyCategories
+        If the space has more than ``BRUTE_FORCE_LIMIT`` categories.
+    UnsupportedReward
+        For ``IndifferenceZone``, whose reward singles out one category
+        and is served by its own dedicated rule instead.
+    """
+    n = space.n_categories
+    if n > BRUTE_FORCE_LIMIT:
+        raise TooManyCategories(f"{n} categories exceed the enumeration limit {BRUTE_FORCE_LIMIT}")
+    if not spec.exhaustive:
+        raise UnsupportedReward(
+            f"{spec.kind} scoring has a dedicated rule; exhaustive "
+            "search only covers rewards driven by membership and set sizes"
+        )
+
+
 def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
     """Maximize expected reward by checking every subset of categories.
 
@@ -197,21 +218,12 @@ def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
 
     Raises
     ------
-    TooManyCategories
-        If N exceeds the enumeration limit.
-    UnsupportedReward
-        For ``IndifferenceZone``, whose reward singles out one category
-        and is served by its own dedicated rule instead.
+    TooManyCategories, UnsupportedReward
+        As ``check_exhaustive`` says.
     """
-    n = p.n_categories
-    if n > BRUTE_FORCE_LIMIT:
-        raise TooManyCategories(f"{n} categories exceed the enumeration limit {BRUTE_FORCE_LIMIT}")
-    if not spec.exhaustive:
-        raise UnsupportedReward(
-            f"{spec.kind} scoring has a dedicated rule; exhaustive "
-            "search only covers rewards driven by membership and set sizes"
-        )
+    check_exhaustive(spec, p.space)
     spec.check(p.space)
+    n = p.n_categories
     bits = np.arange(n)
     best, best_key = 0, (-np.inf, -1)
     for start in range(0, 1 << n, _MASK_CHUNK):

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
 import numpy as np
 
-from .classifiers import brute_force_optimal, optimal_sets
+from .classifiers import brute_force_optimal, check_exhaustive, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
 from .core import PosteriorVector
 from .dataset import (
@@ -60,6 +61,9 @@ from .tuning import (
     select_b_minimize,
     select_b_threshold,
 )
+
+#: Report rows formatted per write in ``classify``.
+_WRITE_BLOCK = 1024
 
 
 def _err(message) -> None:
@@ -203,20 +207,71 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _set_cells(members: np.ndarray, labels) -> tuple[list[str], np.ndarray]:
+    """The ``set,set_size`` cells of each distinct row of ``members``, as
+    ``csv.writer`` renders them, and the index of every row's cells."""
+    packed = np.packbits(members, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for r in first.tolist():
+        chosen = np.flatnonzero(members[r])
+        writer.writerow([";".join(labels[i] for i in chosen), chosen.size])
+        cells.append(buf.getvalue()[:-1])
+        buf.seek(0)
+        buf.truncate()
+    return cells, which
+
+
+def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
+    """Write ``classify``'s header and one CSV line per row of ``post``.
+
+    Each line is one ``%``-format of the row's floats, whose ``%r`` is
+    ``format_float``'s shortest round-trip form, and of its set's cells
+    from ``_set_cells``.  Lines are formatted and written ``_WRITE_BLOCK``
+    rows at a time, which bounds the Python objects alive at once.
+    """
+    tail = values[:, None] if oracle is None else np.column_stack([values, oracle])
+    csv.writer(fh, lineterminator="\n").writerow(
+        ["row"]
+        + [f"p_{label}" for label in labels]
+        + ["set", "set_size", "value"]
+        + (["oracle_value"] if oracle is not None else [])
+    )
+    cells, which = _set_cells(members, labels)
+    line = "%d," + ",".join(["%r"] * len(labels)) + ",%s" + ",%r" * tail.shape[1] + "\n"
+    for start in range(0, post.shape[0], _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        fh.write("".join([
+            line % (r, *p, cells[k], *t)
+            for r, p, k, t in zip(
+                range(start + 1, start + _WRITE_BLOCK + 1),
+                post[block].tolist(),
+                which[block].tolist(),
+                tail[block].tolist(),
+            )
+        ]))
+
+
 def _cmd_classify(args) -> int:
     bundle = _ModelFile(_read_json(args.model))
+    model = bundle.model
     spec, reward_obj = _parse_reward(args.reward)
     prior = _resolve_prior(args.prior, bundle.counts)
+    if args.oracle:
+        check_exhaustive(spec, model.space)
+    spec.check(model.space)
     points = _read_observations(args.data, bundle.feature_names)
-    model = bundle.model
     post = posterior_matrix(model, prior, points)
     members, values = optimal_sets(spec, post, model.space)
-    header = (
-        ["row"]
-        + [f"p_{label}" for label in bundle.labels]
-        + ["set", "set_size", "value"]
-        + (["oracle_value"] if args.oracle else [])
-    )
+    oracle = None
+    if args.oracle:
+        oracle = np.array([
+            brute_force_optimal(spec, PosteriorVector(row, model.space)).value
+            for row in post
+        ])
     metadata = {
         "command": "classify",
         "reward": reward_obj,
@@ -226,23 +281,7 @@ def _cmd_classify(args) -> int:
     }
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r, (row, mask, value) in enumerate(zip(post, members, values)):
-            chosen = np.flatnonzero(mask)
-            record = (
-                [str(r + 1)]
-                + [format_float(v) for v in row.tolist()]
-                + [
-                    ";".join(bundle.labels[i] for i in chosen),
-                    str(chosen.size),
-                    format_float(value),
-                ]
-            )
-            if args.oracle:
-                oracle = brute_force_optimal(spec, PosteriorVector(post[r], model.space))
-                record.append(format_float(oracle.value))
-            writer.writerow(record)
+        _write_sets(fh, bundle.labels, post, members, values, oracle)
     print(f"classified {points.shape[0]} observations -> {args.out}")
     return 0
 

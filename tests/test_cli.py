@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setbayes import cli, gaussian
+from setbayes import classifiers, cli, gaussian
 from setbayes.cli import main
+from setbayes.core import PosteriorVector
+from setbayes.dataset import format_float
 
 
 def must_not_run(name):
@@ -41,6 +44,32 @@ def workspace(tmp_path):
     assert main(["fit", "--data", str(data), "--out", str(model),
                  "--draws", "80", "--seed", "2"]) == 0
     return tmp_path, spec, data, model
+
+
+def reference_write_sets(fh, labels, post, members, values, oracle=None):
+    """``classify``'s rows written one at a time through ``csv.writer``:
+    the reference for ``cli._write_sets``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ["row"] + [f"p_{label}" for label in labels] + ["set", "set_size", "value"]
+        + (["oracle_value"] if oracle is not None else [])
+    )
+    for r, (row, mask, value) in enumerate(zip(post, members, values)):
+        chosen = np.flatnonzero(mask)
+        record = (
+            [str(r + 1)]
+            + [format_float(v) for v in row.tolist()]
+            + [";".join(labels[i] for i in chosen), str(chosen.size), format_float(value)]
+        )
+        if oracle is not None:
+            record.append(format_float(oracle[r]))
+        writer.writerow(record)
+
+
+def written(write, *args):
+    buf = io.StringIO(newline="")
+    write(buf, *args)
+    return buf.getvalue()
 
 
 def read_csv_rows(path):
@@ -226,6 +255,45 @@ class TestClassify:
                      "--reward", '{"kind": "map"}', "--prior", "[0.2, 0.3, 0.6]",
                      "--out", str(tmp_path / "sets.csv")]) == 3
 
+    @pytest.mark.parametrize("reward, limit, message", [
+        ('{"kind": "indifference_zone", "r": 0.5}', 20,
+         "indifference_zone scoring has a dedicated rule; exhaustive search only "
+         "covers rewards driven by membership and set sizes"),
+        ('{"kind": "map"}', 2, "3 categories exceed the enumeration limit 2"),
+    ])
+    def test_oracle_refusal_fails_before_any_density(self, workspace, monkeypatch, capsys,
+                                                     reward, limit, message):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(classifiers, "BRUTE_FORCE_LIMIT", limit)
+        monkeypatch.setattr(cli, "posterior_matrix", must_not_run("posterior_matrix"))
+        out = tmp_path / "sets.csv"
+        assert main(["classify", "--model", str(model), "--data", str(self.probes(tmp_path)),
+                     "--reward", reward, "--out", str(out), "--oracle"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_penalty_of_wrong_length_fails_before_any_density(self, workspace, monkeypatch,
+                                                              capsys):
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(cli, "posterior_matrix", must_not_run("posterior_matrix"))
+        out = tmp_path / "sets.csv"
+        assert main(["classify", "--model", str(model), "--data", str(self.probes(tmp_path)),
+                     "--reward", '{"kind": "penalty", "g": [0, 0.5]}', "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: penalty covers sizes 0..1, need 0..3\n"
+        assert not out.exists()
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import setbayes.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert loaded == "[]\n"
+
     def test_rejects_wrong_model_format(self, workspace):
         tmp_path, _, _, _ = workspace
         fake = tmp_path / "fake.json"
@@ -233,6 +301,69 @@ class TestClassify:
         out = tmp_path / "sets.csv"
         assert main(["classify", "--model", str(fake), "--data", str(self.probes(tmp_path)),
                      "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
+
+
+class TestSetsWriter:
+    LABELS = ("plain", 'say "hi"', "a,b", "last")
+
+    def inputs(self, rows, seed=0):
+        rng = np.random.default_rng(seed)
+        post = rng.dirichlet(np.ones(len(self.LABELS)), size=rows)
+        members = rng.random(post.shape) < 0.4
+        members[0] = False
+        members[1] = True
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        return post, members, values
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_matches_per_row_reference(self, oracle):
+        post, members, values = self.inputs(50)
+        extra = (values[::-1],) if oracle else ()
+        args = (self.LABELS, post, members, values, *extra)
+        text = written(cli._write_sets, *args)
+        assert text == written(reference_write_sets, *args)
+        assert '"say ""hi""' in text and '"a,b' in text
+        assert ",,0," in text  # row 1's empty set is an empty field
+
+    def test_rows_cross_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr(cli, "_WRITE_BLOCK", 3)
+        post, members, values = self.inputs(10, seed=1)
+        args = (self.LABELS, post, members, values)
+        assert written(cli._write_sets, *args) == written(reference_write_sets, *args)
+
+    def test_classify_file_matches_reference(self, tmp_path):
+        spec = {
+            "feature_names": ["x1", "x2"],
+            "categories": [
+                {"label": label, "block": "all", "count": 12,
+                 "mean": [2.0 * i, 0.5 * i], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+                for i, label in enumerate(self.LABELS)
+            ],
+        }
+        (tmp_path / "gen.json").write_text(json.dumps(spec))
+        data, model, out = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "sets.csv"
+        assert main(["synth", "--spec", str(tmp_path / "gen.json"), "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data), "--out", str(model), "--draws", "30"]) == 0
+        points = np.random.default_rng(3).uniform(-1.0, 7.0, size=(40, 2))
+        probe = tmp_path / "probe.csv"
+        probe.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+        # a convex penalty of 0.6 per member: rows whose top probability is
+        # below 0.6 get the empty set
+        reward = {"kind": "penalty", "g": [0.0, 0.6, 1.2, 1.8, 2.4], "convex": True}
+        assert main(["classify", "--model", str(model), "--data", str(probe),
+                     "--reward", json.dumps(reward), "--prior", "flat",
+                     "--out", str(out), "--oracle"]) == 0
+
+        bundle = cli._ModelFile(json.loads(model.read_text()))
+        post = gaussian.posterior_matrix(bundle.model, np.full(4, 0.25), points)
+        rspec = cli.reward_spec_from_json(reward)
+        members, values = classifiers.optimal_sets(rspec, post, bundle.model.space)
+        oracle = [classifiers.brute_force_optimal(rspec, PosteriorVector(p, bundle.model.space)).value
+                  for p in post]
+        assert bundle.labels == self.LABELS
+        assert (~members.any(axis=1)).any()
+        _, rows = out.read_text(encoding="utf-8").split("\n", 1)
+        assert rows == written(reference_write_sets, bundle.labels, post, members, values, oracle)
 
 
 class TestTune:
