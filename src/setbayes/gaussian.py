@@ -30,18 +30,19 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Elements of one chunk's (rows, draws) log-density array in
-#: ``CategoryDraws.log_density``: 4 MB of float64.  A chunk holds
-#: ``_BUDGET // n_draws`` rows (at least one), so its temporaries stay
+#: Elements of ``CategoryDraws.log_density``'s one scratch buffer of
+#: (rows, draws) log densities: 512 KB of float64, which stays in a 2 MiB
+#: per-core L2 cache while each chunk's passes run over it.  A chunk holds
+#: ``_BUDGET // n_draws`` rows (at least one), so the kernel's memory stays
 #: bounded whatever the draw count.
-_BUDGET = 1 << 19
+_BUDGET = 1 << 16
 
 #: Elements of one batch's (folds, draws, d, d) Bartlett factors in
 #: ``_held_out_log_densities``: 256 KB of float64, about 18 folds at 200
 #: draws and d = 3.  A batch holds ``_FOLD_BUDGET // (n_draws d d)`` folds
 #: (at least one).  Larger batches run no faster, since each fold's own
 #: generator calls then dominate; they only raise the peak memory.
-_FOLD_BUDGET = _BUDGET // 16
+_FOLD_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -234,11 +235,50 @@ def _pairs(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, weight
 
 
-def _features(u: np.ndarray) -> np.ndarray:
-    """(rows, k) features of centered points: the weighted products
-    u_i u_j for i <= j, then u, then 1."""
-    i, j, weight = _pairs(u.shape[1])
-    return np.hstack([u[:, i] * weight * u[:, j], u, np.ones((u.shape[0], 1))])
+def _features(z: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """(rows, k) features of the points ``z`` about ``center``: with
+    u = z - center, the weighted products u_i u_j for i <= j, then u, then
+    1.  The result is the transpose of a (k, rows) array filled in place
+    in contiguous blocks, so it is the only array made."""
+    rows, d = z.shape
+    _, _, weight = _pairs(d)
+    n_pairs = weight.size
+    feats = np.empty((n_pairs + d + 1, rows))
+    u = feats[n_pairs:n_pairs + d]
+    np.subtract(z.T, center[:, None], out=u)
+    start = 0
+    for i in range(d):
+        # The pairs (i, i), (i, i + 1), ..., (i, d - 1) are adjacent.
+        pairs = slice(start, start + d - i)
+        np.multiply(u[i], weight[pairs, None], out=feats[pairs])
+        feats[pairs] *= u[i:]
+        start = pairs.stop
+    feats[-1] = 1.0
+    return feats.T
+
+
+def _log_sum_exp_chunk(
+    feats: np.ndarray, coef: np.ndarray, buf: np.ndarray, finite: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Write to ``out`` the log of the sum over draws of exp(feats @ coef)
+    for each row of one chunk: one GEMM into the scratch ``buf``, then an
+    in-place max shift, exp, sum and log.  A row whose arithmetic
+    overflowed gets -inf where ``finite`` marks its point finite."""
+    logp = buf[:feats.shape[0]]
+    # An overflow leaves inf, -inf or nan (inf - inf) in the row, so its
+    # maximum is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(feats, coef, out=logp)
+    top = logp.max(axis=1)
+    far = ~np.isfinite(top)
+    top[far] = 0.0
+    logp -= top[:, None]
+    np.exp(logp, out=logp)
+    with np.errstate(divide="ignore"):
+        np.log(logp.sum(axis=1), out=out)
+    out += top
+    out[far & finite] = -np.inf
 
 
 class CategoryDraws:
@@ -282,36 +322,41 @@ class CategoryDraws:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
         Computed in log space with the usual max shift, so heavy tails and
-        tiny densities cannot underflow to an unusable zero.  Rows go in
-        chunks of ``_BUDGET // n_draws`` (at least one), each one GEMM of
-        their features against ``coef`` plus an in-place log-sum-exp.  A
-        finite point so far out that the arithmetic overflows gets -inf,
-        as every draw's density underflows there.
+        tiny densities cannot underflow to an unusable zero.  The features
+        of every row are built once; the rows then go in chunks of
+        ``_BUDGET // n_draws`` (at least one) through one scratch buffer,
+        each chunk one GEMM of its features against ``coef`` plus an
+        in-place log-sum-exp.  A finite point so far out that the
+        arithmetic overflows gets -inf, as every draw's density underflows
+        there.
         """
         z = np.asarray(points, dtype=float)
         if z.ndim == 1:
             z = z.reshape(1, -1)
         if z.shape[1] != self.dim:
             raise DimensionMismatch(f"points have dimension {z.shape[1]}, expected {self.dim}")
-        u = z - self.center
+        n = z.shape[0]
         finite = np.isfinite(z).all(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            feats = _features(z, self.center)
         step = max(1, _BUDGET // self.n_draws)
-        out = np.empty(z.shape[0])
-        for start in range(0, z.shape[0], step):
-            rows = slice(start, start + step)
-            # An overflow leaves inf, -inf or nan (inf - inf) in the row, so
-            # its maximum is not finite; such rows are set at the end.
-            with np.errstate(over="ignore", invalid="ignore"):
-                logp = _features(u[rows]) @ self.coef
-            top = logp.max(axis=1)
-            far = ~np.isfinite(top)
-            top[far] = 0.0
-            logp -= top[:, None]
-            np.exp(logp, out=logp)
-            with np.errstate(divide="ignore"):
-                out[rows] = np.log(logp.sum(axis=1)) + top
-            out[rows][far & finite[rows]] = -np.inf
-        return out - math.log(self.n_draws)
+        bounds = [*range(0, n, step), n]
+        if step > 1 and len(bounds) > 2 and n - bounds[-2] == 1:
+            # A one-row product goes through BLAS's matrix-vector routine,
+            # whose sums may round differently from a GEMM's, so a one-row
+            # tail joins the chunk before it and no row's bits depend on
+            # the chunking.
+            del bounds[-2]
+        chunks = list(zip(bounds, bounds[1:]))
+        widest = max((stop - start for start, stop in chunks), default=0)
+        buf = np.empty((widest, self.n_draws))
+        out = np.empty(n)
+        for start, stop in chunks:
+            _log_sum_exp_chunk(
+                feats[start:stop], self.coef, buf, finite[start:stop], out[start:stop]
+            )
+        out -= math.log(self.n_draws)
+        return out
 
 
 @cache

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -291,17 +292,60 @@ class TestPredictiveDensity:
         points = rng.standard_normal((11, 3)) * 2.0
         whole = draws.log_density(points)
         rows = []
-        features = gaussian._features
-        monkeypatch.setattr(gaussian, "_features", lambda u: rows.append(len(u)) or features(u))
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, *rest: rows.append(len(feats)) or chunk(feats, *rest),
+        )
         monkeypatch.setattr(gaussian, "_BUDGET", 3 * 50)
         np.testing.assert_array_equal(draws.log_density(points), whole)
         assert rows == [3, 3, 3, 2]
+        rows.clear()
+        # A one-row tail joins the chunk before it.
+        np.testing.assert_array_equal(draws.log_density(points[:10]), whole[:10])
+        assert rows == [3, 3, 4]
         rows.clear()
         monkeypatch.setattr(gaussian, "_BUDGET", 10)
         # A one-row product goes through BLAS's matrix-vector routine,
         # whose sums may round differently, so this compares values only.
         np.testing.assert_allclose(draws.log_density(points[:4]), whole[:4], rtol=1e-13)
         assert rows == [1, 1, 1, 1]
+
+    def test_multi_row_bits_do_not_depend_on_the_chunking(self, monkeypatch):
+        """Every call of 2 to 40 rows gives the same bits in chunks of 3
+        rows as in one chunk: no chunk is a single row, whose product
+        would go through BLAS's matrix-vector routine.  On this seed the
+        calls of 7, 19, 22 and 25 rows differ in some bit when their
+        one-row tail is left on its own."""
+        rng = np.random.default_rng(103)
+        draws = random_draws(rng, 3, 1000)
+        points = rng.standard_normal((40, 3)) * 2.0
+        for n in range(2, 41):
+            monkeypatch.setattr(gaussian, "_BUDGET", n * draws.n_draws)
+            whole = draws.log_density(points[:n])
+            monkeypatch.setattr(gaussian, "_BUDGET", 3 * draws.n_draws)
+            got = draws.log_density(points[:n])
+            np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows")
+
+    def test_kernel_memory_is_bounded_by_the_budget(self):
+        """Beyond the features (rows x k) and the output, a call on 20000
+        points at 1000 draws allocates one scratch buffer of about
+        ``_BUDGET`` float64 elements, not rows x draws."""
+        rng = np.random.default_rng(127)
+        draws = random_draws(rng, 3, 1000)
+        points = rng.standard_normal((20000, 3)) * 2.0
+        # Per row: k = 10 float64 features, the float64 output and a
+        # finiteness flag.  The quarter of slack holds the one-row tail
+        # a chunk may take, numpy's 8192-element ufunc buffer and the
+        # per-row vectors of a chunk.
+        bound = 1.25 * 8 * gaussian._BUDGET + points.shape[0] * (8 * 10 + 8 + 1)
+        tracemalloc.start()
+        try:
+            draws.log_density(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("far, chol_scale", [
         ([1e200, 1.0, 1.0], 1.0),  # a square overflows
