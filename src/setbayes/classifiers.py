@@ -14,6 +14,7 @@ definitions, which is what the fast paths are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .rewards import (
     ProportionBased,
     RewardSpec,
     value_function,  # unused here, but bench/tracing.py wraps classifiers.value_function
+    weighted_sum,
 )
 
 #: Exhaustive subset search is refused above this many categories.
@@ -206,6 +208,59 @@ def check_exhaustive(spec: RewardSpec, space) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _subsets(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Membership rows of the bitmasks ``start..stop - 1`` over ``n``
+    categories, bit j meaning category j + 1, and each row's size.  Cached,
+    read-only, so that repeated one-row searches build them once."""
+    members = (np.arange(start, stop)[:, None] >> np.arange(n) & 1) == 1
+    members.setflags(write=False)
+    return members, members.sum(axis=1)
+
+
+def _exhaustive(spec: RewardSpec, P: np.ndarray, space) -> tuple[np.ndarray, np.ndarray]:
+    """Best subset and its value for every row of the renormalized ``P``,
+    under ``brute_force_optimal``'s tie rule.
+
+    Each chunk of at most ``_MASK_CHUNK`` subsets builds its rewards table
+    once and scores it against blocks of rows, each block holding at most
+    ``_MASK_CHUNK`` values, which bounds the memory.
+    """
+    check_exhaustive(spec, space)
+    spec.check(space)
+    n = space.n_categories
+    best = np.empty(len(P), dtype=np.int64)
+    best_value = np.empty(len(P))
+    best_size = np.empty(len(P), dtype=np.int64)
+    for start in range(0, 1 << n, _MASK_CHUNK):
+        members, sizes = _subsets(n, start, min(start + _MASK_CHUNK, 1 << n))
+        table = spec.rewards(members, space)
+        step = _MASK_CHUNK // len(members)
+        for lo in range(0, len(P), step):
+            rows = slice(lo, lo + step)
+            values = weighted_sum(table, P[rows, None, :])
+            top = values.max(axis=1)
+            # the largest set of the best value, the first of which has the smallest bitmask
+            k = np.argmax(np.where(values == top[:, None], sizes, -1), axis=1)
+            found = (start + k, top, sizes[k])
+            if start:  # later chunks hold larger bitmasks, so they win on value or size alone
+                held = (best[rows], best_value[rows], best_size[rows])
+                wins = (top > held[1]) | (top == held[1]) & (found[2] > held[2])
+                found = [np.where(wins, f, h) for f, h in zip(found, held)]
+            best[rows], best_value[rows], best_size[rows] = found
+    return (best[:, None] >> np.arange(n) & 1) == 1, best_value
+
+
+def exhaustive_sets(spec: RewardSpec, P, space) -> tuple[np.ndarray, np.ndarray]:
+    """``brute_force_optimal`` for every row of a posterior matrix.
+
+    The rows are validated and renormalized as ``optimal_sets`` does.
+    Returns the (R, N) membership matrix and the (R,) values, with the
+    sets and bits that ``brute_force_optimal`` gives each row.
+    """
+    return _exhaustive(spec, posterior_rows(P, space), space)
+
+
 def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
     """Maximize expected reward by checking every subset of categories.
 
@@ -221,19 +276,5 @@ def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
     TooManyCategories, UnsupportedReward
         As ``check_exhaustive`` says.
     """
-    check_exhaustive(spec, p.space)
-    spec.check(p.space)
-    n = p.n_categories
-    bits = np.arange(n)
-    best, best_key = 0, (-np.inf, -1)
-    for start in range(0, 1 << n, _MASK_CHUNK):
-        masks = np.arange(start, min(start + _MASK_CHUNK, 1 << n))
-        members = (masks[:, None] >> bits & 1) == 1
-        values = spec.expected(p.p[None, :], members, p.space)
-        top = np.flatnonzero(values == values.max())
-        sizes = members[top].sum(axis=1)
-        j = int(top[np.argmax(sizes)])  # first of the largest = smallest bitmask
-        key = (values[j], int(sizes.max()))
-        if key > best_key:  # later chunks hold larger bitmasks
-            best, best_key = start + j, key
-    return _decision((best >> bits & 1) == 1, best_key[0], p.space)
+    members, values = _exhaustive(spec, p.p[None, :], p.space)
+    return _decision(members[0], values[0], p.space)

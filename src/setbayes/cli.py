@@ -20,18 +20,21 @@ import csv
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
-from .classifiers import brute_force_optimal, check_exhaustive, optimal_sets
+from .classifiers import check_exhaustive, exhaustive_sets, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
-from .core import PosteriorVector
+from .core import PosteriorVector  # unused here, but bench/tracing.py wraps cli.PosteriorVector
 from .dataset import (
+    check_unique_columns,
+    csv_rows,
     format_float,
     generate_rows,
     load_dataset,
     load_generator_spec,
-    read_csv_rows,
+    read_header,
     write_dataset,
 )
 from .errors import (
@@ -64,6 +67,9 @@ from .tuning import (
 
 #: Report rows formatted per write in ``classify``.
 _WRITE_BLOCK = 1024
+#: Bytes that ``np.loadtxt`` strips around a number as whitespace and
+#: ``float()`` refuses; a query file holding one is read row by row.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _err(message) -> None:
@@ -151,16 +157,49 @@ class _ModelFile:
 
 
 def _read_observations(path, feature_names) -> np.ndarray:
-    """Numeric matrix of the named feature columns from a CSV file."""
+    """Numeric matrix of the named feature columns from a CSV file.
+
+    The file is read once.  Its header is found as ``csv_rows`` finds it,
+    and the rows after it go through ``np.loadtxt``'s C tokenizer, which
+    converts each number as ``float()`` does.  That table is used when it
+    has at least one row, each as wide as the header, with finite feature
+    values, and the file holds none of the ``_SEPARATORS``.  Otherwise
+    ``csv_rows`` parses the same text row by row: it words every error
+    with its line number, and reads what loadtxt refuses, such as quoted
+    numbers, ``1_0``, non-ASCII digits, whitespace-only rows and
+    non-numeric columns.
+    """
 
     def feature_columns(header):
         names = [h.strip() for h in header]
+        check_unique_columns([n for n in names if n in feature_names])
         missing = sorted(set(feature_names) - set(names))
         if missing:
             raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
         return [names.index(name) for name in feature_names]
 
-    rows = [values for _, _, values in read_csv_rows(path, feature_columns)]
+    with open(path, "rb") as raw:
+        data = raw.read()
+
+    def text():
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+
+    fh = text()
+    header = read_header(csv.reader(fh))
+    cols = feature_columns(header)
+    if not any(sep in data for sep in _SEPARATORS):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file of no rows
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if table.shape[0] and table.shape[1] == len(header):
+                points = table.take(cols, axis=1)  # C order, as np.asarray(rows) gives
+                if np.isfinite(points).all():
+                    return points
+    rows = [values for _, _, values in csv_rows(text(), feature_columns)]
     if not rows:
         raise SchemaError("no observation rows")
     return np.asarray(rows, dtype=float)
@@ -266,12 +305,7 @@ def _cmd_classify(args) -> int:
     points = _read_observations(args.data, bundle.feature_names)
     post = posterior_matrix(model, prior, points)
     members, values = optimal_sets(spec, post, model.space)
-    oracle = None
-    if args.oracle:
-        oracle = np.array([
-            brute_force_optimal(spec, PosteriorVector(row, model.space)).value
-            for row in post
-        ])
+    oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
     metadata = {
         "command": "classify",
         "reward": reward_obj,

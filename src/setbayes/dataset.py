@@ -37,11 +37,16 @@ class LoadedDataset:
         return self.data.counts
 
 
+def check_unique_columns(names: list[str]) -> None:
+    """Raise ``SchemaError`` naming every column that ``names`` holds twice."""
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise SchemaError(f"duplicate header column(s): {', '.join(dupes)}")
+
+
 def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
     names = [h.strip() for h in header]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise SchemaError(f"duplicate header column(s): {', '.join(dupes)}")
+    check_unique_columns(names)
     if "label" not in names:
         raise SchemaError("missing required column 'label'")
     label_col = names.index("label")
@@ -54,8 +59,31 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
     return features, label_col, block_col
 
 
+def read_header(reader) -> list[str]:
+    """The first row of a ``csv.reader`` that is not a ``#`` comment line.
+
+    Raises
+    ------
+    SchemaError
+        If the reader ends first.
+    """
+    header = next(
+        (row for row in reader if not (row and row[0].lstrip().startswith("#"))), None
+    )
+    if header is None:
+        raise SchemaError("empty file; expected a header row")
+    return header
+
+
 def read_csv_rows(path, numeric_columns):
-    """Yield ``(line number, fields, values)`` for each data row of a CSV file.
+    """``csv_rows`` of the CSV file at ``path``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        yield from csv_rows(fh, numeric_columns)
+
+
+def csv_rows(fh, numeric_columns):
+    """Yield ``(line number, fields, values)`` for each data row of a CSV
+    text file opened with ``newline=""``.
 
     Comment lines starting with ``#`` before the header are skipped, and so
     are blank rows.  ``numeric_columns(header)`` checks the header row and
@@ -69,29 +97,24 @@ def read_csv_rows(path, numeric_columns):
         header's, or a value that is not a finite number, with the
         offending line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(
-            (row for row in reader if not (row and row[0].lstrip().startswith("#"))), None
-        )
-        if header is None:
-            raise SchemaError("empty file; expected a header row")
-        cols = numeric_columns(header)
-        for row in reader:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(row[c]) for c in cols]
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise SchemaError(f"line {lineno}: feature values must be finite")
-            yield lineno, row, values
+    reader = csv.reader(fh)
+    header = read_header(reader)
+    cols = numeric_columns(header)
+    for row in reader:
+        lineno = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise SchemaError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            values = [float(row[c]) for c in cols]
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise SchemaError(f"line {lineno}: feature values must be finite")
+        yield lineno, row, values
 
 
 def load_dataset(path) -> LoadedDataset:

@@ -160,11 +160,7 @@ class RewardSpec:
     def expected(self, P: np.ndarray, members: np.ndarray, space: CategorySpace) -> np.ndarray:
         """Expected reward of each set in ``members`` under its row of ``P``
         (one row broadcasts), summed in category order as ``value_function``."""
-        table = self.rewards(members, space)
-        total = 0.0
-        for i in range(space.n_categories):
-            total = total + table[:, i] * P[:, i]
-        return total
+        return weighted_sum(self.rewards(members, space), P)
 
     def json_values(self) -> tuple:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -172,6 +168,15 @@ class RewardSpec:
     @classmethod
     def from_json_values(cls, *values) -> RewardSpec:
         return cls(*values)
+
+
+def weighted_sum(table: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The sum over categories i of ``table[..., i] * P[..., i]``, added in
+    category order, the leading axes broadcasting against each other."""
+    total = 0.0
+    for i in range(table.shape[-1]):
+        total = total + table[..., i] * P[..., i]
+    return total
 
 
 def _singleton_hits(members: np.ndarray) -> np.ndarray:

@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from setbayes import classifiers, cli, gaussian
+from setbayes import classifiers, cli, dataset, gaussian
 from setbayes.cli import main
 from setbayes.core import PosteriorVector
 from setbayes.dataset import format_float
+from setbayes.errors import SchemaError
 
 
 def must_not_run(name):
@@ -76,6 +80,32 @@ def read_csv_rows(path):
     with open(path, newline="") as fh:
         lines = [l for l in fh if not l.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+def reference_read_observations(path, feature_names):
+    """The query matrix read row by row through ``dataset.read_csv_rows``:
+    the reference for ``cli._read_observations``."""
+
+    def feature_columns(header):
+        names = [h.strip() for h in header]
+        missing = sorted(set(feature_names) - set(names))
+        if missing:
+            raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
+        return [names.index(name) for name in feature_names]
+
+    rows = [values for _, _, values in dataset.read_csv_rows(path, feature_columns)]
+    if not rows:
+        raise SchemaError("no observation rows")
+    return np.asarray(rows, dtype=float)
+
+
+def read_outcome(read, path, feature_names=("x1", "x2")):
+    """The matrix's shape and bytes, or the error's type and message."""
+    try:
+        points = read(path, feature_names)
+    except Exception as exc:  # the same failure, whatever it is
+        return type(exc), str(exc)
+    return points.shape, points.dtype, points.tobytes()
 
 
 class TestSynth:
@@ -221,6 +251,25 @@ class TestClassify:
         assert rc == code
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["x1,x1,x2", "x2,x1, x1"])
+    def test_query_header_naming_a_feature_twice_is_refused(self, workspace, capsys, header):
+        tmp_path, _, _, model = workspace
+        probe = tmp_path / "probe.csv"
+        probe.write_text(f"{header}\n0.0,0.1,0.2\n")
+        out = tmp_path / "sets.csv"
+        rc = main(["classify", "--model", str(model), "--data", str(probe),
+                   "--reward", '{"kind": "map"}', "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: duplicate header column(s): x1\n"
+        assert not out.exists()
+
+    def test_query_header_may_repeat_a_column_it_does_not_read(self, workspace):
+        tmp_path, _, _, model = workspace
+        probe = tmp_path / "probe.csv"
+        probe.write_text("note,x1,x2,note\na,0.0,0.1,b\n")
+        assert main(["classify", "--model", str(model), "--data", str(probe),
+                     "--reward", '{"kind": "map"}', "--out", str(tmp_path / "sets.csv")]) == 0
+
     def test_blas_thread_count_leaves_the_csv_unchanged(self, workspace):
         """``classify`` run in child processes with one and with two BLAS
         threads writes the same bytes.  The chunks (262 rows of 2000
@@ -301,6 +350,147 @@ class TestClassify:
         out = tmp_path / "sets.csv"
         assert main(["classify", "--model", str(fake), "--data", str(self.probes(tmp_path)),
                      "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
+
+
+#: Query files, as bytes, that the two readers must read alike.
+QUERY_FILES = {
+    "lf": b"x1,x2\n1.5,2\n-3e-2,4\n",
+    "crlf": b"x1,x2\r\n1.5,2\r\n-3e-2,4\r\n",
+    "cr": b"x1,x2\r1.5,2\r-3e-2,4\r",
+    "mixed endings": b"x1,x2\r\n1,2\r3,4\n5,6",
+    "blank rows": b"x1,x2\n\n1,2\n\n\n3,4\n\n",
+    "whitespace-only rows": b"x1,x2\n1,2\n   \n\t\n3,4\n",
+    "comments before the header": b"# {\"seed\": 1}\n  # more\nx1,x2\n1,2\n",
+    "comment after the header": b"x1,x2\n# note\n1,2\n",
+    "comment after a row": b"x1,x2\n1,2\n# note\n",
+    "quoted numbers": b'x1,x2\n"1.5","2"\n3,"4"\n',
+    "quoted header": b'"x1","x2"\n1,2\n',
+    "underscores": b"x1,x2\n1_0,2\n",
+    "non-ASCII digits": "x1,x2\n\u0661\u0662,2\n".encode(),
+    "non-ASCII whitespace": "x1,x2\n\u00a01,2\u3000\n".encode(),
+    "ASCII separator before": b"x1,x2\n\x1c1,2\n",
+    "ASCII separator after": b"x1,x2\n1,2\x1f\n",
+    "spaces around values": b" x1 , x2 \n 1 , 2 \n\t3\t,\v4\f\n",
+    "number forms": b"x1,x2\n+1.5,-.5e-3\n1E5,5.\n0.1,0.30000000000000004\n",
+    "hex": b"x1,x2\n0x10,1\n",
+    "nan": b"x1,x2\n1,2\nnan,2\n",
+    "inf": b"x1,x2\n1,2\n3,inf\n",
+    "-Infinity": b"x1,x2\n-Infinity,2\n",
+    "1e400": b"x1,x2\n1e400,2\n",
+    "nan outside the features": b"x1,x2,w\n1,2,nan\n",
+    "ragged short": b"x1,x2\n1,2\n3\n",
+    "ragged long": b"x1,x2\n1,2\n3,4,5\n",
+    "every row wider than the header": b"x1,x2\n1,2,3\n4,5,6\n",
+    "every row narrower than the header": b"x1,x2,x3\n1,2\n4,5\n",
+    "trailing comma": b"x1,x2\n1,2,\n",
+    "trailing comma in the header too": b"x1,x2,\n1,2,\n3,4,\n",
+    "empty field": b"x1,x2\n,2\n",
+    "label column": b"x1,label,x2\n1,a,2\n3,b,4\n",
+    "numeric label column": b"x1,label,x2\n1,7,2\n3,8,4\n",
+    "reordered columns": b"x2,x1\n1,2\n3,4\n",
+    "header only": b"x1,x2\n",
+    "header and blank rows": b"x1,x2\n\n\r\n",
+    "single row": b"x1,x2\n1,2\n",
+    "no final line end": b"x1,x2\n1,2\n3,4",
+    "one column": b"x1\n1\n\n2.5\n",
+    "empty file": b"",
+    "comments only": b"# a\n# b\n",
+    "missing column": b"x1,x3\n1,2\n",
+    "invalid UTF-8 in a row": b"x1,x2\n1,2\n\xff,3\n",
+    "NUL in a row": b"x1,x2\n1\x00,2\n",
+}
+
+#: The feature columns read from a file of ``QUERY_FILES``, where not x1 and x2.
+QUERY_FEATURES = {"one column": ("x1",)}
+
+#: Fields and extra lines the generated query files are made of.
+FIELDS = ["1", "-2.5", "3e-3", " 4 ", "+.5", "1e400", "nan", "-inf", "1_0", '"5"', "",
+          "a", "\u0661", "\x1c6", "\u00a07", "0x1"]
+EXTRA_LINES = ["", "  ", "\t", "# note"]
+
+
+@st.composite
+def query_files(draw):
+    """A small query file: a comment line or none, a header with at most
+    one extra column, then rows of mostly numbers, with any line ending."""
+    header = draw(st.sampled_from([["x1", "x2"], ["x2", "x1"], ["x1", "x2", "label"],
+                                   ["w", "x1", "x2"]]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    numbers = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = ["# note"] * draw(st.integers(0, 1)) + [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(EXTRA_LINES)))
+            continue
+        width = len(header) if draw(st.integers(0, 7)) else draw(st.integers(1, 4))
+        field = st.one_of(numbers, st.sampled_from(FIELDS)) if draw(st.booleans()) else numbers
+        lines.append(",".join(draw(field) for _ in range(width)))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode()
+
+
+class TestReadObservations:
+    """``cli._read_observations`` reads every file as the row reader does:
+    the same matrix bytes, or the same error."""
+
+    @pytest.mark.parametrize("name", QUERY_FILES)
+    def test_matches_the_row_reader(self, tmp_path, name):
+        path = tmp_path / "queries.csv"
+        path.write_bytes(QUERY_FILES[name])
+        names = QUERY_FEATURES.get(name, ("x1", "x2"))
+        assert read_outcome(cli._read_observations, path, names) == read_outcome(
+            reference_read_observations, path, names
+        )
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(query_files())
+    def test_generated_files_match_the_row_reader(self, tmp_path, data):
+        path = tmp_path / "queries.csv"
+        path.write_bytes(data)
+        assert read_outcome(cli._read_observations, path) == read_outcome(
+            reference_read_observations, path
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("name", ["lf", "quoted numbers", "ragged short"])
+    def test_a_pipe_is_read_once(self, tmp_path, name):
+        """A named pipe yields its bytes once, so the row reader must parse
+        what the fast path read rather than open the path again."""
+        regular, fifo = tmp_path / "queries.csv", tmp_path / "queries.fifo"
+        regular.write_bytes(QUERY_FILES[name])
+        os.mkfifo(fifo)
+        got = {}
+        threads = [
+            threading.Thread(target=fifo.write_bytes, args=(QUERY_FILES[name],), daemon=True),
+            threading.Thread(daemon=True, target=lambda: got.update(
+                outcome=read_outcome(cli._read_observations, fifo))),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        # a second open of the pipe waits for a writer that never comes
+        assert not threads[1].is_alive(), "the pipe was opened twice"
+        assert got["outcome"] == read_outcome(reference_read_observations, regular)
+
+    def test_benchmark_shaped_file_never_reaches_the_row_reader(self, tmp_path, monkeypatch):
+        points = 2.0 + 2.0 * np.random.default_rng(7).standard_normal((3000, 3))
+        path = tmp_path / "queries.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["x1", "x2", "x3"])
+            writer.writerows([repr(float(v)) for v in row] for row in points)
+        names = ("x1", "x2", "x3")
+        expected = reference_read_observations(path, names)
+
+        def row_reader(*args):
+            pytest.fail("csv_rows read a file that loadtxt parses")
+
+        monkeypatch.setattr(cli, "csv_rows", row_reader)
+        got = cli._read_observations(path, names)
+        assert got.tobytes() == expected.tobytes() == points.tobytes()
+        assert got.shape == points.shape and got.flags.c_contiguous
 
 
 class TestSetsWriter:
