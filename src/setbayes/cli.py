@@ -28,9 +28,12 @@ from .classifiers import check_exhaustive, exhaustive_sets, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps cli.PosteriorVector
 from .dataset import (
+    FILL,
+    FLOAT_COLUMNS,
     check_unique_columns,
     csv_rows,
     format_float,
+    format_floats,
     generate_rows,
     load_dataset,
     load_generator_spec,
@@ -65,8 +68,10 @@ from .tuning import (
     select_b_threshold,
 )
 
-#: Report rows formatted per write in ``classify``.
-_WRITE_BLOCK = 1024
+#: Report rows formatted per write in ``classify``; a block's byte matrix
+#: takes about 50 bytes per float, so the peak memory stays near that of
+#: the per-row writer before it.
+_WRITE_BLOCK = 256
 #: Bytes that ``np.loadtxt`` strips around a number as whitespace and
 #: ``float()`` refuses; a query file holding one is read row by row.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -246,9 +251,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _set_cells(members: np.ndarray, labels) -> tuple[list[str], np.ndarray]:
-    """The ``set,set_size`` cells of each distinct row of ``members``, as
-    ``csv.writer`` renders them, and the index of every row's cells."""
+def _set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The ``,set,set_size`` cells of each distinct row of ``members``, as
+    ``csv.writer`` renders them, in UTF-8 padded with ``FILL``: one row of
+    a byte matrix per distinct set, and the index of every row's cells."""
     packed = np.packbits(members, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
@@ -257,22 +263,24 @@ def _set_cells(members: np.ndarray, labels) -> tuple[list[str], np.ndarray]:
     cells = []
     for r in first.tolist():
         chosen = np.flatnonzero(members[r])
-        writer.writerow([";".join(labels[i] for i in chosen), chosen.size])
-        cells.append(buf.getvalue()[:-1])
+        writer.writerow(["", ";".join(labels[i] for i in chosen), chosen.size])
+        cells.append(buf.getvalue()[:-1].encode("utf-8"))
         buf.seek(0)
         buf.truncate()
-    return cells, which
+    width = max((len(c) for c in cells), default=0)
+    chars = np.frombuffer(b"".join(c.ljust(width, FILL) for c in cells), dtype=np.uint8)
+    return chars.reshape(len(cells), width), which.ravel()
 
 
 def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
     """Write ``classify``'s header and one CSV line per row of ``post``.
 
-    Each line is one ``%``-format of the row's floats, whose ``%r`` is
-    ``format_float``'s shortest round-trip form, and of its set's cells
-    from ``_set_cells``.  Lines are formatted and written ``_WRITE_BLOCK``
-    rows at a time, which bounds the Python objects alive at once.
+    Lines are built ``_WRITE_BLOCK`` rows at a time as one byte matrix:
+    each row's number, its floats as ``format_floats`` lays them out, its
+    set's cells from ``_set_cells``, and the separators.  The block's text
+    is that matrix's bytes with every ``FILL`` byte deleted.
     """
-    tail = values[:, None] if oracle is None else np.column_stack([values, oracle])
+    columns = [post, values] + ([] if oracle is None else [oracle])
     csv.writer(fh, lineterminator="\n").writerow(
         ["row"]
         + [f"p_{label}" for label in labels]
@@ -280,18 +288,25 @@ def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
         + (["oracle_value"] if oracle is not None else [])
     )
     cells, which = _set_cells(members, labels)
-    line = "%d," + ",".join(["%r"] * len(labels)) + ",%s" + ",%r" * tail.shape[1] + "\n"
+    n_post = post.shape[1]
+    powers = 10 ** np.arange(len(str(post.shape[0])) - 1, -1, -1)
     for start in range(0, post.shape[0], _WRITE_BLOCK):
         block = slice(start, start + _WRITE_BLOCK)
-        fh.write("".join([
-            line % (r, *p, cells[k], *t)
-            for r, p, k, t in zip(
-                range(start + 1, start + _WRITE_BLOCK + 1),
-                post[block].tolist(),
-                which[block].tolist(),
-                tail[block].tolist(),
-            )
-        ]))
+        chars = format_floats(np.column_stack([c[block] for c in columns]))
+        rows = np.arange(start + 1, start + 1 + len(post[block]))[:, None]
+        chars = chars.reshape(rows.size, -1, FLOAT_COLUMNS)
+        comma = np.full((rows.size, 1), ord(","), dtype=np.uint8)
+        floats = [field for i in range(chars.shape[1]) for field in (comma, chars[:, i])]
+        fields = [
+            # the row number, its leading zeros filled
+            np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0]).astype(np.uint8),
+            *floats[:2 * n_post],
+            cells[which[block]],
+            *floats[2 * n_post:],
+            np.full((rows.size, 1), ord("\n"), dtype=np.uint8),
+        ]
+        text = np.concatenate(fields, axis=1).tobytes().translate(None, FILL)
+        fh.write(text.decode("utf-8"))
 
 
 def _cmd_classify(args) -> int:

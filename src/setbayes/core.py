@@ -159,12 +159,15 @@ def posterior_rows(P, space: CategorySpace) -> np.ndarray:
 
     Entries must be finite and nonnegative, and every row sum may deviate
     from one by at most ``SUM_TOLERANCE``; ``PosteriorVector`` is one row.
+    The rows are made C-contiguous, so that each is summed in one order,
+    and so renormalized to one set of bits, whatever the layout.
     """
     arr = np.asarray(P, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != space.n_categories:
         raise DimensionMismatch(
             f"expected rows of {space.n_categories} probabilities, got shape {arr.shape}"
         )
+    arr = np.ascontiguousarray(arr)
     if not np.all(np.isfinite(arr)):
         raise InvalidDistribution("probabilities must be finite")
     if np.any(arr < 0.0):

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -183,6 +184,240 @@ def load_dataset(path) -> LoadedDataset:
 def format_float(x: float) -> str:
     """Shortest exact decimal form, so files round-trip bit for bit."""
     return repr(float(x))
+
+
+#: The byte in a ``format_floats`` row that is not part of the text; UTF-8
+#: never uses it, so text with it deleted decodes unchanged.
+FILL = b"\xff"
+#: Columns of a ``format_floats`` row: a sign, the ``0`` of ``0.x``, 17
+#: integer digits, the point, three leading fraction zeros, 17 fraction
+#: digits, then ``e``, the exponent's sign and three exponent digits.
+FLOAT_COLUMNS = 45
+#: Floats converted per pass of ``format_floats``; bounds its scratch arrays.
+_FORMAT_CHUNK = 2**12
+#: Each row's characters before the digits and the exponent are filled in.
+_CANVAS = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b"e+000", dtype=np.uint8)
+# Constants of the uint64 arithmetic: under numpy 1.24's casting rules an
+# int64 beside a uint64 array promotes the result to float64.
+_U = np.uint64
+_0, _1, _2, _10, _32, _52, _63 = (_U(v) for v in (0, 1, 2, 10, 32, 52, 63))
+_M32, _M52, _M63 = _U(2**32 - 1), _U(2**52 - 1), _U(2**63 - 1)
+_EXP_MASK = _U(0x7FF)
+_HIDDEN_BIT = _U(2**52)
+#: The least decimal exponent of Schubfach's table, that of 2**-1074.
+_K_MIN = -324
+#: The place of each of ``_digits``'s rows, counting from 1.
+_DIGIT_PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _floor_log10_pow2(q, quarter):
+    """floor(log10(2**q)), or floor(log10(3/4 * 2**q)) where ``quarter``:
+    Giulietti's integer forms, exact for every q a float64 has."""
+    return (q * 661_971_961_083 - quarter * 274_743_187_321) >> 41
+
+
+def _floor_log2_pow10(e):
+    """floor(log2(10**e)), Giulietti's integer form, exact for every
+    |e| <= 324, which covers the decimal exponents of float64."""
+    return (e * 913_124_641_741) >> 38
+
+
+@cache
+def _schubfach_table() -> tuple[np.ndarray, np.ndarray]:
+    """Schubfach's table for float64 (Giulietti 2020, "The Schubfach way
+    to render doubles"), built from exact integers on first use: one
+    126-bit entry per decimal exponent k = ``_K_MIN``..292, 617 entries.
+
+    Entry ``k - _K_MIN`` holds the high and low 63 bits of
+    g = floor(10**-k * 2**-r) + 1, where r = floor(log2(10**-k)) - 125
+    puts 10**-k * 2**-r in [2**125, 2**126).
+    """
+    g1, g0 = [], []
+    for k in range(_K_MIN, 293):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        r = _floor_log2_pow10(-k) - 125
+        g = (num << -r) // den + 1 if r <= 0 else num // (den << r) + 1
+        g1.append(g >> 63)
+        g0.append(g & (2**63 - 1))
+    return np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64)
+
+
+@cache
+def _hidden() -> np.ndarray:
+    """``FILL`` in the columns of a ``format_floats`` row that ``repr``
+    does not show and 0 in the others, by ``(sign, significant digits - 1,
+    layout)``.  Layouts 0-19 are positional with the point after digit
+    p = layout - 3, and 20 and 21 exponential with a two- and a
+    three-digit exponent."""
+    shown = np.zeros((2, 17, 22, FLOAT_COLUMNS), dtype=bool)
+    for neg in (0, 1):
+        for m in range(1, 18):
+            for layout in range(22):
+                row = shown[neg, m - 1, layout]
+                row[0] = neg
+                if layout < 20:
+                    p = layout - 3
+                    row[1] = p <= 0  # the 0 of 0.x
+                    row[2:2 + max(p, 0)] = True  # the integer digits
+                    row[19] = True
+                    row[20:20 - min(p, 0)] = True  # zeros after the point
+                    row[23 + max(p, 0):23 + max(m, p + 1)] = True  # at least .0
+                else:
+                    row[2] = True
+                    row[19] = m > 1
+                    row[24:23 + m] = True
+                    row[40:45] = True
+                    row[42] = layout == 21
+    return np.where(shown, 0, FILL[0]).astype(np.uint8).reshape(-1, FLOAT_COLUMNS)
+
+
+def _mul128(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, cp: np.ndarray):
+    """(high, low) 64-bit words of the products g * cp, with ``lo`` and
+    ``hi`` the 32-bit halves of ``cp``."""
+    gl, gh = g & _M32, g >> _32
+    p01, p10 = gl * hi, gh * lo
+    mid = ((gl * lo) >> _32) + (p01 & _M32) + (p10 & _M32)
+    return gh * hi + (p01 >> _32) + (p10 >> _32) + (mid >> _32), g * cp
+
+
+def _add128(a: tuple, b: tuple, sign: int) -> tuple:
+    """a + b, or a - b when ``sign`` < 0, on (high, low) word pairs."""
+    if sign > 0:
+        low = a[1] + b[1]
+        return a[0] + b[0] + (low < b[1]), low
+    return a[0] - b[0] - (a[1] < b[1]), a[1] - b[1]
+
+
+def _round_odd(p0: tuple, p1: tuple) -> np.ndarray:
+    """Schubfach's rop: floor((p1 * 2**63 + p0) / 2**127), its lowest bit
+    set when the bits dropped are not all zero, where the (high, low)
+    pairs ``p0`` and ``p1`` are the products of g0 and g1."""
+    z = (p1[1] >> _1) + p0[0]
+    return (p1[0] + (z >> _63)) | (((z & _M63) + _M63) >> _63)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits ``f`` and decimal exponents ``k`` of the shortest decimals
+    f * 10**k that round to the normal floats ``x``, the nearest of them
+    where there are several, ties to even ``f``: the decimals ``repr``
+    shows.  ``f`` has 16 or 17 digits, trailing zeros included."""
+    g1_table, g0_table = _schubfach_table()
+    bits = x.view(np.uint64)
+    bq = ((bits >> _52) & _EXP_MASK).astype(np.intp)
+    q = bq - 1075
+    t = bits & _M52
+    c = t | _HIDDEN_BIT
+    # a significand of 2**52 above the lowest binade has a rounding
+    # interval half as wide below as above
+    asym = (t == _0) & (bq > 1)
+    k = _floor_log10_pow2(q, asym)
+    h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
+    # vb, vbl, vbr: the float and the bounds of its rounding interval, as
+    # 4 (c, c -/+ 1/2) * 2**q * 10**-k, rounded to odd
+    cb = c << _2
+    cp = cb << h
+    lo, hi = cp & _M32, cp >> _32
+    p0 = _mul128(g0, lo, hi, cp)
+    p1 = _mul128(g1, lo, hi, cp)
+    vb = _round_odd(p0, p1)
+    odd = c & _1
+    s_right = h + _1
+    s_left = s_right - asym
+    bounds = []
+    # a bound's cp is cp -/+ 2**(h + 1), or cp - 2**h below an asym
+    # interval, so its products are vb's -/+ g0 and g1 shifted that far
+    for shift, sign in ((s_left, -1), (s_right, 1)):
+        back = _U(64) - shift
+        bounds.append(_round_odd(
+            _add128(p0, (g0 >> back, g0 << shift), sign),
+            _add128(p1, (g1 >> back, g1 << shift), sign),
+        ))
+    # an odd significand's interval is open: its bounds round away
+    vbl, vbr = bounds[0] + odd, bounds[1] - odd
+    s = vb >> _2
+    sp10 = (s // _10) * _10
+    tp10 = sp10 + _10
+    upin = vbl <= sp10 << _2
+    wpin = tp10 << _2 <= vbr
+    uin = vbl <= s << _2
+    win = (s + _1) << _2 <= vbr
+    mid = (s << _2) + _2
+    # s when only s is in the interval, or both or neither are and s is
+    # nearer, or as near and even; otherwise s + 1
+    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & _1) == _0)))
+    # a multiple of 10 in the interval is shorter than s and s + 1
+    return np.where(upin != wpin, tp10 - _10 * upin, s + ~pick_s), k
+
+
+def _digits(f: np.ndarray) -> np.ndarray:
+    """(17, n) ASCII digits of each f < 10**17, zero-padded on the left."""
+    billion = _U(10**9)
+    hi = f // billion
+    # the 9 digits of the high and the low halves, taken together
+    x = np.stack([hi, f - hi * billion]).astype(np.uint32)
+    out = np.empty((2, 9, f.size), dtype=np.uint8)
+    ten = np.uint32(10)
+    tens = np.empty(x.shape, dtype=np.uint32)
+    for j in range(8, -1, -1):
+        q = x // ten
+        np.multiply(q, ten, out=tens)
+        np.subtract(x, tens, out=out[:, j], casting="unsafe")
+        x = q
+    out += ord("0")
+    return out.reshape(18, -1)[1:]
+
+
+@cache
+def _exponents() -> np.ndarray:
+    """``e``, the sign and three digits of each exponent from -400 up."""
+    return np.frombuffer(
+        b"".join(b"e%+04d" % e for e in range(-400, 400)), dtype=np.uint8
+    ).reshape(-1, 5)
+
+
+def format_floats(values) -> np.ndarray:
+    """``format_float`` of every element of ``values``, as bytes.
+
+    Returns a (size, ``FLOAT_COLUMNS``) uint8 matrix whose row i, with
+    its ``FILL`` bytes deleted, is the ASCII of ``repr`` of the i-th
+    element in C order.  Normal floats go through a vectorized Schubfach,
+    which finds the shortest round-trip decimal exactly with 64-bit
+    integer arithmetic, and are laid out as ``repr`` lays them out:
+    positional when the point falls after digit p with -4 < p <= 16,
+    otherwise ``d.ddde+XX``.  Zeros, subnormals and non-finite values go
+    through ``repr`` one at a time.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    chars = np.empty((x.size, FLOAT_COLUMNS), dtype=np.uint8)
+    for start in range(0, x.size, _FORMAT_CHUNK):
+        part = slice(start, start + _FORMAT_CHUNK)
+        _format_chunk(x[part], chars[part])
+    return chars
+
+
+def _format_chunk(x: np.ndarray, chars: np.ndarray) -> None:
+    bits = x.view(np.uint64)
+    biased = (bits >> _52) & _EXP_MASK
+    special = (biased == _0) | (biased == _EXP_MASK)
+    f, k = _shortest(np.where(special, 1.0, x) if special.any() else x)
+    big = f >= _U(10**16)
+    point = k + 16 + big  # the point follows digit `point` of f
+    digits = _digits(np.where(big, f, f * _10))
+    sig = np.max((digits != ord("0")) * _DIGIT_PLACES, axis=0)
+    chars[:] = _CANVAS
+    chars[:, 2:19] = digits.T
+    chars[:, 23:40] = digits.T
+    exponent = point - 1
+    positional = (point > -4) & (point <= 16)
+    rows = np.flatnonzero(~positional)
+    chars[rows, 40:45] = _exponents()[exponent[rows] + 400]
+    layout = np.where(positional, point + 3, 20 + (np.abs(exponent) >= 100))
+    key = ((bits >> _63).astype(np.intp) * 17 + sig - 1) * 22 + layout
+    chars |= _hidden()[key]
+    for i in np.flatnonzero(special).tolist():
+        text = repr(float(x[i])).encode()
+        chars[i] = np.frombuffer(text.ljust(FLOAT_COLUMNS, FILL), dtype=np.uint8)
 
 
 def write_dataset(path, feature_names, rows, labels, blocks=None, metadata=None) -> None:

@@ -149,13 +149,6 @@ class TrainingData:
     def total(self) -> int:
         return sum(self.counts)
 
-    def drop_row(self, category: int, row: int) -> np.ndarray:
-        """Observations of ``category`` (1-based) with one row removed."""
-        g = self.groups[category - 1]
-        if not 0 <= row < g.shape[0]:
-            raise OutOfRange(f"row {row} outside 0..{g.shape[0] - 1}")
-        return np.delete(g, row, axis=0)
-
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All observations stacked, plus their 1-based category labels."""
         rows = np.vstack([g for g in self.groups]) if self.total else np.empty((0, self.dim))

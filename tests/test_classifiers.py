@@ -468,6 +468,18 @@ class TestBatchedPath:
             tracemalloc.stop()
         assert peak < 4 * 8 * classifiers._MASK_CHUNK + (3 * 8 * 8 + 32) * len(P)
 
+    @pytest.mark.parametrize("decide", [optimal_sets, exhaustive_sets])
+    def test_memory_layout_does_not_move_a_bit(self, decide):
+        """A Fortran-ordered matrix gets the C-ordered matrix's sets and
+        value bits: each row is summed in one order whatever the layout."""
+        space = CategorySpace(8, (3, 3, 2))
+        P = np.random.default_rng(12).dirichlet(np.full(8, 0.5), size=2000)
+        spec = CompositeProportion(0.1, 0.3)
+        members, values = decide(spec, P, space)
+        f_members, f_values = decide(spec, np.asfortranarray(P), space)
+        np.testing.assert_array_equal(f_members, members)
+        assert f_values.tobytes() == values.tobytes()
+
     def test_exhaustive_sets_refuse_as_the_oracle(self):
         with pytest.raises(UnsupportedReward):
             exhaustive_sets(IndifferenceZone(0.8), [[0.5, 0.5]], CategorySpace(2))

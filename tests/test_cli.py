@@ -494,15 +494,23 @@ class TestReadObservations:
 
 
 class TestSetsWriter:
-    LABELS = ("plain", 'say "hi"', "a,b", "last")
+    LABELS = ("plain", 'say "hi"', "a,b", "naïve β")
+    SUBNORMALS = (5e-324, 2.225073858507201e-308)
 
     def inputs(self, rows, seed=0):
+        """Rows 2-5 hold exact zeros and ones, subnormals and ``repr``'s
+        layout switch points; the rest are random."""
         rng = np.random.default_rng(seed)
         post = rng.dirichlet(np.ones(len(self.LABELS)), size=rows)
+        post[2] = [1.0, 0.0, 0.0, 0.0]
+        post[3] = [0.0, *self.SUBNORMALS, 1.0]
+        post[4] = [1e-05, 0.0001, 0.2, 0.79989]
         members = rng.random(post.shape) < 0.4
         members[0] = False
         members[1] = True
+        members[3] = [False, False, False, True]
         values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        values[2:6] = [0.0, 1.0, self.SUBNORMALS[0], 9999999999999998.0]
         return post, members, values
 
     @pytest.mark.parametrize("oracle", [False, True])
@@ -514,6 +522,16 @@ class TestSetsWriter:
         assert text == written(reference_write_sets, *args)
         assert '"say ""hi""' in text and '"a,b' in text
         assert ",,0," in text  # row 1's empty set is an empty field
+        assert "\n4,0.0,5e-324,2.225073858507201e-308,1.0,naïve β,1,1.0" in text
+
+    def test_negative_oracle_column(self):
+        post, members, values = self.inputs(40, seed=2)
+        oracle = -np.abs(values)
+        oracle[:3] = [-0.0, -self.SUBNORMALS[1], -1e16]
+        args = (self.LABELS, post, members, values, oracle)
+        text = written(cli._write_sets, *args)
+        assert text == written(reference_write_sets, *args)
+        assert ",-0.0\n" in text and ",-2.225073858507201e-308\n" in text and ",-1e+16\n" in text
 
     def test_rows_cross_block_boundaries(self, monkeypatch):
         monkeypatch.setattr(cli, "_WRITE_BLOCK", 3)

@@ -1,9 +1,20 @@
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from setbayes import load_dataset, write_dataset
+from setbayes import dataset, load_dataset, write_dataset
 from setbayes.dataset import (
+    FILL,
     format_float,
+    format_floats,
     generate_rows,
     parse_generator_spec,
 )
@@ -125,6 +136,111 @@ class TestWriteDataset:
     def test_format_float_is_shortest_exact(self):
         for v in (0.1, 1 / 3, 2.0, 1e-17, 123456.789):
             assert float(format_float(v)) == v
+
+
+def formatted(values) -> list[str]:
+    """The text of each row of ``format_floats(values)``."""
+    return [bytes(row).replace(FILL, b"").decode("ascii") for row in format_floats(values)]
+
+
+def assert_matches_format_float(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    want = [format_float(v) for v in values.tolist()]
+    got = formatted(values)
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not wrong, f"{len(wrong)} of {len(want)} differ, first: {wrong[:5]}"
+
+
+def with_negatives(values) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    return np.concatenate([values, -values])
+
+
+class TestFormatFloats:
+    """``format_floats`` against ``format_float``, which is ``repr``."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        assert_matches_format_float(bits.view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_bit_patterns(self, patterns):
+        assert_matches_format_float(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_two_and_neighbours(self):
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        assert_matches_format_float(with_negatives(np.concatenate([
+            powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf),
+        ])))
+
+    def test_powers_of_ten(self):
+        assert_matches_format_float(with_negatives([float(f"1e{k}") for k in range(-323, 309)]))
+
+    def test_integers(self):
+        around = [float(2**53 + i) for i in range(-300, 301)]
+        small = [float(i) for i in range(1, 2001)]
+        assert_matches_format_float(with_negatives(around + small))
+
+    def test_layout_switch_points_and_special_values(self):
+        smallest_normal = np.finfo(np.float64).tiny
+        values = [
+            1e-05, 0.0001, 9999999999999998.0, 1e16,
+            0.0, 5e-324, float(np.nextafter(smallest_normal, 0.0)), smallest_normal,
+            np.finfo(np.float64).max, np.inf, np.nan,
+        ]
+        assert formatted(with_negatives(values)) == [repr(v) for v in with_negatives(values).tolist()]
+        assert formatted([1e-05, 0.0001, 9999999999999998.0, 1e16, -0.0, 5e-324]) == [
+            "1e-05", "0.0001", "9999999999999998.0", "1e+16", "-0.0", "5e-324",
+        ]
+
+    def test_chunks_and_shapes(self, monkeypatch):
+        """Chunk boundaries do not show, and any shape is read in C order."""
+        values = np.random.default_rng(21).standard_normal((7, 5)) * 1e3
+        whole = formatted(values)
+        monkeypatch.setattr(dataset, "_FORMAT_CHUNK", 3)
+        assert formatted(values) == whole == [repr(v) for v in values.ravel().tolist()]
+        assert formatted(np.asfortranarray(values)) == whole
+        assert format_floats([]).shape == (0, dataset.FLOAT_COLUMNS)
+
+    def test_tables_are_built_on_first_use(self):
+        src = str(Path(dataset.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import setbayes, setbayes.cli\n"
+            "from setbayes import dataset\n"
+            "tables = (dataset._schubfach_table, dataset._hidden, dataset._exponents)\n"
+            "print([t.cache_info().currsize for t in tables])\n"
+            "dataset.format_floats([0.5])\n"
+            "print([t.cache_info().currsize for t in tables])\n"
+            "print(dataset._schubfach_table()[0].size)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.split("\n")[:3] == ["[0, 0, 0]", "[1, 1, 1]", "617"]
+
+    def test_integer_logarithms_are_exact(self):
+        """The kernel's integer forms of floor(log10(2**q)),
+        floor(log10(3/4 * 2**q)) and floor(log2(10**e)) against exact
+        rational arithmetic over every exponent a float64 reaches."""
+        def floor_log(base, x):
+            e = math.floor(math.log(x.numerator, base) - math.log(x.denominator, base))
+            while Fraction(base) ** (e + 1) <= x:
+                e += 1
+            while Fraction(base) ** e > x:
+                e -= 1
+            return e
+
+        q = np.arange(-1074, 972)
+        for quarter, scale in ((False, Fraction(1)), (True, Fraction(3, 4))):
+            want = [floor_log(10, scale * Fraction(2) ** int(v)) for v in q]
+            assert dataset._floor_log10_pow2(q, quarter).tolist() == want
+        e = np.arange(-292, 325)
+        want = [floor_log(2, Fraction(10) ** int(v)) for v in e]
+        assert dataset._floor_log2_pow10(e).tolist() == want
+        # the table covers every decimal exponent of a normal float64
+        ks = np.concatenate([dataset._floor_log10_pow2(q, False), dataset._floor_log10_pow2(q[1:], True)])
+        assert (ks.min(), ks.max()) == (dataset._K_MIN, dataset._K_MIN + 616)
 
 
 BASE_SPEC = {

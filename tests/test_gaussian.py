@@ -130,14 +130,6 @@ class TestTrainingData:
         assert rows.shape == (5, 2)
         assert labels.tolist() == [1, 1, 1, 2, 2]
 
-    def test_drop_row(self):
-        g = np.arange(8, dtype=float).reshape(4, 2)
-        data = TrainingData([g])
-        kept = data.drop_row(1, 2)
-        np.testing.assert_array_equal(kept, g[[0, 1, 3]])
-        with pytest.raises(OutOfRange):
-            data.drop_row(1, 4)
-
     def test_dimension_agreement(self):
         with pytest.raises(DimensionMismatch):
             TrainingData([np.zeros((2, 2)), np.zeros((2, 3))])

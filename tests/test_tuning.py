@@ -52,6 +52,12 @@ def blocked_data(rng, counts=(18, 10, 8), spread=3.5, d=2):
     return TrainingData(groups), CategorySpace(3, (2, 1))
 
 
+def drop_row(data, category, row):
+    """Category ``category``'s observations (1-based) without row ``row``:
+    one leave-one-out fold's training rows, the per-fold reference."""
+    return np.delete(data.groups[category - 1], row, axis=0)
+
+
 def uniform_prior(n):
     return np.full(n, 1.0 / n)
 
@@ -173,7 +179,7 @@ class TestHeldOutPosteriors:
         want = []
         for i, group in enumerate(data.groups, start=1):
             for j in range(group.shape[0]):
-                refit = conjugate_update(data.drop_row(i, j), hyper)
+                refit = conjugate_update(drop_row(data, i, j), hyper)
                 own = draw_category_sample(refit, n_draws, fold_rng(seed, i, j))
                 logf = np.array([
                     log_density(own if k == i else full[k - 1], group[j])
@@ -196,7 +202,7 @@ class TestHeldOutPosteriors:
         for i, group in enumerate(data.groups, start=1):
             means, kappa, dof, scatter = gaussian._drop_one_posteriors(group, hyper)
             for j in range(group.shape[0]):
-                refit = conjugate_update(data.drop_row(i, j), hyper)
+                refit = conjugate_update(drop_row(data, i, j), hyper)
                 assert (kappa, dof) == (refit.kappa, refit.dof)
                 np.testing.assert_allclose(means[j], refit.mean_array(), rtol=1e-12)
                 np.testing.assert_allclose(scatter[j], refit.scatter_array(), rtol=1e-12)
