@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ClassifiedSet, PosteriorVector, posterior_rows
-from .errors import OutOfRange, TooManyCategories, UnsupportedReward
+from .errors import OutOfRange, TooManyCategories
 from .rewards import (
     CompositeProportion,
     InvariantPenalty,
@@ -187,25 +187,17 @@ def composite_classifier(
     return _one_row(CompositeProportion(within_cost, cross_cost), p)
 
 
-def check_exhaustive(spec: RewardSpec, space) -> None:
-    """Raise unless ``brute_force_optimal`` can search ``spec`` over ``space``.
+def check_exhaustive(space) -> None:
+    """Raise unless ``brute_force_optimal`` can search the subsets of ``space``.
 
     Raises
     ------
     TooManyCategories
         If the space has more than ``BRUTE_FORCE_LIMIT`` categories.
-    UnsupportedReward
-        For ``IndifferenceZone``, whose reward singles out one category
-        and is served by its own dedicated rule instead.
     """
     n = space.n_categories
     if n > BRUTE_FORCE_LIMIT:
         raise TooManyCategories(f"{n} categories exceed the enumeration limit {BRUTE_FORCE_LIMIT}")
-    if not spec.exhaustive:
-        raise UnsupportedReward(
-            f"{spec.kind} scoring has a dedicated rule; exhaustive "
-            "search only covers rewards driven by membership and set sizes"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -226,7 +218,7 @@ def _exhaustive(spec: RewardSpec, P: np.ndarray, space) -> tuple[np.ndarray, np.
     once and scores it against blocks of rows, each block holding at most
     ``_MASK_CHUNK`` values, which bounds the memory.
     """
-    check_exhaustive(spec, space)
+    check_exhaustive(space)
     spec.check(space)
     n = space.n_categories
     best = np.empty(len(P), dtype=np.int64)
@@ -273,7 +265,7 @@ def brute_force_optimal(spec: RewardSpec, p: PosteriorVector) -> Decision:
 
     Raises
     ------
-    TooManyCategories, UnsupportedReward
+    TooManyCategories
         As ``check_exhaustive`` says.
     """
     members, values = _exhaustive(spec, p.p[None, :], p.space)

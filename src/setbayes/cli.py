@@ -315,7 +315,7 @@ def _cmd_classify(args) -> int:
     spec, reward_obj = _parse_reward(args.reward)
     prior = _resolve_prior(args.prior, bundle.counts)
     if args.oracle:
-        check_exhaustive(spec, model.space)
+        check_exhaustive(model.space)
     spec.check(model.space)
     points = _read_observations(args.data, bundle.feature_names)
     post = posterior_matrix(model, prior, points)
@@ -336,6 +336,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    if args.threads < 1:
+        raise OutOfRange(f"need at least one thread, got {args.threads}")
     loaded = load_dataset(args.data)
     prior = _resolve_prior(args.prior, loaded.counts)
     real_prior = None
@@ -343,15 +345,7 @@ def _cmd_tune(args) -> int:
         real_prior = _number_list(args.real_prior, "real prior must be a JSON list of numbers")
     weights = make_weights(args.weights, loaded.counts, real_prior)
     config = CVConfig(args.epsilon, args.delta, args.grid_lo, args.grid_hi, args.grid_step)
-    held = loocv_posteriors(
-        loaded.data,
-        loaded.space,
-        prior,
-        None,
-        args.draws,
-        args.seed,
-        threads=args.threads,
-    )
+    held = loocv_posteriors(loaded.data, loaded.space, prior, None, args.draws, args.seed)
     report = evaluate_curves(config, held, weights)
     metadata = {
         "command": "tune",

@@ -37,10 +37,6 @@ class TooManyCategories(SetBayesError):
     """Exhaustive subset search was requested for a space that is too large."""
 
 
-class UnsupportedReward(SetBayesError):
-    """The requested operation does not apply to this reward specification."""
-
-
 class SingularScatter(SetBayesError):
     """A scatter matrix is not symmetric positive definite."""
 

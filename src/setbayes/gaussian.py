@@ -165,8 +165,6 @@ def default_hyperprior(data: TrainingData) -> NormalInverseWishart:
     scatter equal to the diagonal of the pooled sample covariance.
     """
     rows = np.vstack([g for g in data.groups if g.shape[0]])
-    if rows.shape[0] == 0:
-        raise EmptyCategory("cannot build a hyperprior from empty data")
     mean = rows.mean(axis=0)
     if rows.shape[0] >= 2:
         var = rows.var(axis=0, ddof=1)
@@ -416,7 +414,12 @@ def draw_category_sample(
 
 
 class GaussianCategoryModel:
-    """Fitted per-category posteriors plus their cached Monte Carlo draws."""
+    """Fitted per-category posteriors plus their cached Monte Carlo draws.
+
+    Category i's ``n_draws`` draws come from its own stream keyed by
+    (``seed``, i), so the same posteriors and seed always give the same
+    draws, and a category's draws do not depend on the others.
+    """
 
     def __init__(
         self,
@@ -424,13 +427,15 @@ class GaussianCategoryModel:
         n_draws: int,
         seed: int,
         space: CategorySpace,
-        draws: tuple[CategoryDraws, ...],
     ):
         self.posteriors = posteriors
         self.n_draws = n_draws
         self.seed = seed
         self.space = space
-        self.draws = draws
+        self.draws = tuple(
+            draw_category_sample(post, n_draws, category_rng(seed, i))
+            for i, post in enumerate(posteriors, start=1)
+        )
 
     @property
     def n_categories(self) -> int:
@@ -578,16 +583,11 @@ def fit(
             f"hyperprior dimension {hyperprior.dim} does not match data dimension {data.dim}"
         )
     posteriors = []
-    draws = []
     for i, group in enumerate(data.groups, start=1):
         if group.shape[0] == 0:
             raise EmptyCategory(f"category {i} has no observations")
-        post = conjugate_update(group, hyperprior)
-        posteriors.append(post)
-        draws.append(draw_category_sample(post, n_draws, category_rng(seed, i)))
-    return GaussianCategoryModel(
-        tuple(posteriors), int(n_draws), int(seed), space, tuple(draws)
-    )
+        posteriors.append(conjugate_update(group, hyperprior))
+    return GaussianCategoryModel(tuple(posteriors), int(n_draws), int(seed), space)
 
 
 def predictive_density(model: GaussianCategoryModel, category: int, point) -> float:
@@ -853,8 +853,4 @@ def model_from_json(obj: dict) -> GaussianCategoryModel:
         raise ValueError(f"malformed model object: {exc}") from None
     if len(posteriors) != space.n_categories:
         raise ValueError("model categories do not match the block sizes")
-    draws = tuple(
-        draw_category_sample(post, n_draws, category_rng(seed, i))
-        for i, post in enumerate(posteriors, start=1)
-    )
-    return GaussianCategoryModel(posteriors, n_draws, seed, space, draws)
+    return GaussianCategoryModel(posteriors, n_draws, seed, space)

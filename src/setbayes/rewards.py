@@ -129,8 +129,6 @@ class RewardSpec:
     #: JSON parameters in constructor order as (name, type[, default]), the
     #: type being float (a number), list (of numbers) or bool.
     params: ClassVar[tuple[tuple, ...]] = ()
-    #: Whether ``brute_force_optimal`` may search this family's subsets.
-    exhaustive: ClassVar[bool] = True
 
     def __init_subclass__(cls, kind: str, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -365,7 +363,6 @@ class IndifferenceZone(RewardSpec, kind="indifference_zone"):
     empty_reward: float
 
     params = (("r", float),)
-    exhaustive = False
 
     def __post_init__(self) -> None:
         r = float(self.empty_reward)

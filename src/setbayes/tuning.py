@@ -205,7 +205,6 @@ def loocv_posteriors(
     hyperprior: NormalInverseWishart | None = None,
     n_draws: int = 200,
     seed: int = 0,
-    threads: int = 1,
 ) -> HeldOutPosteriors:
     """Held-out posterior vector of every observation.
 
@@ -216,9 +215,7 @@ def loocv_posteriors(
     under a memory budget (``gaussian._held_out_log_densities``).  The
     held-out log densities replace the full-fit ones in the matrix that
     ``posterior_from_log_densities`` turns into rows, with the same fixed
-    ``prior`` for every fold.  ``threads`` is checked but no longer changes
-    the work: every thread count gives the same rows from the same serial
-    path.
+    ``prior`` for every fold.
 
     Raises
     ------
@@ -227,13 +224,9 @@ def loocv_posteriors(
     DimensionMismatch, InvalidDistribution
         If the prior is not a probability vector over the categories;
         this is checked before any fold runs.
-    OutOfRange
-        If ``threads`` is below one.
     SingularScatter
         If a fold's posterior scatter is not positive definite.
     """
-    if threads < 1:
-        raise OutOfRange(f"need at least one thread, got {threads}")
     check_prior(prior, data.n_categories)
     counts = data.counts
     if min(counts) < 2:

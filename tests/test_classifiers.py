@@ -1,12 +1,13 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setbayes import classifiers
+from setbayes import classifiers, rewards
 from setbayes.classifiers import exhaustive_sets
 
 from setbayes import (
@@ -27,7 +28,6 @@ from setbayes import (
     RipleyReject,
     SpecSpaceMismatch,
     TooManyCategories,
-    UnsupportedReward,
     brute_force_optimal,
     composite_classifier,
     conformal_classifier,
@@ -302,10 +302,6 @@ class TestGuards:
         with pytest.raises(TooManyCategories):
             brute_force_optimal(MapZeroOne(), p)
 
-    def test_brute_force_rejects_zone_reward(self):
-        with pytest.raises(UnsupportedReward):
-            brute_force_optimal(IndifferenceZone(0.8), P532)
-
     def test_penalty_length_checked(self):
         with pytest.raises(DimensionMismatch):
             mmp_general(P532, PenaltySequence((0.0, 0.5)))
@@ -340,6 +336,10 @@ class TestOptimalSetDispatch:
         chosen, value = optimal_set(IndifferenceZone(1.5), PosteriorVector([0.5, 0.2, 0.3]))
         assert chosen.members == (1,)
         assert value == pytest.approx(0.5)
+
+    def test_brute_force_searches_zone_reward(self):
+        oracle = brute_force_optimal(IndifferenceZone(0.8), P532)
+        assert (oracle.chosen, oracle.value) == optimal_set(IndifferenceZone(0.8), P532)
 
     def test_value_is_value_function_of_choice(self):
         rng = np.random.default_rng(137)
@@ -402,13 +402,15 @@ def _on_eighths(spec, row):
     return bool(np.all(x == np.round(x)))
 
 
-def _exhaustive_value(spec, p):
-    """Best value_function over every subset, for the family the oracle refuses."""
-    n = p.n_categories
-    return max(
-        value_function(spec, p, ClassifiedSet.of([j + 1 for j in range(n) if mask >> j & 1], n))
-        for mask in range(1 << n)
-    )
+#: One instance of every reward family, its parameters on the 1/8 grid.
+_EVERY_FAMILY = (
+    MapZeroOne(),
+    InvariantPenalty(PenaltySequence((0.0, 0.25, 0.25, 0.875, 1.0))),
+    ProportionBased(0.25),
+    RipleyReject(0.375),
+    CompositeProportion(0.125, 0.375),
+    IndifferenceZone(1.5),
+)
 
 
 class TestBatchedPath:
@@ -425,14 +427,10 @@ class TestBatchedPath:
             # the same bits as the one-vector path
             assert values[r] == value_function(spec, p, chosen)
             assert optimal_set(spec, p) == (chosen, values[r])
-            if spec.exhaustive:
-                oracle = brute_force_optimal(spec, p)
-                best = oracle.value
-                if _on_eighths(spec, row):  # exact ties: one tie rule for both
-                    assert oracle.chosen == chosen
-            else:
-                best = _exhaustive_value(spec, p)
-            assert abs(values[r] - best) <= 1e-12
+            oracle = brute_force_optimal(spec, p)
+            if _on_eighths(spec, row):  # exact ties: one tie rule for both
+                assert oracle.chosen == chosen
+            assert abs(values[r] - oracle.value) <= 1e-12
 
     @settings(max_examples=300, deadline=None)
     @given(decision_problems(), st.integers(1, 8))
@@ -441,7 +439,6 @@ class TestBatchedPath:
         """Every row gets ``brute_force_optimal``'s set and value bits,
         however the subsets are chunked and so the rows blocked."""
         spec, space, matrix = problem
-        assume(spec.exhaustive)
         oracles = [brute_force_optimal(spec, PosteriorVector(row, space)) for row in matrix]
         with mock.patch.object(classifiers, "_MASK_CHUNK", 1 << chunk_bits):
             members, values = exhaustive_sets(spec, matrix, space)
@@ -480,9 +477,25 @@ class TestBatchedPath:
         np.testing.assert_array_equal(f_members, members)
         assert f_values.tobytes() == values.tobytes()
 
+    def test_every_family_matches_the_oracle(self):
+        """No reward family skips the oracle: on every row of the 1/8 grid
+        over N = 4 in blocks (2, 2), where exact ties abound, each family's
+        rule gives the exhaustive search's sets and value bits."""
+        assert {spec.kind for spec in _EVERY_FAMILY} == set(rewards._FAMILIES)
+        space = CategorySpace(4, (2, 2))
+        grid = np.array([
+            (a, b, c, 8 - a - b - c) for a, b, c in itertools.product(range(9), repeat=3)
+            if a + b + c <= 8
+        ]) / 8
+        for spec in _EVERY_FAMILY:
+            members, values = optimal_sets(spec, grid, space)
+            oracle_members, oracle_values = exhaustive_sets(spec, grid, space)
+            np.testing.assert_array_equal(members, oracle_members, err_msg=spec.kind)
+            assert values.tobytes() == oracle_values.tobytes(), spec.kind
+
     def test_exhaustive_sets_refuse_as_the_oracle(self):
-        with pytest.raises(UnsupportedReward):
-            exhaustive_sets(IndifferenceZone(0.8), [[0.5, 0.5]], CategorySpace(2))
+        with pytest.raises(TooManyCategories):
+            exhaustive_sets(MapZeroOne(), np.full((1, 21), 1 / 21), CategorySpace(21))
         with pytest.raises(InvalidDistribution):
             exhaustive_sets(MapZeroOne(), [[0.5, 0.7]], CategorySpace(2))
 

@@ -189,6 +189,19 @@ class TestClassify:
                 float(row["oracle_value"]), abs=1e-12
             )
 
+    def test_oracle_searches_the_indifference_zone(self, workspace):
+        """The zone category is the model's last, ``far``: the far probe
+        gets the empty set, the others a singleton, and the exhaustive
+        search writes each row's value bytes."""
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "sets.csv"
+        assert main(["classify", "--model", str(model), "--data", str(self.probes(tmp_path)),
+                     "--reward", '{"kind": "indifference_zone", "r": 0.5}', "--out", str(out),
+                     "--oracle"]) == 0
+        rows = read_csv_rows(out)
+        assert [row["set_size"] for row in rows] == ["1", "1", "0"]
+        assert [row["oracle_value"] for row in rows] == [row["value"] for row in rows]
+
     def test_reward_from_file(self, workspace):
         tmp_path, _, _, model = workspace
         rw = tmp_path / "reward.json"
@@ -305,9 +318,6 @@ class TestClassify:
                      "--out", str(tmp_path / "sets.csv")]) == 3
 
     @pytest.mark.parametrize("reward, limit, message", [
-        ('{"kind": "indifference_zone", "r": 0.5}', 20,
-         "indifference_zone scoring has a dedicated rule; exhaustive search only "
-         "covers rewards driven by membership and set sizes"),
         ('{"kind": "map"}', 2, "3 categories exceed the enumeration limit 2"),
     ])
     def test_oracle_refusal_fails_before_any_density(self, workspace, monkeypatch, capsys,
@@ -635,8 +645,7 @@ class TestTune:
         assert main(args + ["--weights", "rarity"]) == 3
 
     @pytest.mark.parametrize("extra", [
-        ["--threads", "0"], ["--threads", "-1"], ["--prior", "[0.7, 0.7, 0.7]"],
-        ["--prior", "[1.2, -0.1, -0.1]"],
+        ["--prior", "[0.7, 0.7, 0.7]"], ["--prior", "[1.2, -0.1, -0.1]"],
         ["--weights", "rarity", "--real-prior", "[0.5, 0.5]"],
         ["--weights", "rarity", "--real-prior", "[0.5, -0.5, 1.0]"],
     ])
@@ -651,6 +660,7 @@ class TestTune:
         ["--prior", "[0.7, 0.7, 0.7]"],
         ["--weights", "per_category", "--real-prior", "[0.2, 0.3, 0.5]"],
         ["--grid-hi", "1e9", "--grid-step", "1e-9"],
+        ["--threads", "0"], ["--threads", "-1"],
     ])
     def test_bad_setting_fails_before_any_fold(self, workspace, monkeypatch, extra):
         tmp_path, _, data, _ = workspace

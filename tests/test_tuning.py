@@ -238,27 +238,12 @@ class TestHeldOutPosteriors:
         with pytest.raises((InvalidDistribution, DimensionMismatch)):
             loocv_posteriors(data, space, prior, n_draws=10)
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_needs_a_thread(self, threads):
-        data, space = blocked_data(np.random.default_rng(3), counts=(4, 3, 2))
-        with pytest.raises(OutOfRange):
-            loocv_posteriors(data, space, uniform_prior(3), n_draws=10, threads=threads)
-
     def test_deterministic(self):
         rng = np.random.default_rng(13)
         data, space = blocked_data(rng, counts=(6, 5, 4))
         a = loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=7)
         b = loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=7)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-
-    def test_threads_match_serial(self):
-        rng = np.random.default_rng(17)
-        data, space = blocked_data(rng, counts=(6, 5, 4))
-        serial = loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=7)
-        parallel = loocv_posteriors(
-            data, space, uniform_prior(3), n_draws=30, seed=7, threads=3
-        )
-        np.testing.assert_array_equal(serial.matrix, parallel.matrix)
 
     def test_fold_weight_shape_checked(self):
         rng = np.random.default_rng(19)
