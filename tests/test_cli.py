@@ -645,7 +645,8 @@ class TestTune:
         assert main(args + ["--weights", "rarity"]) == 3
 
     @pytest.mark.parametrize("extra", [
-        ["--prior", "[0.7, 0.7, 0.7]"], ["--prior", "[1.2, -0.1, -0.1]"],
+        ["--threads", "0"], ["--threads", "-1"], ["--prior", "[0.7, 0.7, 0.7]"],
+        ["--prior", "[1.2, -0.1, -0.1]"],
         ["--weights", "rarity", "--real-prior", "[0.5, 0.5]"],
         ["--weights", "rarity", "--real-prior", "[0.5, -0.5, 1.0]"],
     ])
