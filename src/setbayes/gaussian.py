@@ -248,28 +248,58 @@ def _features(z: np.ndarray, center: np.ndarray) -> np.ndarray:
     return feats.T
 
 
+def _chunks(n: int, step: int) -> list[tuple[int, int]]:
+    """(start, stop) of ``n`` rows in chunks of ``step`` rows.
+
+    A one-row product goes through BLAS's matrix-vector routine, whose sums
+    may round differently from a GEMM's, so when ``step`` > 1 a one-row
+    tail joins the chunk before it and no row's bits depend on the
+    chunking.
+    """
+    bounds = [*range(0, n, step), n]
+    if step > 1 and len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _log_sum_exp_chunk(
-    feats: np.ndarray, coef: np.ndarray, buf: np.ndarray, finite: np.ndarray,
-    out: np.ndarray,
+    feats: np.ndarray, coef: np.ndarray, buf: np.ndarray, out: np.ndarray,
+    shift: bool,
 ) -> None:
     """Write to ``out`` the log of the sum over draws of exp(feats @ coef)
     for each row of one chunk: one GEMM into the scratch ``buf``, then an
-    in-place max shift, exp, sum and log.  A row whose arithmetic
-    overflowed gets -inf where ``finite`` marks its point finite."""
+    in-place exp, a sum and a log.  With ``shift``, each row is first
+    shifted by its own maximum, which is added back after the log; a row
+    whose maximum is not finite (its arithmetic overflowed) is not
+    shifted."""
     logp = buf[:feats.shape[0]]
-    # An overflow leaves inf, -inf or nan (inf - inf) in the row, so its
-    # maximum is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(feats, coef, out=logp)
-    top = logp.max(axis=1)
-    far = ~np.isfinite(top)
-    top[far] = 0.0
-    logp -= top[:, None]
+    np.matmul(feats, coef, out=logp)
+    if shift:
+        top = logp.max(axis=1)
+        top[~np.isfinite(top)] = 0.0
+        logp -= top[:, None]
     np.exp(logp, out=logp)
-    with np.errstate(divide="ignore"):
-        np.log(logp.sum(axis=1), out=out)
-    out += top
-    out[far & finite] = -np.inf
+    np.log(logp.sum(axis=1), out=out)
+    if shift:
+        out += top
+
+
+def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
+    """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
+    ``_BUDGET // draws`` rows (at least one) through one scratch buffer."""
+    chunks = _chunks(feats.shape[0], max(1, _BUDGET // coef.shape[1]))
+    widest = max((stop - start for start, stop in chunks), default=0)
+    buf = np.empty((widest, coef.shape[1]))
+    out = np.empty(feats.shape[0])
+    for start, stop in chunks:
+        _log_sum_exp_chunk(feats[start:stop], coef, buf, out[start:stop], shift)
+    return out
+
+
+#: Smallest sum of shifted exponentials ``CategoryDraws.log_density`` keeps
+#: without shifting its row by the row's own maximum: 2**-800, so every
+#: term that matters is far above the subnormal range (2**-1022).
+_LOG_FLOOR = -800.0 * math.log(2.0)
 
 
 class CategoryDraws:
@@ -280,26 +310,31 @@ class CategoryDraws:
     precision A_l = L_l^-T L_l^-1 (L_l the Cholesky factor) and offset
     m_l = mean_l - center, column l of the (k, n_draws) matrix ``coef``
     is -1/2 [upper triangle of A_l, -2 A_l m_l, m_l' A_l m_l + log|cov_l|
-    + d log 2 pi], so one GEMM gives every draw's log density at a chunk
-    of points.
+    + d log 2 pi] - [0, 0, ``peak``], so one GEMM gives every draw's log
+    density at a chunk of points, less ``peak``.  Draw l's log density is
+    at most -1/2 (log|cov_l| + d log 2 pi), reached at its mean, so
+    ``peak``, the largest of these, bounds every draw's log density
+    anywhere.
     """
 
-    __slots__ = ("means", "chols", "center", "coef")
+    __slots__ = ("means", "chols", "center", "coef", "peak")
 
     def __init__(self, means: np.ndarray, chols: np.ndarray):
         self.means = means
         self.chols = chols
         d = means.shape[1]
         i, j, _ = _pairs(d)
-        inv = np.linalg.inv(chols)
+        inv = _lower_factors(np.eye(d), chols)
         self.center = means.mean(axis=0)
         y = np.einsum("lij,lj->li", inv, means - self.center)  # L_l^-1 m_l
         logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+        self.peak = float(-0.5 * (logdets.min() + d * _LOG_2PI))
         self.coef = -0.5 * np.vstack([
             (inv[:, :, i] * inv[:, :, j]).sum(axis=1).T,
             -2.0 * np.einsum("lji,lj->il", inv, y),
             (y * y).sum(axis=1) + logdets + d * _LOG_2PI,
         ])
+        self.coef[-1] -= self.peak
 
     @property
     def n_draws(self) -> int:
@@ -312,12 +347,15 @@ class CategoryDraws:
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
-        Computed in log space with the usual max shift, so heavy tails and
-        tiny densities cannot underflow to an unusable zero.  The features
-        of every row are built once; the rows then go in chunks of
-        ``_BUDGET // n_draws`` (at least one) through one scratch buffer,
-        each chunk one GEMM of its features against ``coef`` plus an
-        in-place log-sum-exp.  A finite point so far out that the
+        The features of every row are built once; the rows then go in
+        chunks of ``_BUDGET // n_draws`` (at least one) through one scratch
+        buffer, each chunk one GEMM of its features against ``coef``, which
+        is shifted by the bound ``peak``, then an in-place exp, sum and
+        log.  A row whose sum falls below 2**-800, or is not finite, goes
+        through the chunks once more, shifted by its own maximum, so heavy
+        tails and tiny densities cannot underflow to an unusable zero.
+        Those rows go in groups of at least two, so that none takes BLAS's
+        matrix-vector routine.  A finite point so far out that the
         arithmetic overflows gets -inf, as every draw's density underflows
         there.
         """
@@ -326,27 +364,17 @@ class CategoryDraws:
             z = z.reshape(1, -1)
         if z.shape[1] != self.dim:
             raise DimensionMismatch(f"points have dimension {z.shape[1]}, expected {self.dim}")
-        n = z.shape[0]
-        finite = np.isfinite(z).all(axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # An overflow leaves inf, -inf or nan (inf - inf) in a row.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             feats = _features(z, self.center)
-        step = max(1, _BUDGET // self.n_draws)
-        bounds = [*range(0, n, step), n]
-        if step > 1 and len(bounds) > 2 and n - bounds[-2] == 1:
-            # A one-row product goes through BLAS's matrix-vector routine,
-            # whose sums may round differently from a GEMM's, so a one-row
-            # tail joins the chunk before it and no row's bits depend on
-            # the chunking.
-            del bounds[-2]
-        chunks = list(zip(bounds, bounds[1:]))
-        widest = max((stop - start for start, stop in chunks), default=0)
-        buf = np.empty((widest, self.n_draws))
-        out = np.empty(n)
-        for start, stop in chunks:
-            _log_sum_exp_chunk(
-                feats[start:stop], self.coef, buf, finite[start:stop], out[start:stop]
-            )
-        out -= math.log(self.n_draws)
+            out = _chunked_log_sum_exp(feats, self.coef, shift=False)
+            redo = np.flatnonzero(~((out >= _LOG_FLOOR) & (out < np.inf)))
+            if redo.size:
+                rows = redo if redo.size > 1 else redo.repeat(2)
+                again = _chunked_log_sum_exp(feats[rows], self.coef, shift=True)[:redo.size]
+                again[~np.isfinite(again) & np.isfinite(z[redo]).all(axis=1)] = -np.inf
+                out[redo] = again
+        out += self.peak - math.log(self.n_draws)
         return out
 
 
@@ -640,6 +668,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zero_mass(row: int) -> AllZeroMass:
+    """The error for 1-based row ``row`` of a posterior matrix, with the
+    row number kept as its ``row`` attribute."""
+    exc = AllZeroMass(f"every category has zero posterior mass at row {row}")
+    exc.row = row
+    return exc
+
+
 def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     """Posterior rows from an (R, N) matrix of per-category log densities.
 
@@ -662,7 +698,7 @@ def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     norm = _logsumexp(logpost)
     bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
-        raise AllZeroMass(f"every category has zero posterior mass at row {bad[0] + 1}")
+        raise _zero_mass(int(bad[0]) + 1)
     p = np.exp(logpost - norm[:, None])
     return p / p.sum(axis=1, keepdims=True)
 
@@ -757,10 +793,22 @@ class CalibrationCurve:
 def _own_category_scores(
     model: GaussianCategoryModel, prior, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Posterior probability of each mixture draw's own category."""
+    """Posterior probability of each mixture draw's own category.
+
+    Every sample is drawn first, so the generator stream does not depend on
+    the blocking.  The samples are then scored in blocks of ``_BUDGET //
+    N`` rows (at least one; a one-row tail joins the block before it), so
+    no (samples, N) posterior matrix is held at once.
+    """
     points, cats = sample_mixture(model, prior, n_samples, rng)
-    post = posterior_matrix(model, prior, points)
-    return post[np.arange(n_samples), cats - 1]
+    scores = np.empty(n_samples)
+    for start, stop in _chunks(n_samples, max(1, _BUDGET // model.n_categories)):
+        try:
+            post = posterior_matrix(model, prior, points[start:stop])
+        except AllZeroMass as exc:
+            raise _zero_mass(start + exc.row) from None
+        scores[start:stop] = post[np.arange(stop - start), cats[start:stop] - 1]
+    return scores
 
 
 def calibration_curve(

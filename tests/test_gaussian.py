@@ -261,19 +261,24 @@ class TestPredictiveDensity:
     def test_log_density_against_triangular_solves(self, d, radius):
         """Log densities near the draws and 100 units out (23 to 100
         standard deviations) equal a per-draw evaluation by triangular
-        solves, to 1e-12 relative."""
+        solves, to 1e-12 relative.  So do those of the same draws with
+        covariance scales running from e^-7 to e^7, where the bound that
+        shifts every draw lies far above the best draw at most points."""
         rng = np.random.default_rng(101 + d)
-        draws = random_draws(rng, d, 40)
+        base = random_draws(rng, d, 40)
         directions = rng.standard_normal((25, d))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        points = draws.means.mean(axis=0) + radius * directions
-        per_draw = np.empty((points.shape[0], draws.n_draws))
-        for l in range(draws.n_draws):
-            y = solve_triangular(draws.chols[l], (points - draws.means[l]).T, lower=True)
-            logdet = 2.0 * np.log(np.diag(draws.chols[l])).sum()
-            per_draw[:, l] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + (y * y).sum(axis=0))
-        want = logsumexp(per_draw, axis=1) - np.log(draws.n_draws)
-        np.testing.assert_allclose(draws.log_density(points), want, rtol=1e-12, atol=0.0)
+        points = base.means.mean(axis=0) + radius * directions
+        scales = np.exp(np.linspace(-3.5, 3.5, base.n_draws))
+        spread = CategoryDraws(base.means, base.chols * scales[:, None, None])
+        for draws in (base, spread):
+            per_draw = np.empty((points.shape[0], draws.n_draws))
+            for l in range(draws.n_draws):
+                y = solve_triangular(draws.chols[l], (points - draws.means[l]).T, lower=True)
+                logdet = 2.0 * np.log(np.diag(draws.chols[l])).sum()
+                per_draw[:, l] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + (y * y).sum(axis=0))
+            want = logsumexp(per_draw, axis=1) - np.log(draws.n_draws)
+            np.testing.assert_allclose(draws.log_density(points), want, rtol=1e-12, atol=0.0)
 
     def test_chunks_stay_within_the_budget(self, monkeypatch):
         """Rows go in chunks of budget // draws; several chunks give the
@@ -308,16 +313,60 @@ class TestPredictiveDensity:
         rows as in one chunk: no chunk is a single row, whose product
         would go through BLAS's matrix-vector routine.  On this seed the
         calls of 7, 19, 22 and 25 rows differ in some bit when their
-        one-row tail is left on its own."""
+        one-row tail is left on its own.
+
+        The same holds with every seventh row, from row 5, 200 units out,
+        where its sum falls below 2**-800 and the row goes through the
+        chunks again, shifted by its own maximum: also in the calls of 5
+        to 11 rows, whose one rescued row is paired with a copy of itself.
+        No rescue chunk is a single row."""
         rng = np.random.default_rng(103)
         draws = random_draws(rng, 3, 1000)
         points = rng.standard_normal((40, 3)) * 2.0
-        for n in range(2, 41):
-            monkeypatch.setattr(gaussian, "_BUDGET", n * draws.n_draws)
-            whole = draws.log_density(points[:n])
-            monkeypatch.setattr(gaussian, "_BUDGET", 3 * draws.n_draws)
-            got = draws.log_density(points[:n])
-            np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows")
+        mixed = points.copy()
+        far = np.arange(4, 40, 7)
+        directions = rng.standard_normal((far.size, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        mixed[far] = draws.center + 200.0 * directions
+        rescued = []
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, coef, buf, out, shift: (
+                shift and rescued.append(len(feats))
+            ) or chunk(feats, coef, buf, out, shift),
+        )
+        for rows in (points, mixed):
+            for n in range(2, 41):
+                monkeypatch.setattr(gaussian, "_BUDGET", n * draws.n_draws)
+                whole = draws.log_density(rows[:n])
+                rescued.clear()
+                monkeypatch.setattr(gaussian, "_BUDGET", 3 * draws.n_draws)
+                got = draws.log_density(rows[:n])
+                np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows")
+                assert np.all(np.isfinite(got))
+                n_far = int((far < n).sum()) if rows is mixed else 0
+                assert sum(rescued) == (max(2, n_far) if n_far else 0), f"{n} rows"
+                assert 1 not in rescued
+
+    def test_near_points_take_one_pass_per_chunk(self, monkeypatch):
+        """Points within a few standard deviations of the draws make one
+        chunk call per chunk, none of them shifted by its row maximum: the
+        bound keeps every row's sum far above 2**-800."""
+        rng = np.random.default_rng(113)
+        draws = random_draws(rng, 3, 1000)
+        points = draws.center + rng.standard_normal((200, 3)) * 3.0
+        calls = []
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, coef, buf, out, shift: (
+                calls.append((len(feats), shift)) or chunk(feats, coef, buf, out, shift)
+            ),
+        )
+        monkeypatch.setattr(gaussian, "_BUDGET", 64 * draws.n_draws)
+        draws.log_density(points)
+        assert calls == [(64, False)] * 3 + [(8, False)]
 
     def test_kernel_memory_is_bounded_by_the_budget(self):
         """Beyond the features (rows x k) and the output, a call on 20000
@@ -468,6 +517,56 @@ class TestCalibration:
         cost = calibrate_conformal_cost(model, prior, 0.2, 4000, seed=21)
         coverage = conformal_coverage(model, prior, cost, 4000, seed=21)
         assert coverage == pytest.approx(0.8, abs=0.03)
+
+    def test_scores_go_in_blocks_within_the_budget(self, monkeypatch):
+        """With a budget of 2**10 elements and 4 categories, 5121 samples
+        are scored in blocks of 256 rows, the one-row tail joining the last
+        block.  The scores equal one block's bit for bit, the generator
+        stream is unchanged, a row without mass is named by its number in
+        the whole sample, and beyond drawing the samples and holding their
+        scores the peak memory stays within 16 budgets of float64."""
+        rng = np.random.default_rng(131)
+        model = fit(small_training_data(rng, n_cats=4), n_draws=50, seed=2)
+        prior = np.full(4, 0.25)
+        n = 5121
+        one_block = np.random.default_rng(7)
+        whole = gaussian._own_category_scores(model, prior, n, one_block)
+        monkeypatch.setattr(gaussian, "_BUDGET", 1 << 10)
+        rows = []
+        score = gaussian.posterior_matrix
+        monkeypatch.setattr(
+            gaussian, "posterior_matrix",
+            lambda model, prior, points: rows.append(len(points)) or score(model, prior, points),
+        )
+        blocks = np.random.default_rng(7)
+        np.testing.assert_array_equal(
+            gaussian._own_category_scores(model, prior, n, blocks), whole
+        )
+        assert rows == [256] * 19 + [257]
+        assert blocks.random() == one_block.random()
+
+        tracemalloc.start()
+        try:
+            gaussian.sample_mixture(model, prior, n, np.random.default_rng(7))
+            _, sampling = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gaussian._own_category_scores(model, prior, n, np.random.default_rng(7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sampling + 8 * n + 16 * 8 * gaussian._BUDGET
+
+        points, _ = sample_mixture(model, prior, n, np.random.default_rng(7))
+        log_densities = gaussian._log_densities
+
+        def without_mass_at_row_300(model, z):
+            out = log_densities(model, z)
+            out[(z == points[299]).all(axis=1)] = -np.inf
+            return out
+
+        monkeypatch.setattr(gaussian, "_log_densities", without_mass_at_row_300)
+        with pytest.raises(AllZeroMass, match="at row 300$"):
+            gaussian._own_category_scores(model, prior, n, np.random.default_rng(7))
 
     def test_minimum_sample_size(self):
         rng = np.random.default_rng(89)
