@@ -508,6 +508,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise OutOfRange(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except SchemaError as exc:
         _err(exc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -151,11 +151,8 @@ class TrainingData:
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """All observations stacked, plus their 1-based category labels."""
-        rows = np.vstack([g for g in self.groups]) if self.total else np.empty((0, self.dim))
-        labels = np.concatenate(
-            [np.full(g.shape[0], i + 1, dtype=np.int64) for i, g in enumerate(self.groups)]
-        ) if self.total else np.empty(0, dtype=np.int64)
-        return rows, labels
+        labels = [np.full(g.shape[0], i + 1, dtype=np.int64) for i, g in enumerate(self.groups)]
+        return np.vstack(self.groups), np.concatenate(labels)
 
 
 def default_hyperprior(data: TrainingData) -> NormalInverseWishart:
@@ -641,11 +638,8 @@ def check_prior(prior, n: int) -> np.ndarray:
     return arr / total
 
 
-def _log_densities(model: GaussianCategoryModel, points) -> np.ndarray:
-    z = np.asarray(points, dtype=float)
-    if z.ndim == 1:
-        z = z.reshape(1, -1)
-    return np.column_stack([d.log_density(z) for d in model.draws])
+def _log_densities(model: GaussianCategoryModel, points: np.ndarray) -> np.ndarray:
+    return np.column_stack([d.log_density(points) for d in model.draws])
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -706,29 +700,35 @@ def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
 def posterior_over_categories(
     model: GaussianCategoryModel, prior, point
 ) -> PosteriorVector:
-    """Posterior category probabilities at one observation.
+    """Posterior category probabilities at one observation: the one row
+    ``posterior_matrix`` gives for it, with the same errors."""
+    post = posterior_matrix(model, prior, np.reshape(point, (1, -1)))
+    return PosteriorVector(post[0], model.space)
+
+
+def posterior_matrix(model: GaussianCategoryModel, prior, points) -> np.ndarray:
+    """Row-normalized posterior probabilities for a batch of observations,
+    one row per row of ``points`` (a single point is one row).
 
     Combines the prior with the Monte Carlo predictive densities in log
     space, then exponentiates and normalizes.
 
     Raises
     ------
-    AllZeroMass
-        If every category gets zero mass (only possible with zero prior
-        weights, since the predictive densities are positive).
+    OutOfRange
+        If a point has a NaN or infinite coordinate; the message names the
+        first such row.
+    DimensionMismatch
+        If the points do not have the model's dimension, or the prior does
+        not cover its categories.
+    InvalidDistribution, AllZeroMass
+        As ``posterior_from_log_densities``.
     """
-    z = np.asarray(point, dtype=float)
-    if z.ndim != 1 or z.size != model.dim:
-        raise DimensionMismatch(f"point has shape {z.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(z)):
-        raise OutOfRange("observation must be finite")
-    post = posterior_from_log_densities(_log_densities(model, z), prior)
-    return PosteriorVector(post[0], model.space)
-
-
-def posterior_matrix(model: GaussianCategoryModel, prior, points) -> np.ndarray:
-    """Row-normalized posterior probabilities for a batch of observations."""
-    return posterior_from_log_densities(_log_densities(model, points), prior)
+    z = np.atleast_2d(np.asarray(points, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise OutOfRange(f"observation at row {bad[0] + 1} is not finite")
+    return posterior_from_log_densities(_log_densities(model, z), prior)
 
 
 def sample_mixture(
@@ -739,11 +739,15 @@ def sample_mixture(
     Categories come from the prior; an observation from category i picks
     one cached (mean, covariance) draw uniformly and samples a Gaussian
     from it, which is exactly a draw from the Monte Carlo predictive.
-    Returns the points and their 1-based categories.
+    Returns the points and their 1-based categories.  Each category's
+    generator calls come first, whole; its picked factors are then
+    gathered and applied in blocks of ``_BUDGET // (d d)`` rows (at least
+    one), so no (samples, d, d) copy is held at once.
     """
     pi = check_prior(prior, model.n_categories)
     cats = rng.choice(model.n_categories, size=n_samples, p=pi)
     points = np.empty((n_samples, model.dim))
+    step = max(1, _BUDGET // (model.dim * model.dim))
     for i in range(model.n_categories):
         rows = np.flatnonzero(cats == i)
         if rows.size == 0:
@@ -751,7 +755,9 @@ def sample_mixture(
         draws = model.draws[i]
         which = rng.integers(0, draws.n_draws, size=rows.size)
         eps = rng.standard_normal((rows.size, model.dim, 1))
-        points[rows] = draws.means[which] + (draws.chols[which] @ eps)[:, :, 0]
+        for start, stop in _chunks(rows.size, step):
+            w = which[start:stop]
+            points[rows[start:stop]] = draws.means[w] + (draws.chols[w] @ eps[start:stop])[:, :, 0]
     return points, cats + 1
 
 
@@ -759,35 +765,6 @@ def check_delta(delta: float) -> None:
     """Raise ``OutOfRange`` unless the miss rate ``delta`` lies in (0, 1)."""
     if not 0.0 < delta < 1.0:
         raise OutOfRange(f"delta {delta} outside (0, 1)")
-
-
-@dataclass(frozen=True)
-class CalibrationCurve:
-    """Sorted nonconformity scores from the fitted mixture.
-
-    The score of a pair (z, i) is the posterior probability of i at z, so
-    low scores flag observations whose true category looks implausible.
-    """
-
-    scores: np.ndarray
-
-    @cached_property
-    def sorted_scores(self) -> np.ndarray:
-        out = np.sort(np.asarray(self.scores, dtype=float))
-        out.setflags(write=False)
-        return out
-
-    def quantile(self, delta: float) -> float:
-        """Lower empirical quantile: the largest score with ECDF <= delta.
-
-        Returns 0 when delta is below 1/M, so tiny delta excludes nothing.
-        """
-        check_delta(delta)
-        m = self.sorted_scores.size
-        j = int(math.floor(delta * m))
-        if j == 0:
-            return 0.0
-        return float(self.sorted_scores[j - 1])
 
 
 def _own_category_scores(
@@ -811,16 +788,6 @@ def _own_category_scores(
     return scores
 
 
-def calibration_curve(
-    model: GaussianCategoryModel, prior, n_samples: int, seed: int
-) -> CalibrationCurve:
-    """Monte Carlo sample of mixture nonconformity scores."""
-    if n_samples < 100:
-        raise OutOfRange(f"need at least 100 calibration samples, got {n_samples}")
-    rng = np.random.default_rng([int(seed), 0])
-    return CalibrationCurve(_own_category_scores(model, prior, n_samples, rng))
-
-
 def calibrate_conformal_cost(
     model: GaussianCategoryModel, prior, delta: float, n_samples: int, seed: int
 ) -> float:
@@ -828,14 +795,21 @@ def calibrate_conformal_cost(
 
     Draws ``n_samples`` (observation, category) pairs from the fitted
     mixture, scores each by the posterior probability of its category, and
-    returns the lower empirical delta-quantile of the scores.  Reporting
-    every category whose posterior probability reaches the returned cost
-    then covers the truth with probability about 1 - delta under the
-    model.  As delta grows the cost grows and the sets shrink.  A delta
-    outside (0, 1) is refused before any sampling.
+    returns the lower empirical delta-quantile of the scores: the
+    floor(delta M)-th smallest of the M scores, or 0 when delta < 1/M, so a
+    tiny delta excludes nothing.  Reporting every category whose posterior
+    probability reaches the returned cost then covers the truth with
+    probability about 1 - delta under the model.  As delta grows the cost
+    grows and the sets shrink.  A delta outside (0, 1) or fewer than 100
+    samples are refused before any sampling.
     """
     check_delta(delta)
-    return calibration_curve(model, prior, n_samples, seed).quantile(delta)
+    if n_samples < 100:
+        raise OutOfRange(f"need at least 100 calibration samples, got {n_samples}")
+    rng = np.random.default_rng([int(seed), 0])
+    scores = np.sort(_own_category_scores(model, prior, n_samples, rng))
+    j = math.floor(delta * n_samples)
+    return float(scores[j - 1]) if j else 0.0
 
 
 def conformal_coverage(
@@ -843,9 +817,9 @@ def conformal_coverage(
 ) -> float:
     """Fraction of fresh mixture draws whose category survives the cost cut.
 
-    Uses a sampling stream distinct from ``calibration_curve`` even for an
-    identical seed, so calibrating and auditing with one seed still gives
-    an honest fresh-sample estimate.
+    Uses a sampling stream distinct from ``calibrate_conformal_cost``'s
+    even for an identical seed, so calibrating and auditing with one seed
+    still gives an honest fresh-sample estimate.
     """
     if n_samples < 1:
         raise OutOfRange(f"need at least one audit sample, got {n_samples}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -93,17 +93,13 @@ class PenaltySequence:
         vals = [0.0, 0.0] + [1.0] * (n - 2) + [1.0 - r]
         return cls(tuple(vals), convex=False)
 
-    def is_convex_shape(self) -> bool:
-        """Check the convexity property of the stored values."""
-        return _convexity_holds(self.values)
 
-
-def _convexity_holds(vals: tuple[float, ...], tol: float = CONVEXITY_TOLERANCE) -> bool:
-    if abs(vals[0]) > tol:
+def _convexity_holds(vals: tuple[float, ...]) -> bool:
+    if abs(vals[0]) > CONVEXITY_TOLERANCE:
         return False
     g = np.asarray(vals, dtype=float)
     increments = np.diff(g)
-    return bool(np.all(np.diff(increments) >= -tol))
+    return bool(np.all(np.diff(increments) >= -CONVEXITY_TOLERANCE))
 
 
 def _check_cost(cost: float) -> float:
@@ -122,7 +118,7 @@ class RewardSpec:
 
     A subclass names its JSON ``kind`` in the class statement, which
     registers it, and defines ``check``, ``rewards`` and ``decide``.  The
-    expected value, the exhaustive oracle and the JSON form derive from them.
+    expected value, the exhaustive oracle and JSON parsing derive from them.
     """
 
     kind: ClassVar[str]
@@ -159,9 +155,6 @@ class RewardSpec:
         """Expected reward of each set in ``members`` under its row of ``P``
         (one row broadcasts), summed in category order as ``value_function``."""
         return weighted_sum(self.rewards(members, space), P)
-
-    def json_values(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def from_json_values(cls, *values) -> RewardSpec:
@@ -208,9 +201,6 @@ class InvariantPenalty(RewardSpec, kind="penalty"):
     @classmethod
     def from_json_values(cls, g, convex):
         return cls(PenaltySequence(tuple(g), convex))
-
-    def json_values(self):
-        return list(self.penalty.values), self.penalty.convex
 
     def check(self, space):
         if self.penalty.max_size != space.n_categories:
@@ -483,9 +473,3 @@ def reward_spec_from_json(obj: dict) -> RewardSpec:
             raise ValueError(f"reward kind {kind!r}: {name!r} must be {what}, got {value!r}")
         values.append(value)
     return family.from_json_values(*values)
-
-
-def reward_spec_to_json(spec: RewardSpec) -> dict:
-    """Serialize a reward specification to its JSON dictionary form."""
-    names = [name for name, *_ in spec.params]
-    return {"kind": spec.kind, **dict(zip(names, spec.json_values()))}

@@ -305,8 +305,8 @@ class ThresholdSelection:
     non_reward_rate: float
     at_grid_top: bool
 
-    def display(self, decimals: int = 2) -> str:
-        text = f"{self.cost:.{decimals}f}"
+    def display(self) -> str:
+        text = f"{self.cost:.2f}"
         return f">= {text}" if self.at_grid_top else text
 
 

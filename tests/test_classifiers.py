@@ -359,7 +359,8 @@ def _compositions(draw, n):
 
 @st.composite
 def decision_problems(draw):
-    """(spec, space, posterior matrix) with grid or continuous rows and costs."""
+    """(spec, space, posterior matrix, the spec's numeric parameters) with
+    grid or continuous rows and costs."""
     n = draw(st.integers(1, 7))
     if draw(st.booleans()):
         blocks = (1,) * n  # one block per category
@@ -379,26 +380,30 @@ def decision_problems(draw):
     # costs on the 1/8 grid can sit exactly at a threshold of a grid row
     cost = draw(st.one_of(st.integers(0, 12).map(lambda k: k / 8), st.floats(0.0, 1.5)))
     increments = np.array(sorted(draw(st.lists(unit, min_size=n, max_size=n))))
+    convex = tuple(np.concatenate([[0.0], np.cumsum(increments)]))
+    eighths = tuple(
+        draw(st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=n + 1, max_size=n + 1))
+    )
+    within = draw(st.sampled_from([0.0, 0.125, 0.25, cost]))
     families = [
-        MapZeroOne(),
-        InvariantPenalty(PenaltySequence(tuple(np.concatenate([[0.0], np.cumsum(increments)])),
-                                         convex=True)),
-        InvariantPenalty(PenaltySequence(tuple(
-            draw(st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=n + 1, max_size=n + 1))
-        ))),
-        ProportionBased(cost),
-        CompositeProportion(draw(st.sampled_from([0.0, 0.125, 0.25, cost])), cost + 0.125),
+        (MapZeroOne(), ()),
+        (InvariantPenalty(PenaltySequence(convex, convex=True)), convex),
+        (InvariantPenalty(PenaltySequence(eighths)), eighths),
+        (ProportionBased(cost), (cost,)),
+        (CompositeProportion(within, cost + 0.125), (within, cost + 0.125)),
     ]
     if n >= 2:
         reject = draw(st.sampled_from([k / 8 for k in range(1, 8) if k / 8 > 1 / n]))
-        families += [RipleyReject(reject), IndifferenceZone(draw(st.sampled_from([0.5, 1.0, 2.0])))]
-    return draw(st.sampled_from(families)), space, np.array(matrix)
+        zone = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        families += [(RipleyReject(reject), (reject,)), (IndifferenceZone(zone), (zone,))]
+    spec, params = draw(st.sampled_from(families))
+    return spec, space, np.array(matrix), params
 
 
-def _on_eighths(spec, row):
-    """Whether the row and every parameter of ``spec`` are multiples of 1/8,
+def _on_eighths(params, row):
+    """Whether the row and every parameter of the spec are multiples of 1/8,
     so that equal expected rewards are equal in floating point."""
-    x = np.hstack([row, *spec.json_values()]) * 8
+    x = np.hstack([row, *params]) * 8
     return bool(np.all(x == np.round(x)))
 
 
@@ -418,7 +423,7 @@ class TestBatchedPath:
     @given(decision_problems())
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_rows_reach_the_oracle_value(self, problem):
-        spec, space, matrix = problem
+        spec, space, matrix, params = problem
         members, values = optimal_sets(spec, matrix, space)
         assert members.shape == matrix.shape and values.shape == (matrix.shape[0],)
         for r, row in enumerate(matrix):
@@ -428,7 +433,7 @@ class TestBatchedPath:
             assert values[r] == value_function(spec, p, chosen)
             assert optimal_set(spec, p) == (chosen, values[r])
             oracle = brute_force_optimal(spec, p)
-            if _on_eighths(spec, row):  # exact ties: one tie rule for both
+            if _on_eighths(params, row):  # exact ties: one tie rule for both
                 assert oracle.chosen == chosen
             assert abs(values[r] - oracle.value) <= 1e-12
 
@@ -438,7 +443,7 @@ class TestBatchedPath:
     def test_exhaustive_sets_give_each_row_the_oracle(self, problem, chunk_bits):
         """Every row gets ``brute_force_optimal``'s set and value bits,
         however the subsets are chunked and so the rows blocked."""
-        spec, space, matrix = problem
+        spec, space, matrix, _ = problem
         oracles = [brute_force_optimal(spec, PosteriorVector(row, space)) for row in matrix]
         with mock.patch.object(classifiers, "_MASK_CHUNK", 1 << chunk_bits):
             members, values = exhaustive_sets(spec, matrix, space)

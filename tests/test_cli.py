@@ -661,7 +661,7 @@ class TestTune:
         ["--prior", "[0.7, 0.7, 0.7]"],
         ["--weights", "per_category", "--real-prior", "[0.2, 0.3, 0.5]"],
         ["--grid-hi", "1e9", "--grid-step", "1e-9"],
-        ["--threads", "0"], ["--threads", "-1"],
+        ["--threads", "0"], ["--threads", "-1"], ["--seed", "-1"],
     ])
     def test_bad_setting_fails_before_any_fold(self, workspace, monkeypatch, extra):
         tmp_path, _, data, _ = workspace
@@ -730,6 +730,22 @@ class TestArgparseBehavior:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "conformal"])
+    def test_negative_seed_exits_3_before_any_input(self, workspace, monkeypatch, capsys,
+                                                    command):
+        tmp_path, spec, data, model = workspace
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--spec", str(spec)],
+            "fit": ["fit", "--data", str(data)],
+            "conformal": ["conformal", "--model", str(model), "--delta", "0.1"],
+        }[command]
+        for name in ("load_generator_spec", "load_dataset", "_read_json"):
+            monkeypatch.setattr(cli, name, must_not_run(name))
+        assert main(argv + ["--out", str(out), "--seed", "-1"]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -18,7 +18,6 @@ from setbayes import (
     SingularScatter,
     TrainingData,
     calibrate_conformal_cost,
-    calibration_curve,
     conformal_coverage,
     conjugate_update,
     default_hyperprior,
@@ -129,6 +128,9 @@ class TestTrainingData:
         rows, labels = data.stacked()
         assert rows.shape == (5, 2)
         assert labels.tolist() == [1, 1, 1, 2, 2]
+        rows, labels = TrainingData([np.zeros((1, 2)), [], np.ones((2, 2))]).stacked()
+        np.testing.assert_array_equal(rows, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        assert labels.tolist() == [1, 3, 3]
 
     def test_dimension_agreement(self):
         with pytest.raises(DimensionMismatch):
@@ -436,6 +438,22 @@ class TestPosteriors:
         np.testing.assert_allclose(single.p, post[0], atol=1e-12)
         assert single.space.n_categories == 3
 
+    @pytest.mark.parametrize("bad, row", [(np.nan, 1), (np.inf, 4), (-np.inf, 20)])
+    def test_non_finite_point_is_refused_by_its_row(self, bad, row):
+        """A point with a NaN or infinite coordinate is refused before any
+        density, naming the first such row, also through the one-point
+        route."""
+        rng = np.random.default_rng(61)
+        model = fit(small_training_data(rng), n_draws=60, seed=1)
+        prior = np.full(3, 1 / 3)
+        points = rng.standard_normal((20, 2))
+        points[row - 1, 1] = bad
+        points[-1, 0] = np.nan
+        with pytest.raises(OutOfRange, match=f"^observation at row {row} is not finite$"):
+            posterior_matrix(model, prior, points)
+        with pytest.raises(OutOfRange, match="^observation at row 1 is not finite$"):
+            posterior_over_categories(model, prior, points[row - 1])
+
     def test_logsumexp_matches_scipy_bit_for_bit(self):
         """Rows with -inf entries, exact ties at the maximum, dyadic rows
         full of ties and rows of -inf only."""
@@ -464,27 +482,38 @@ class TestPosteriors:
             posterior_over_categories(model, [0.5, 0.4, 0.4], np.zeros(2))
 
 
+def with_scores(monkeypatch, scores):
+    """Make ``_own_category_scores`` return ``scores``, whatever it is asked."""
+    monkeypatch.setattr(gaussian, "_own_category_scores", lambda *args: np.asarray(scores))
+
+
 class TestCalibration:
-    def test_quantile_convention(self):
-        from setbayes.gaussian import CalibrationCurve
+    def test_quantile_convention(self, monkeypatch):
+        """The cost is the floor(delta M)-th smallest of the M scores, or 0
+        when delta < 1/M, so a tiny delta excludes nothing."""
+        scores = np.random.default_rng(71).permutation(np.arange(1, 101) / 100.0)
+        with_scores(monkeypatch, scores)
 
-        curve = CalibrationCurve(np.arange(1, 11) / 10.0)
-        assert curve.quantile(0.25) == pytest.approx(0.2)  # floor(2.5) = 2
-        assert curve.quantile(0.10) == pytest.approx(0.1)
-        assert curve.quantile(0.05) == 0.0  # below 1/M excludes nothing
-        with pytest.raises(OutOfRange):
-            curve.quantile(0.0)
+        def cost(delta):
+            return calibrate_conformal_cost(None, None, delta, 100, seed=0)
 
-    def test_quantile_bounds_miss_fraction(self):
+        assert cost(0.25) == 0.25  # floor(25) = 25
+        assert cost(0.259) == 0.25  # floor(25.9) = 25
+        assert cost(0.10) == 0.10
+        assert cost(0.0099) == 0.0  # below 1/M
+        assert cost(0.01) == 0.01
+        for delta in (0.0, 1.0):
+            with pytest.raises(OutOfRange):
+                cost(delta)
+
+    def test_quantile_bounds_miss_fraction(self, monkeypatch):
         rng = np.random.default_rng(71)
-        from setbayes.gaussian import CalibrationCurve
-
         for _ in range(50):
             m = int(rng.integers(100, 400))
             scores = rng.random(m)
-            curve = CalibrationCurve(scores)
+            with_scores(monkeypatch, scores)
             delta = float(rng.uniform(0.01, 0.5))
-            c = curve.quantile(delta)
+            c = calibrate_conformal_cost(None, None, delta, m, seed=0)
             assert np.mean(scores < c) <= delta + 1e-12
 
     def test_calibration_is_deterministic(self):
@@ -568,11 +597,45 @@ class TestCalibration:
         with pytest.raises(AllZeroMass, match="at row 300$"):
             gaussian._own_category_scores(model, prior, n, np.random.default_rng(7))
 
-    def test_minimum_sample_size(self):
+    def test_mixture_factors_go_in_blocks_within_the_budget(self, monkeypatch):
+        """With a budget of 2**10 elements at d = 3, each category's picked
+        factors are applied in blocks of 113 rows.  The points equal one
+        block's bit for bit, the generator ends in the same state, and the
+        peak memory is lower by at least one category's gathered
+        (rows, d, d) factors."""
+        rng = np.random.default_rng(137)
+        model = fit(small_training_data(rng, n_cats=4, d=3), n_draws=50, seed=2)
+        prior = np.full(4, 0.25)
+
+        def sample():
+            gen = np.random.default_rng(7)
+            tracemalloc.start()
+            try:
+                points, cats = sample_mixture(model, prior, 5121, gen)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return points, cats, gen.random(), peak
+
+        points, cats, after, one_block_peak = sample()
+        monkeypatch.setattr(gaussian, "_BUDGET", 1 << 10)
+        blocked, blocked_cats, blocked_after, peak = sample()
+        np.testing.assert_array_equal(blocked, points)
+        np.testing.assert_array_equal(blocked_cats, cats)
+        assert blocked_after == after
+        smallest = np.bincount(cats, minlength=5)[1:].min()
+        assert peak + 8 * 3 * 3 * smallest < one_block_peak
+
+    def test_minimum_sample_size(self, monkeypatch):
+        """Fewer than 100 calibration samples are refused before sampling."""
         rng = np.random.default_rng(89)
         model = fit(small_training_data(rng, n_cats=2), n_draws=30, seed=1)
-        with pytest.raises(OutOfRange):
-            calibration_curve(model, [0.5, 0.5], 50, seed=0)
+        assert 0.0 < calibrate_conformal_cost(model, [0.5, 0.5], 0.1, 100, seed=0) < 1.0
+        monkeypatch.setattr(gaussian, "sample_mixture",
+                            lambda *args: pytest.fail("sampled before the count was checked"))
+        for n in (99, 50, 0):
+            with pytest.raises(OutOfRange, match=f"at least 100 calibration samples, got {n}$"):
+                calibrate_conformal_cost(model, [0.5, 0.5], 0.1, n, seed=0)
 
 
 class TestModelSerialization:

@@ -19,9 +19,9 @@ from setbayes import (
     SpecSpaceMismatch,
     reward,
     reward_spec_from_json,
-    reward_spec_to_json,
     value_function,
 )
+from setbayes import rewards
 
 from conftest import binary_reward, random_posterior, random_space
 
@@ -45,7 +45,8 @@ class TestPenaltySequence:
     def test_reject_plateau_shape(self):
         g = PenaltySequence.reject_plateau(0.6, 4)
         assert g.values == (0.0, 0.0, 1.0, 1.0, 0.4)
-        assert not g.is_convex_shape()
+        with pytest.raises(NotConvex):
+            PenaltySequence(g.values, convex=True)
         with pytest.raises(OutOfRange):
             PenaltySequence.reject_plateau(0.2, 4)  # below 1/N
 
@@ -197,20 +198,22 @@ class TestValueFunction:
 
 
 class TestJsonRoundTrip:
-    SPECS = [
-        MapZeroOne(),
-        InvariantPenalty(PenaltySequence((0.0, 0.0, 0.5, 1.0), convex=True)),
-        InvariantPenalty(PenaltySequence((0.0, 0.0, 1.0, 0.4))),
-        ProportionBased(0.25),
-        RipleyReject(0.6),
-        CompositeProportion(0.15, 0.35),
-        IndifferenceZone(0.8),
+    PARSED = [
+        ({"kind": "map"}, MapZeroOne()),
+        ({"kind": "penalty", "g": [0, 0, 0.5, 1], "convex": True},
+         InvariantPenalty(PenaltySequence((0.0, 0.0, 0.5, 1.0), convex=True))),
+        ({"kind": "penalty", "g": [0, 0, 1, 0.4], "convex": False},
+         InvariantPenalty(PenaltySequence((0.0, 0.0, 1.0, 0.4)))),
+        ({"kind": "proportion", "c": 0.25}, ProportionBased(0.25)),
+        ({"kind": "ripley", "r": 0.6}, RipleyReject(0.6)),
+        ({"kind": "composite", "a": 0.15, "b": 0.35}, CompositeProportion(0.15, 0.35)),
+        ({"kind": "indifference_zone", "r": 0.8}, IndifferenceZone(0.8)),
     ]
 
-    def test_round_trip(self):
-        for spec in self.SPECS:
-            again = reward_spec_from_json(reward_spec_to_json(spec))
-            assert again == spec
+    def test_literal_objects_parse(self):
+        for obj, spec in self.PARSED:
+            assert reward_spec_from_json(obj) == spec
+        assert {obj["kind"] for obj, _ in self.PARSED} == set(rewards._FAMILIES)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
