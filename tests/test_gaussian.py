@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -233,6 +234,73 @@ class TestSampler:
         assert ours.random() == theirs.random()
 
 
+class TestFoldStreams:
+    @pytest.mark.parametrize("seed", [0, 9, 2**31 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("category", [1, 7])
+    def test_states_match_fold_rng(self, seed, category):
+        """``_fold_states`` gives each row's ``fold_rng`` PCG64 state.  The
+        seeds take one, two and three 32-bit words; with the category and
+        row words, 2**64 + 3 makes five, one more than the hash's pool."""
+        states = gaussian._fold_states(seed, category, 41)
+        want = [
+            gaussian.fold_rng(seed, category, j).bit_generator.state["state"]
+            for j in range(41)
+        ]
+        assert [{"state": state, "inc": inc} for state, inc in states] == want
+
+    def test_numpy_seeding_is_pinned(self):
+        """numpy's own PCG64 seeding of two streams, written out.  A numpy
+        that seeds otherwise moves every fit, classify, tune and conformal
+        output, and fails here by name.  ``SeedSequence`` pads words short
+        of its pool with zeros, so [9, 1, 0] and [9, 1] seed one stream."""
+        want = {
+            "state": 212258717954260339445759644917009673947,
+            "inc": 210554441082389327479993656945054459349,
+        }
+        assert gaussian.fold_rng(9, 1, 0).bit_generator.state["state"] == want
+        assert gaussian.category_rng(9, 1).bit_generator.state["state"] == want
+
+    def test_guard_refuses_another_hash(self, monkeypatch):
+        """With one hash constant changed, the fold states no longer match
+        ``fold_rng``, and the folds refuse to run rather than draw from
+        other streams."""
+        group = np.random.default_rng(43).standard_normal((6, 2))
+        hyper = NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((1.0, 0.0), (0.0, 1.0)))
+        monkeypatch.setattr(gaussian, "_MULT_A", gaussian._MULT_A ^ 2)
+        with pytest.raises(RuntimeError, match=rf"^numpy {np.__version__} seeds fold_rng\(5, 2, 0\)"):
+            gaussian._held_out_log_densities(group, hyper, 2, 20, 5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batches_match_one_fold_at_a_time(self, d):
+        """Folds drawn in batches into shared buffers, reused from one
+        batch to the next, have the Bartlett factors and mean noise that
+        ``_standard_draws`` draws from a fresh ``fold_rng``, bit for bit,
+        and buffer rows past a batch are left alone.  Both are also the
+        factors of the three generator calls scattered here, one fold at a
+        time."""
+        seed, category, n_draws, dof = 4, 2, 30, d + 4.5
+        rows, cols = np.tril_indices(d, -1)
+        k = np.arange(d)
+        states = gaussian._fold_states(seed, category, 5)
+        rng = gaussian.fold_rng(seed, category, 0)
+        lower = np.empty((4, n_draws, d * (d - 1) // 2))
+        chi, eps = np.empty((4, n_draws, d)), np.empty((4, n_draws, d))
+        a = np.zeros((4, n_draws, d, d))
+        for batch in (range(0, 3), range(3, 5)):
+            gaussian._draw_folds(dof, rng, states[batch.start:batch.stop], lower, chi, eps, a)
+            for f, j in enumerate(batch):
+                want_a, want_eps = np.zeros((n_draws, d, d)), np.empty((n_draws, d))
+                gaussian._standard_draws(dof, gaussian.fold_rng(seed, category, j), want_a, want_eps)
+                np.testing.assert_array_equal(a[f], want_a)
+                np.testing.assert_array_equal(eps[f], want_eps)
+                ref, ref_a = gaussian.fold_rng(seed, category, j), np.zeros((n_draws, d, d))
+                ref_a[:, rows, cols] = ref.normal(size=(n_draws, rows.size))
+                ref_a[:, k, k] = np.sqrt(ref.chisquare(dof - d + 1 + k, size=(n_draws, d)))
+                np.testing.assert_array_equal(a[f], ref_a)
+                np.testing.assert_array_equal(eps[f], ref.standard_normal((n_draws, d)))
+        assert not a[3].any()
+
+
 def random_draws(rng, d, n_draws):
     """Draws with random means and covariances of eigenvalues at least 1."""
     means = rng.standard_normal((n_draws, d))
@@ -453,6 +521,17 @@ class TestPosteriors:
             posterior_matrix(model, prior, points)
         with pytest.raises(OutOfRange, match="^observation at row 1 is not finite$"):
             posterior_over_categories(model, prior, points[row - 1])
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 1, 2)])
+    def test_points_with_more_than_two_axes_are_refused(self, monkeypatch, shape):
+        """Points with more than two axes are refused by their shape, before
+        the finiteness check and before any density."""
+        model = fit(small_training_data(np.random.default_rng(61)), n_draws=20, seed=1)
+        points = np.zeros(shape)
+        points.flat[0] = np.nan
+        monkeypatch.setattr(gaussian, "_log_densities", lambda *args: pytest.fail("density ran"))
+        with pytest.raises(DimensionMismatch, match=rf"^points have shape {re.escape(str(shape))}"):
+            posterior_matrix(model, np.full(3, 1 / 3), points)
 
     def test_logsumexp_matches_scipy_bit_for_bit(self):
         """Rows with -inf entries, exact ties at the maximum, dyadic rows

@@ -194,6 +194,18 @@ class TestHeldOutPosteriors:
             held = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed)
             np.testing.assert_allclose(held.matrix, np.array(want), rtol=0, atol=1e-12)
 
+    def test_fold_budget_does_not_move_a_bit(self, monkeypatch):
+        """The held-out rows have the same bits in batches of 1 and of 3
+        folds as at the default budget, where each category is one batch."""
+        data, space = blocked_data(np.random.default_rng(47), counts=(7, 5, 4))
+        prior = np.array([0.5, 0.3, 0.2])
+        seed, n_draws = 9, 25
+        want = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed).matrix
+        for folds_per_batch in (1, 3):
+            monkeypatch.setattr(gaussian, "_FOLD_BUDGET", folds_per_batch * n_draws * data.dim ** 2)
+            held = loocv_posteriors(data, space, prior, n_draws=n_draws, seed=seed)
+            np.testing.assert_array_equal(held.matrix, want)
+
     def test_downdate_matches_refit(self):
         """The rank-one downdate of each fold equals ``conjugate_update`` on
         the retained rows."""
