@@ -68,6 +68,11 @@ from .tuning import (
     select_b_threshold,
 )
 
+#: Largest ``--draws`` that ``fit`` and ``tune`` accept, checked before any
+#: input is read: 100 times ``fit``'s default.  A category's draws are held
+#: as several (draws, d, d) arrays at once, 7.2 MB each at the limit and
+#: d = 3, so memory stays bounded whatever the argument.
+MAX_DRAWS = 100_000
 #: Report rows formatted per write in ``classify``; a block's byte matrix
 #: takes about 50 bytes per float, so the peak memory stays near that of
 #: the per-row writer before it.
@@ -448,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the Gaussian category model to a dataset")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--draws", type=int, default=1000, help="Monte Carlo draws per category")
+    p.add_argument("--draws", type=int, default=1000,
+                   help=f"Monte Carlo draws per category, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fit)
 
@@ -480,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-lo", type=float, default=0.05)
     p.add_argument("--grid-hi", type=float, default=5.0)
     p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--draws", type=int, default=200)
+    p.add_argument("--draws", type=int, default=200,
+                   help=f"Monte Carlo draws per fold, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="at least 1; accepted for compatibility, it no longer changes the work")
@@ -510,6 +517,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise OutOfRange(f"--seed must be non-negative, got {args.seed}")
+        if getattr(args, "draws", 0) > MAX_DRAWS:
+            raise OutOfRange(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
         return args.func(args)
     except SchemaError as exc:
         _err(exc)

@@ -41,8 +41,9 @@ _BUDGET = 1 << 16
 #: ``_held_out_log_densities``: 256 KB of float64, about 18 folds at 200
 #: draws and d = 3.  A batch holds ``_FOLD_BUDGET // (n_draws d d)`` folds
 #: (at least one); the generator's outputs for them, d (d + 3) / 2 per draw,
-#: take as much again at d = 3.  Larger batches run no faster, since each
-#: fold's own generator calls then dominate; they only raise the peak memory.
+#: take as much again at d = 3.  A batch makes one call per generator for
+#: all its folds.  Batches at 4 and 16 times this budget ran no faster, as
+#: the generators' fill rate then dominates; they only raise the peak memory.
 _FOLD_BUDGET = 1 << 15
 
 
@@ -357,11 +358,9 @@ class CategoryDraws:
         arithmetic overflows gets -inf, as every draw's density underflows
         there.
         """
-        z = np.asarray(points, dtype=float)
-        if z.ndim == 1:
-            z = z.reshape(1, -1)
-        if z.shape[1] != self.dim:
-            raise DimensionMismatch(f"points have dimension {z.shape[1]}, expected {self.dim}")
+        z = np.atleast_2d(np.asarray(points, dtype=float))
+        if z.ndim != 2 or z.shape[1] != self.dim:
+            raise DimensionMismatch(f"points have shape {z.shape}, expected (rows, {self.dim})")
         # An overflow leaves inf, -inf or nan (inf - inf) in a row.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             feats = _features(z, self.center)
@@ -386,20 +385,24 @@ def _below(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _generator_draws(
-    dof: float, rng: np.random.Generator,
+    dof: float,
+    normal_rng: np.random.Generator,
+    chi_rng: np.random.Generator,
+    noise_rng: np.random.Generator,
     lower: np.ndarray, chi: np.ndarray, eps: np.ndarray,
 ) -> None:
-    """Make the generator calls of n normal-inverse-Wishart draws, in their
-    fixed order: ``normal`` into ``lower`` (n, d(d - 1)/2), the Bartlett
-    entries below the diagonal; ``chisquare(dof - d + 1 + k)`` into ``chi``
-    (n, d), the squares of diagonal k; ``standard_normal`` into ``eps``
-    (n, d), the mean noise.  The first two are the calls of the reference
-    inverse-Wishart sampler the tests compare against, in its order, so
-    both draw the same factors from one generator state."""
+    """Make the generator calls of normal-inverse-Wishart draws, in their
+    fixed order, one call per generator: ``normal`` into ``lower`` (...,
+    d(d - 1)/2), the Bartlett entries below the diagonal;
+    ``chisquare(dof - d + 1 + k)`` into ``chi`` (..., d), the squares of
+    diagonal k; ``standard_normal`` into ``eps`` (..., d), the mean noise.
+    Given one generator three times, the first two are the calls of the
+    reference inverse-Wishart sampler the tests compare against, in its
+    order, so both draw the same factors from one generator state."""
     d = eps.shape[-1]
-    lower[...] = rng.normal(size=lower.shape)
-    chi[...] = rng.chisquare(dof - d + 1 + np.arange(d), size=chi.shape)
-    rng.standard_normal(out=eps)
+    lower[...] = normal_rng.normal(size=lower.shape)
+    chi[...] = chi_rng.chisquare(dof - d + 1 + np.arange(d), size=chi.shape)
+    noise_rng.standard_normal(out=eps)
 
 
 def _bartlett_factors(lower: np.ndarray, chi: np.ndarray, a: np.ndarray) -> None:
@@ -413,18 +416,6 @@ def _bartlett_factors(lower: np.ndarray, chi: np.ndarray, a: np.ndarray) -> None
     a[..., rows, cols] = lower
     k = np.arange(d)
     a[..., k, k] = chi ** 0.5
-
-
-def _standard_draws(
-    dof: float, rng: np.random.Generator, a: np.ndarray, eps: np.ndarray
-) -> None:
-    """Fill the Bartlett factors ``a`` (n, d, d), zero above the diagonal,
-    and the mean noise ``eps`` (n, d) of n normal-inverse-Wishart draws
-    from ``rng``."""
-    n, d = eps.shape
-    lower, chi = np.empty((n, d * (d - 1) // 2)), np.empty((n, d))
-    _generator_draws(dof, rng, lower, chi, eps)
-    _bartlett_factors(lower, chi, a)
 
 
 def _lower_factors(c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -451,8 +442,10 @@ def draw_category_sample(
     if n_draws < 1:
         raise OutOfRange(f"need at least one draw, got {n_draws}")
     d = posterior.dim
+    lower, chi = np.empty((n_draws, d * (d - 1) // 2)), np.empty((n_draws, d))
     a, eps = np.zeros((n_draws, d, d)), np.empty((n_draws, d))
-    _standard_draws(posterior.dof, rng, a, eps)
+    _generator_draws(posterior.dof, rng, rng, rng, lower, chi, eps)
+    _bartlett_factors(lower, chi, a)
     chols = _lower_factors(np.linalg.cholesky(posterior.scatter_array()), a)
     noise = (chols @ eps[:, :, None])[:, :, 0]
     means = posterior.mean_array() + noise / math.sqrt(posterior.kappa)
@@ -497,117 +490,6 @@ def category_rng(seed: int, category: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(category)])
 
 
-def fold_rng(seed: int, category: int, row: int) -> np.random.Generator:
-    """The dedicated stream for a leave-one-out refit of (category, row)."""
-    return np.random.default_rng([int(seed), int(category), int(row)])
-
-
-#: The constants of numpy's ``SeedSequence`` hash and of ``PCG64``'s
-#: 128-bit multiplier, as numpy's ``bit_generator.pyx`` and ``pcg64.h``
-#: define them.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_POOL_SIZE = 4
-
-
-def _hash_constants(init: int, mult: int):
-    """The running constants of one ``SeedSequence`` hash, as pairs (the
-    constant xored in, the multiplier) for its successive calls: init,
-    init mult, init mult^2, ... modulo 2**32.  They do not depend on the
-    hashed words, so they are the same for every row."""
-    while True:
-        nxt = init * mult & 0xFFFFFFFF
-        yield init, nxt
-        init = nxt
-
-
-def _hash(words: np.ndarray, constants) -> np.ndarray:
-    """One ``SeedSequence`` hash call on uint32 words, element by element."""
-    xor, mult = next(constants)
-    out = words ^ xor
-    out *= mult
-    return out ^ out >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s mix of two pool words, element by element."""
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return out ^ out >> 16
-
-
-def _uint32_words(value: int) -> list[int]:
-    """``SeedSequence``'s little-endian 32-bit words of a non-negative int;
-    0 is the one word [0]."""
-    words = [value & 0xFFFFFFFF]
-    while value > 0xFFFFFFFF:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _fold_states(seed: int, category: int, n: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) of ``fold_rng(seed, category, j)`` for every
-    row j < ``n``, in one pass.
-
-    ``fold_rng`` seeds PCG64 with four 64-bit words from numpy's
-    ``SeedSequence`` over the 32-bit words of [seed, category, j].  This
-    repeats that hash in uint32 arithmetic over all the rows at once, then
-    PCG64's seeding step on Python ints modulo 2**128.  numpy keeps both
-    fixed under its stream-compatibility policy (NEP 19);
-    ``_held_out_log_densities`` checks fold 0 against ``fold_rng``.
-    ``seed`` must be non-negative and ``n`` at most 2**32.
-    """
-    entropy = [
-        np.full(n, word, dtype=np.uint32)
-        for word in _uint32_words(int(seed)) + _uint32_words(int(category))
-    ]
-    entropy.append(np.arange(n, dtype=np.uint32))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [
-        _hash(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32), constants)
-        for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(entropy[src], constants))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    out = np.stack([_hash(pool[i % _POOL_SIZE], constants) for i in range(8)])
-    words = out[0::2].astype(np.uint64) | out[1::2].astype(np.uint64) << 32
-    mask, states = (1 << 128) - 1, []
-    for w0, w1, w2, w3 in zip(*words.tolist()):
-        inc = ((w2 << 64 | w3) << 1 | 1) & mask
-        states.append((((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & mask, inc))
-    return states
-
-
-def _draw_folds(
-    dof: float, rng: np.random.Generator, states: list[tuple[int, int]],
-    lower: np.ndarray, chi: np.ndarray, eps: np.ndarray, a: np.ndarray,
-) -> None:
-    """Draw a batch of folds into shared buffers.
-
-    Fold f puts ``rng`` in the PCG64 state ``states[f]`` and makes
-    ``_generator_draws``' calls into ``lower[f]``, ``chi[f]`` and
-    ``eps[f]``: what ``_standard_draws`` draws from a fresh generator in
-    that state.  Then the whole batch's Bartlett factors go into ``a`` at
-    once; ``a`` must be zero above the diagonal.
-    """
-    for f, (state, inc) in enumerate(states):
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        _generator_draws(dof, rng, lower[f], chi[f], eps[f])
-    b = len(states)
-    _bartlett_factors(lower[:b], chi[:b], a[:b])
-
-
 def _drop_one_posteriors(
     observations: np.ndarray, prior: NormalInverseWishart
 ) -> tuple[np.ndarray, float, float, np.ndarray]:
@@ -641,25 +523,29 @@ def _held_out_log_densities(
     """Log Monte Carlo predictive density at each row of one category, under
     the posterior of the category's other rows.
 
-    Fold j draws from ``fold_rng(seed, category, j)`` what
-    ``draw_category_sample`` draws from the fold's posterior, and
-    evaluates the draws at row j, without building a covariance, an
-    inverse or a ``CategoryDraws``.  With C the Cholesky factor of the
-    fold's scatter and m its location, draw l has the Cholesky factor
-    L = C A_l^-1, so L^-1 (x - mean_l) = A_l C^-1 (x - m) - eps_l / sqrt(kappa)
-    and log|cov_l| = 2 (sum log diag C - sum log diag A_l).  Folds go in
-    batches of ``_FOLD_BUDGET // (n_draws d d)`` (at least one).  One
-    generator serves every fold of the category: ``_fold_states`` gives
-    each fold's ``fold_rng`` state, and ``_draw_folds`` draws a batch from
-    them into shared buffers.
+    Fold j draws what ``draw_category_sample`` draws from the fold's
+    posterior and evaluates the draws at row j, without building a
+    covariance, an inverse or a ``CategoryDraws``.  With C the Cholesky
+    factor of the fold's scatter and m its location, draw l has the
+    Cholesky factor L = C A_l^-1, so L^-1 (x - mean_l) = A_l C^-1 (x - m)
+    - eps_l / sqrt(kappa) and log|cov_l| = 2 (sum log diag C - sum log diag
+    A_l).
+
+    The folds draw from three streams spawned from the category's seed
+    sequence, ``SeedSequence([seed, category]).spawn(3)``: one for the
+    ``normal`` call, one for ``chisquare`` and one for ``standard_normal``.
+    Spawned children are independent of their parent, so no fold replays
+    the category's full-fit stream.  Fold j's values are slice j of one
+    call per stream over all the category's folds.  Folds go in batches of
+    ``_FOLD_BUDGET // (n_draws d d)`` (at least one), each batch one call
+    per stream into buffers the batch shares; numpy's generators fill an
+    array in order, so the bits do not depend on the batching.
 
     Raises
     ------
     SingularScatter
         If a fold's scatter is not positive definite; the message names the
         category and the left-out row (1-based within the category).
-    RuntimeError
-        If this numpy seeds ``fold_rng`` otherwise than ``_fold_states``.
     """
     n, d = observations.shape
     means, kappa, dof, scatter = _drop_one_posteriors(observations, prior)
@@ -681,13 +567,10 @@ def _held_out_log_densities(
         v[:, i] = (v[:, i] - (chol[:, i, :i] * v[:, :i]).sum(axis=1)) / chol[:, i, i]
     k = np.arange(d)
     log_diag_c = np.log(chol[:, k, k]).sum(axis=1)
-    rng = fold_rng(seed, category, 0)
-    states = _fold_states(seed, category, n)
-    if rng.bit_generator.state["state"] != dict(zip(("state", "inc"), states[0])):
-        raise RuntimeError(
-            f"numpy {np.__version__} seeds fold_rng({seed}, {category}, 0) otherwise "
-            "than gaussian._fold_states, so the leave-one-out folds cannot be drawn"
-        )
+    rngs = [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence([int(seed), int(category)]).spawn(3)
+    ]
     step = min(n, max(1, _FOLD_BUDGET // (n_draws * d * d)))
     lower = np.empty((step, n_draws, d * (d - 1) // 2))
     chi, eps = np.empty((step, n_draws, d)), np.empty((step, n_draws, d))
@@ -695,7 +578,8 @@ def _held_out_log_densities(
     out = np.empty(n)
     for start in range(0, n, step):
         b = min(step, n - start)
-        _draw_folds(dof, rng, states[start:start + b], lower, chi, eps, a)
+        _generator_draws(dof, *rngs, lower[:b], chi[:b], eps[:b])
+        _bartlett_factors(lower[:b], chi[:b], a[:b])
         folds = slice(start, start + b)
         y = np.einsum("flij,fj->fli", a[:b], v[folds]) - eps[:b] / math.sqrt(kappa)
         log_diag_a = np.log(a[:b, :, k, k]).sum(axis=2)

@@ -209,10 +209,11 @@ def loocv_posteriors(
     """Held-out posterior vector of every observation.
 
     For each fold only the left-out observation's category is refitted (an
-    exact conjugate update on the remaining rows) and redrawn from a stream
-    keyed by (seed, category, row); the other categories reuse the full
-    fit.  The folds of one category run as one batched path, in batches
-    under a memory budget (``gaussian._held_out_log_densities``).  The
+    exact conjugate update on the remaining rows) and redrawn; the other
+    categories reuse the full fit.  The folds of one category draw from
+    three streams spawned from (seed, category) and run as one batched
+    path, in batches under a memory budget
+    (``gaussian._held_out_log_densities``).  The
     held-out log densities replace the full-fit ones in the matrix that
     ``posterior_from_log_densities`` turns into rows, with the same fixed
     ``prior`` for every fold.

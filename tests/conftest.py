@@ -35,3 +35,12 @@ def binary_reward(variant, chosen, true_category, space):
     if variant is BinaryReward.CONTAINS_TRUTH:
         return int(i in chosen)
     return int(bool(block & set(chosen)))  # HITS_TRUE_BLOCK
+
+
+def spawned_streams(seed, category):
+    """The three generators of one category's leave-one-out folds, for the
+    ``normal``, ``chisquare`` and ``standard_normal`` calls in that order."""
+    return [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence([seed, category]).spawn(3)
+    ]

@@ -747,6 +747,24 @@ class TestArgparseBehavior:
         assert not out.exists()
         assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
 
+    @pytest.mark.parametrize("command", ["fit", "tune"])
+    def test_too_many_draws_exit_3_before_any_input(self, workspace, monkeypatch, capsys,
+                                                    command):
+        """``--draws`` above ``MAX_DRAWS`` (patched down to 50 here) exits 3
+        before the data is read; ``MAX_DRAWS`` itself is accepted."""
+        tmp_path, _, data, _ = workspace
+        argv = {
+            "fit": ["fit", "--data", str(data), "--out", str(tmp_path / "out.json")],
+            "tune": ["tune", "--data", str(data), "--out-curve", str(tmp_path / "curve.csv"),
+                     "--out-selection", str(tmp_path / "selection.json"), "--grid-step", "0.5"],
+        }[command]
+        monkeypatch.setattr(cli, "MAX_DRAWS", 50)
+        assert main(argv + ["--draws", "50"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "load_dataset", must_not_run("load_dataset"))
+        assert main(argv + ["--draws", "51"]) == 3
+        assert capsys.readouterr().err == "error: --draws must be at most 50, got 51\n"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out

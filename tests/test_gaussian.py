@@ -33,6 +33,8 @@ from setbayes import (
 from setbayes import gaussian
 from setbayes.gaussian import CategoryDraws
 
+from conftest import spawned_streams
+
 
 def sequential_update(rows, prior):
     """Independent reference: fold observations in one at a time.
@@ -237,68 +239,103 @@ class TestSampler:
 class TestFoldStreams:
     @pytest.mark.parametrize("seed", [0, 9, 2**31 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("category", [1, 7])
-    def test_states_match_fold_rng(self, seed, category):
-        """``_fold_states`` gives each row's ``fold_rng`` PCG64 state.  The
-        seeds take one, two and three 32-bit words; with the category and
-        row words, 2**64 + 3 makes five, one more than the hash's pool."""
-        states = gaussian._fold_states(seed, category, 41)
-        want = [
-            gaussian.fold_rng(seed, category, j).bit_generator.state["state"]
-            for j in range(41)
-        ]
-        assert [{"state": state, "inc": inc} for state, inc in states] == want
+    def test_no_fold_replays_the_full_fit_stream(self, monkeypatch, seed, category):
+        """No value of any fold's Bartlett normals is among the category's
+        full-fit normals, the first ``normal`` values of
+        ``category_rng(seed, category)``, and no two folds share their first
+        normal.  The seeds take one, two and three 32-bit words."""
+        group = np.random.default_rng(43).standard_normal((6, 2))
+        hyper = NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((1.0, 0.0), (0.0, 1.0)))
+        n_draws = 20
+        normals = []
+        draws = gaussian._generator_draws
+
+        def record(dof, *rest):
+            draws(dof, *rest)
+            normals.append(rest[-3].reshape(-1, n_draws, 1).copy())
+
+        monkeypatch.setattr(gaussian, "_generator_draws", record)
+        gaussian._held_out_log_densities(group, hyper, category, n_draws, seed)
+        folds = np.concatenate(normals)
+        assert folds.shape == (6, n_draws, 1)
+        full = gaussian.category_rng(seed, category).normal(size=(n_draws, 1))
+        assert not np.isin(folds, full).any()
+        assert np.unique(folds[:, 0, 0]).size == 6
 
     def test_numpy_seeding_is_pinned(self):
-        """numpy's own PCG64 seeding of two streams, written out.  A numpy
-        that seeds otherwise moves every fit, classify, tune and conformal
-        output, and fails here by name.  ``SeedSequence`` pads words short
-        of its pool with zeros, so [9, 1, 0] and [9, 1] seed one stream."""
-        want = {
+        """numpy's PCG64 seeding of the category stream (9, 1), and the first
+        64-bit output of each of the three streams spawned for its folds,
+        written out.  A numpy that seeds or spawns otherwise moves every
+        fit, classify, tune and conformal output, and fails here by name."""
+        assert gaussian.category_rng(9, 1).bit_generator.state["state"] == {
             "state": 212258717954260339445759644917009673947,
             "inc": 210554441082389327479993656945054459349,
         }
-        assert gaussian.fold_rng(9, 1, 0).bit_generator.state["state"] == want
-        assert gaussian.category_rng(9, 1).bit_generator.state["state"] == want
-
-    def test_guard_refuses_another_hash(self, monkeypatch):
-        """With one hash constant changed, the fold states no longer match
-        ``fold_rng``, and the folds refuse to run rather than draw from
-        other streams."""
-        group = np.random.default_rng(43).standard_normal((6, 2))
-        hyper = NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((1.0, 0.0), (0.0, 1.0)))
-        monkeypatch.setattr(gaussian, "_MULT_A", gaussian._MULT_A ^ 2)
-        with pytest.raises(RuntimeError, match=rf"^numpy {np.__version__} seeds fold_rng\(5, 2, 0\)"):
-            gaussian._held_out_log_densities(group, hyper, 2, 20, 5)
+        assert [rng.bit_generator.random_raw() for rng in spawned_streams(9, 1)] == [
+            1016909882640572817, 8766674352128667259, 12640763316908840429,
+        ]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_batches_match_one_fold_at_a_time(self, d):
-        """Folds drawn in batches into shared buffers, reused from one
-        batch to the next, have the Bartlett factors and mean noise that
-        ``_standard_draws`` draws from a fresh ``fold_rng``, bit for bit,
-        and buffer rows past a batch are left alone.  Both are also the
-        factors of the three generator calls scattered here, one fold at a
-        time."""
+        """Folds drawn in batches of 3 and 2 through ``_generator_draws``
+        into shared buffers, reused from one batch to the next, get slice j
+        of one call per stream over all five folds, bit for bit, and what
+        the calls draw one fold at a time.  Buffer rows past a batch are
+        left alone."""
         seed, category, n_draws, dof = 4, 2, 30, d + 4.5
-        rows, cols = np.tril_indices(d, -1)
         k = np.arange(d)
-        states = gaussian._fold_states(seed, category, 5)
-        rng = gaussian.fold_rng(seed, category, 0)
-        lower = np.empty((4, n_draws, d * (d - 1) // 2))
-        chi, eps = np.empty((4, n_draws, d)), np.empty((4, n_draws, d))
-        a = np.zeros((4, n_draws, d, d))
+        normal, chi_rng, noise = spawned_streams(seed, category)
+        want_lower = normal.normal(size=(5, n_draws, d * (d - 1) // 2))
+        want_chi = chi_rng.chisquare(dof - d + 1 + k, size=(5, n_draws, d))
+        want_eps = noise.standard_normal((5, n_draws, d))
+        batched, single = spawned_streams(seed, category), spawned_streams(seed, category)
+        lower = np.full((4, n_draws, d * (d - 1) // 2), np.nan)
+        chi, eps = np.full((4, n_draws, d), np.nan), np.full((4, n_draws, d), np.nan)
         for batch in (range(0, 3), range(3, 5)):
-            gaussian._draw_folds(dof, rng, states[batch.start:batch.stop], lower, chi, eps, a)
+            b = len(batch)
+            gaussian._generator_draws(dof, *batched, lower[:b], chi[:b], eps[:b])
             for f, j in enumerate(batch):
-                want_a, want_eps = np.zeros((n_draws, d, d)), np.empty((n_draws, d))
-                gaussian._standard_draws(dof, gaussian.fold_rng(seed, category, j), want_a, want_eps)
-                np.testing.assert_array_equal(a[f], want_a)
-                np.testing.assert_array_equal(eps[f], want_eps)
-                ref, ref_a = gaussian.fold_rng(seed, category, j), np.zeros((n_draws, d, d))
-                ref_a[:, rows, cols] = ref.normal(size=(n_draws, rows.size))
-                ref_a[:, k, k] = np.sqrt(ref.chisquare(dof - d + 1 + k, size=(n_draws, d)))
-                np.testing.assert_array_equal(a[f], ref_a)
-                np.testing.assert_array_equal(eps[f], ref.standard_normal((n_draws, d)))
-        assert not a[3].any()
+                one = np.empty_like(lower[0]), np.empty_like(chi[0]), np.empty_like(eps[0])
+                gaussian._generator_draws(dof, *single, *one)
+                for got, want, alone in zip((lower, chi, eps), (want_lower, want_chi, want_eps), one):
+                    np.testing.assert_array_equal(got[f], want[j])
+                    np.testing.assert_array_equal(got[f], alone)
+        assert np.isnan(chi[3]).all() and np.isnan(eps[3]).all()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_folds_follow_the_student_t_predictive(self, monkeypatch, d):
+        """At 4000 draws, each fold's Monte Carlo log density at its held-out
+        row lies within 5 Monte Carlo standard errors of the exact Student-t
+        predictive of its downdated posterior, and the folds' mean error
+        within 5 standard errors of that mean.  The standard error of a
+        fold's log density is sd(f_l) / (mean(f_l) sqrt(draws)) by the delta
+        method, with the per-draw densities f_l taken from the kernel."""
+        rng = np.random.default_rng(60 + d)
+        group = rng.standard_normal((15, d)) * 1.5 + 2.0
+        mats = rng.standard_normal((d, d))
+        hyper = NormalInverseWishart(
+            tuple(rng.standard_normal(d)), 0.5, d + 2.0,
+            tuple(map(tuple, mats @ mats.T + np.eye(d))),
+        )
+        n_draws = 4000
+        per_draw = []
+        reduce = gaussian._logsumexp
+        monkeypatch.setattr(
+            gaussian, "_logsumexp", lambda a: per_draw.append(a.copy()) or reduce(a)
+        )
+        got = gaussian._held_out_log_densities(group, hyper, 3, n_draws, 17)
+        weights = np.exp(np.vstack(per_draw) - got[:, None])
+        se = weights.std(axis=1, ddof=1) / np.sqrt(n_draws)
+        means, kappa, dof, scatter = gaussian._drop_one_posteriors(group, hyper)
+        exact = np.array([
+            closed_form_predictive(
+                NormalInverseWishart(tuple(means[j]), kappa, dof, tuple(map(tuple, scatter[j])))
+            ).logpdf(group[j])
+            for j in range(group.shape[0])
+        ])
+        z = (got - exact) / se
+        assert np.all(np.abs(z) < 5.0), z
+        assert abs(z.mean()) * np.sqrt(z.size) < 5.0, z
 
 
 def random_draws(rng, d, n_draws):
@@ -532,6 +569,18 @@ class TestPosteriors:
         monkeypatch.setattr(gaussian, "_log_densities", lambda *args: pytest.fail("density ran"))
         with pytest.raises(DimensionMismatch, match=rf"^points have shape {re.escape(str(shape))}"):
             posterior_matrix(model, np.full(3, 1 / 3), points)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 1, 1, 2)])
+    def test_one_category_routes_refuse_points_with_more_than_two_axes(self, shape):
+        """``predictive_density`` and ``CategoryDraws.log_density`` refuse
+        points with more than two axes with the ``DimensionMismatch`` of
+        ``posterior_matrix``, naming their shape."""
+        model = fit(small_training_data(np.random.default_rng(61)), n_draws=20, seed=1)
+        match = rf"^points have shape {re.escape(str(shape))}, expected \(rows, 2\)$"
+        with pytest.raises(DimensionMismatch, match=match):
+            predictive_density(model, 1, np.zeros(shape))
+        with pytest.raises(DimensionMismatch, match=match):
+            model.draws[0].log_density(np.zeros(shape))
 
     def test_logsumexp_matches_scipy_bit_for_bit(self):
         """Rows with -inf entries, exact ties at the maximum, dyadic rows

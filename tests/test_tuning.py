@@ -30,10 +30,10 @@ from setbayes import (
     select_b_threshold,
 )
 from setbayes import gaussian, tuning
-from setbayes.gaussian import category_rng, draw_category_sample, fold_rng
+from setbayes.gaussian import category_rng, draw_category_sample
 from setbayes.tuning import MAX_GRID_POINTS
 
-from conftest import binary_reward
+from conftest import binary_reward, spawned_streams
 
 VARIANTS = (
     BinaryReward.EXACT_SINGLETON,
@@ -157,14 +157,14 @@ class TestHeldOutPosteriors:
 
     def test_rows_match_an_independent_recomputation(self, monkeypatch):
         """Rebuild every fold with scipy: refit the held-out row's category on
-        the retained rows, redraw it from the fold's stream, average the
-        per-draw Gaussian densities, take the full-fit draws for the other
-        categories and apply Bayes' rule.  Checked at the default fold
-        budget, and at budgets of 1 and of 3 folds per batch, which split
-        the categories."""
+        the retained rows, draw it from slice j of one call per spawned
+        stream of the category, average the per-draw Gaussian densities,
+        take the full-fit draws for the other categories and apply Bayes'
+        rule.  Checked at the default fold budget, and at budgets of 1 and
+        of 3 folds per batch, which split the categories."""
         data, space = blocked_data(np.random.default_rng(47), counts=(7, 5, 4))
         prior = np.array([0.5, 0.3, 0.2])
-        seed, n_draws = 9, 25
+        seed, n_draws, d = 9, 25, data.dim
         hyper = default_hyperprior(data)
         full = [
             draw_category_sample(conjugate_update(g, hyper), n_draws, category_rng(seed, i))
@@ -176,14 +176,28 @@ class TestHeldOutPosteriors:
             per_draw = [multivariate_normal.logpdf(x, m, c) for m, c in zip(draws.means, covs)]
             return logsumexp(per_draw) - np.log(n_draws)
 
+        rows, cols = np.tril_indices(d, -1)
+        k = np.arange(d)
         want = []
         for i, group in enumerate(data.groups, start=1):
-            for j in range(group.shape[0]):
+            n = group.shape[0]
+            normal, chi, noise = spawned_streams(seed, i)
+            dof = hyper.dof + n - 1
+            normals = normal.normal(size=(n, n_draws, rows.size))
+            chis = chi.chisquare(dof - d + 1 + k, size=(n, n_draws, d))
+            noises = noise.standard_normal((n, n_draws, d))
+            for j in range(n):
                 refit = conjugate_update(drop_row(data, i, j), hyper)
-                own = draw_category_sample(refit, n_draws, fold_rng(seed, i, j))
+                assert refit.dof == dof
+                bartlett = np.zeros((n_draws, d, d))
+                bartlett[:, rows, cols] = normals[j]
+                bartlett[:, k, k] = np.sqrt(chis[j])
+                chols = np.linalg.cholesky(refit.scatter_array()) @ np.linalg.inv(bartlett)
+                means = refit.mean_array() + (chols @ noises[j][:, :, None])[:, :, 0] / np.sqrt(refit.kappa)
+                own = gaussian.CategoryDraws(means, chols)
                 logf = np.array([
-                    log_density(own if k == i else full[k - 1], group[j])
-                    for k in range(1, space.n_categories + 1)
+                    log_density(own if c == i else full[c - 1], group[j])
+                    for c in range(1, space.n_categories + 1)
                 ])
                 logpost = logf + np.log(prior)
                 want.append(np.exp(logpost - logsumexp(logpost)))
