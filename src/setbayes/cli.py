@@ -24,6 +24,7 @@ import warnings
 
 import numpy as np
 
+from . import dataset
 from .classifiers import check_exhaustive, exhaustive_sets, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps cli.PosteriorVector
@@ -73,10 +74,6 @@ from .tuning import (
 #: as several (draws, d, d) arrays at once, 7.2 MB each at the limit and
 #: d = 3, so memory stays bounded whatever the argument.
 MAX_DRAWS = 100_000
-#: Report rows formatted per write in ``classify``; a block's byte matrix
-#: takes about 50 bytes per float, so the peak memory stays near that of
-#: the per-row writer before it.
-_WRITE_BLOCK = 256
 #: Bytes that ``np.loadtxt`` strips around a number as whitespace and
 #: ``float()`` refuses; a query file holding one is read row by row.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -192,7 +189,8 @@ def _read_observations(path, feature_names) -> np.ndarray:
         data = raw.read()
 
     def text():
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+        # "utf-8-sig" drops a leading byte-order mark, as read_csv_rows does
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
     fh = text()
     header = read_header(csv.reader(fh))
@@ -259,10 +257,20 @@ def _cmd_fit(args) -> int:
 def _set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """The ``,set,set_size`` cells of each distinct row of ``members``, as
     ``csv.writer`` renders them, in UTF-8 padded with ``FILL``: one row of
-    a byte matrix per distinct set, and the index of every row's cells."""
+    a byte matrix per distinct set, and the index of every row's cells.
+
+    Rows are grouped by a stable sort of their packed membership bytes,
+    so the sets come in byte order and each is rendered from its first
+    row, as ``np.unique`` over the packed rows would give them.
+    """
     packed = np.packbits(members, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    which = np.empty_like(order)
+    which[order] = np.cumsum(starts) - 1
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cells = []
@@ -274,18 +282,22 @@ def _set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
         buf.truncate()
     width = max((len(c) for c in cells), default=0)
     chars = np.frombuffer(b"".join(c.ljust(width, FILL) for c in cells), dtype=np.uint8)
-    return chars.reshape(len(cells), width), which.ravel()
+    return chars.reshape(len(cells), width), which
 
 
 def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
     """Write ``classify``'s header and one CSV line per row of ``post``.
 
-    Lines are built ``_WRITE_BLOCK`` rows at a time as one byte matrix:
-    each row's number, its floats as ``format_floats`` lays them out, its
-    set's cells from ``_set_cells``, and the separators.  The block's text
-    is that matrix's bytes with every ``FILL`` byte deleted.
+    A block of rows is one ``format_floats`` pass: ``_FORMAT_CHUNK``
+    floats, so ``_FORMAT_CHUNK // floats per row`` rows and at least one,
+    and the formatting scratch is set by the chunk, not by the rows.  Each
+    block fills one byte matrix, reused from block to block, with a line
+    per row: the row's number, its floats as ``format_floats`` lays them
+    out, its set's cells from ``_set_cells``, and the separators, which
+    are written once.  The block's text is that matrix's bytes with every
+    ``FILL`` byte deleted.
     """
-    columns = [post, values] + ([] if oracle is None else [oracle])
+    tail = [values] + ([] if oracle is None else [oracle])
     csv.writer(fh, lineterminator="\n").writerow(
         ["row"]
         + [f"p_{label}" for label in labels]
@@ -293,25 +305,35 @@ def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
         + (["oracle_value"] if oracle is not None else [])
     )
     cells, which = _set_cells(members, labels)
-    n_post = post.shape[1]
-    powers = 10 ** np.arange(len(str(post.shape[0])) - 1, -1, -1)
-    for start in range(0, post.shape[0], _WRITE_BLOCK):
-        block = slice(start, start + _WRITE_BLOCK)
-        chars = format_floats(np.column_stack([c[block] for c in columns]))
-        rows = np.arange(start + 1, start + 1 + len(post[block]))[:, None]
-        chars = chars.reshape(rows.size, -1, FLOAT_COLUMNS)
-        comma = np.full((rows.size, 1), ord(","), dtype=np.uint8)
-        floats = [field for i in range(chars.shape[1]) for field in (comma, chars[:, i])]
-        fields = [
-            # the row number, its leading zeros filled
-            np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0]).astype(np.uint8),
-            *floats[:2 * n_post],
-            cells[which[block]],
-            *floats[2 * n_post:],
-            np.full((rows.size, 1), ord("\n"), dtype=np.uint8),
-        ]
-        text = np.concatenate(fields, axis=1).tobytes().translate(None, FILL)
-        fh.write(text.decode("utf-8"))
+    n_rows, n_post = post.shape
+    n_floats = n_post + len(tail)
+    block = max(1, min(dataset._FORMAT_CHUNK // n_floats, n_rows))
+    powers = 10 ** np.arange(len(str(n_rows)) - 1, -1, -1)
+    # a line: the row number, a comma and a float per posterior column,
+    # the set's cells, a comma and a float per tail column, the newline
+    field = FLOAT_COLUMNS + 1
+    at_cells = powers.size + field * n_post
+    at_tail = at_cells + cells.shape[1]
+    lines = np.empty((block, at_tail + field * len(tail) + 1), dtype=np.uint8)
+    head_fields = lines[:, powers.size:at_cells].reshape(block, n_post, field)
+    tail_fields = lines[:, at_tail:-1].reshape(block, len(tail), field)
+    head_fields[:, :, 0] = tail_fields[:, :, 0] = ord(",")
+    lines[:, -1] = ord("\n")
+    floats = np.empty((block, n_floats))
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        m = stop - start
+        floats[:m, :n_post] = post[start:stop]
+        for j, column in enumerate(tail, start=n_post):
+            floats[:m, j] = column[start:stop]
+        chars = format_floats(floats[:m]).reshape(m, n_floats, FLOAT_COLUMNS)
+        head_fields[:m, :, 1:] = chars[:, :n_post]
+        tail_fields[:m, :, 1:] = chars[:, n_post:]
+        rows = np.arange(start + 1, stop + 1)[:, None]
+        # the row number, its leading zeros filled
+        lines[:m, :powers.size] = np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0])
+        lines[:m, at_cells:at_tail] = cells[which[start:stop]]
+        fh.write(lines[:m].tobytes().translate(None, FILL).decode("utf-8"))
 
 
 def _cmd_classify(args) -> int:

@@ -77,8 +77,10 @@ def read_header(reader) -> list[str]:
 
 
 def read_csv_rows(path, numeric_columns):
-    """``csv_rows`` of the CSV file at ``path``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """``csv_rows`` of the CSV file at ``path``, decoded as UTF-8 without
+    a leading byte-order mark, which spreadsheets write and which would
+    otherwise start the first column's name."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         yield from csv_rows(fh, numeric_columns)
 
 
@@ -193,8 +195,11 @@ FILL = b"\xff"
 #: integer digits, the point, three leading fraction zeros, 17 fraction
 #: digits, then ``e``, the exponent's sign and three exponent digits.
 FLOAT_COLUMNS = 45
-#: Floats converted per pass of ``format_floats``; bounds its scratch arrays.
-_FORMAT_CHUNK = 2**12
+#: Floats converted per pass of ``format_floats``, 64 KB per uint64
+#: scratch array.  Smaller passes pay numpy's per-call cost more often;
+#: larger ones spill the scratch arrays out of the cache.  ``classify``'s
+#: writer formats one pass per block of rows.
+_FORMAT_CHUNK = 2**13
 #: Each row's characters before the digits and the exponent are filled in.
 _CANVAS = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b"e+000", dtype=np.uint8)
 # Constants of the uint64 arithmetic: under numpy 1.24's casting rules an
@@ -313,15 +318,17 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = _floor_log10_pow2(q, asym)
     h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
     g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
+    odd = c & _1
     # vb, vbl, vbr: the float and the bounds of its rounding interval, as
     # 4 (c, c -/+ 1/2) * 2**q * 10**-k, rounded to odd
-    cb = c << _2
-    cp = cb << h
+    cp = (c << _2) << h
     lo, hi = cp & _M32, cp >> _32
     p0 = _mul128(g0, lo, hi, cp)
     p1 = _mul128(g1, lo, hi, cp)
+    # scratch arrays are released once spent, so that a pass holds fewer
+    # at a time
+    del bq, q, t, c, cp, lo, hi
     vb = _round_odd(p0, p1)
-    odd = c & _1
     s_right = h + _1
     s_left = s_right - asym
     bounds = []
@@ -333,8 +340,10 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _add128(p0, (g0 >> back, g0 << shift), sign),
             _add128(p1, (g1 >> back, g1 << shift), sign),
         ))
+    del p0, p1, g0, g1, h, s_left, s_right, shift, back
     # an odd significand's interval is open: its bounds round away
     vbl, vbr = bounds[0] + odd, bounds[1] - odd
+    del bounds, odd
     s = vb >> _2
     sp10 = (s // _10) * _10
     tp10 = sp10 + _10

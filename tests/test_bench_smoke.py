@@ -1,9 +1,12 @@
-"""The benchmark's tune workload runs, traced, and passes its own checks.
+"""Shrunken benchmark runs pass the benchmark's own checks.
 
-``bench/run.py`` checks the ``tune`` outputs it times (nested rates, the
-threshold selections) and traces the fold path through the names
-``bench/tracing.py`` wraps.  A change to that path that breaks either
-fails here, on a shrunken workload, rather than in a full benchmark run.
+``bench/run.py`` checks the outputs it times: for ``tune`` the nested
+rates and the threshold selections, traced through the names
+``bench/tracing.py`` wraps; for ``classify`` the rows of ``sets.csv``,
+read back, against a per-draw recomputation of the posteriors and, row
+by row, against the exhaustive oracle's value.  A
+change that breaks either fails here, on a shrunken workload, rather than
+in a full benchmark run.
 """
 
 import json
@@ -14,10 +17,12 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def test_tiny_traced_tune_run_is_correct():
+def tiny_run(workload, trace):
+    """Run ``workload`` at its tiny size for one second and check that its
+    result line reports correct outputs and no failed call."""
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "tune-warbler", "--tiny",
-         "--seconds", "1", "--trace", "1", "--seed", "101"],
+        [sys.executable, str(RUN), "--workload", workload, "--tiny",
+         "--seconds", "1", "--trace", str(trace), "--seed", "101"],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -25,3 +30,11 @@ def test_tiny_traced_tune_run_is_correct():
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] > 0
+
+
+def test_tiny_traced_tune_run_is_correct():
+    tiny_run("tune-warbler", trace=1)
+
+
+def test_tiny_classify_run_is_correct():
+    tiny_run("classify-decide", trace=0)

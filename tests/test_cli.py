@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -503,6 +504,43 @@ class TestReadObservations:
         assert got.shape == points.shape and got.flags.c_contiguous
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which spreadsheets write at the start of
+    "CSV UTF-8" files, is not part of the first column's name."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_training_file(self, workspace):
+        tmp_path, _, data, model = workspace
+        text = data.read_bytes()
+        assert text.startswith(b"# ")
+        uncommented = text.split(b"\n", 1)[1]
+        for name, content in [("commented", text), ("uncommented", uncommented)]:
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            path.write_bytes(self.BOM + content)
+            assert main(["fit", "--data", str(path), "--out", str(out),
+                         "--draws", "80", "--seed", "2"]) == 0
+            assert out.read_bytes() == model.read_bytes()
+
+    @pytest.mark.parametrize("comment", [False, True])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "row-reader"])
+    def test_query_file(self, workspace, comment, quoted):
+        tmp_path, _, _, model = workspace
+        points = np.random.default_rng(5).uniform(-1.0, 6.0, size=(30, 2)).tolist()
+        q = '"' if quoted else ""  # loadtxt refuses a quoted number
+        lines = ["# queries"] * comment + ["x1,x2"] + [f"{q}{a!r}{q},{b!r}" for a, b in points]
+        text = "\n".join(lines).encode() + b"\n"
+        written_sets = []
+        for name, content in [("plain", text), ("marked", self.BOM + text)]:
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-sets.csv"
+            path.write_bytes(content)
+            assert main(["classify", "--model", str(model), "--data", str(path),
+                         "--reward", '{"kind": "proportion", "c": 0.3}', "--out", str(out)]) == 0
+            written_sets.append(out.read_bytes())
+        assert written_sets[0] == written_sets[1]
+        assert written_sets[0].count(b"\n") == 32
+
+
 class TestSetsWriter:
     LABELS = ("plain", 'say "hi"', "a,b", "naïve β")
     SUBNORMALS = (5e-324, 2.225073858507201e-308)
@@ -544,10 +582,79 @@ class TestSetsWriter:
         assert ",-0.0\n" in text and ",-2.225073858507201e-308\n" in text and ",-1e+16\n" in text
 
     def test_rows_cross_block_boundaries(self, monkeypatch):
-        monkeypatch.setattr(cli, "_WRITE_BLOCK", 3)
+        """A block is ``_FORMAT_CHUNK // floats per row`` rows and at least
+        one: one-row blocks, blocks that split the 10 rows, and one block
+        exactly as long as the rows.  The oracle column, a sixth float per
+        row beside the four posteriors and the value, changes the block.
+        No rows give the header alone."""
         post, members, values = self.inputs(10, seed=1)
-        args = (self.LABELS, post, members, values)
-        assert written(cli._write_sets, *args) == written(reference_write_sets, *args)
+        passes = []
+
+        def recorded(floats):
+            passes.append(floats.size)
+            return dataset.format_floats(floats)
+
+        monkeypatch.setattr(cli, "format_floats", recorded)
+        for chunk, oracle, expected in [
+            (3, False, [5] * 10),
+            (6, True, [6] * 10),
+            (15, False, [15, 15, 15, 5]),
+            (15, True, [12] * 5),
+            (50, False, [50]),
+            (60, True, [60]),
+            (61, True, [60]),
+        ]:
+            monkeypatch.setattr(dataset, "_FORMAT_CHUNK", chunk)
+            args = (self.LABELS, post, members, values) + ((values[::-1],) if oracle else ())
+            passes.clear()
+            assert written(cli._write_sets, *args) == written(reference_write_sets, *args)
+            assert passes == expected, (chunk, oracle)
+        empty = (self.LABELS, post[:0], members[:0], values[:0])
+        assert written(cli._write_sets, *empty) == written(reference_write_sets, *empty)
+
+    def test_memory_is_set_by_the_chunk(self, monkeypatch):
+        """With the chunk at 2**8 floats, the writer's peak under
+        ``tracemalloc`` grows by at most 64 bytes a row from 1,000 rows to
+        4,000 (about 19 measured): the grouping of rows by set, not the
+        text.  One block for every row would grow by about 2,300."""
+        monkeypatch.setattr(dataset, "_FORMAT_CHUNK", 2**8)
+        peaks = []
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            for rows in (1000, 4000):
+                post, members, values = self.inputs(rows, seed=3)
+                args = (sink, self.LABELS, post, members, values, values[::-1])
+                cli._write_sets(*args)  # the float tables are built on first use
+                tracemalloc.start()
+                try:
+                    cli._write_sets(*args)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 64 * 3000
+
+    @pytest.mark.parametrize("n_labels", [3, 8, 9, 70])
+    def test_sets_are_grouped_as_unique_groups_them(self, n_labels):
+        """``_set_cells`` numbers the distinct sets as ``np.unique`` over
+        the packed rows does, with one cell row per set, whether the
+        membership rows pack into one byte or nine, also where sets share
+        every byte but the last."""
+        rng = np.random.default_rng(n_labels)
+        pool = rng.random((12, n_labels)) < 0.3
+        pool[0], pool[1] = False, True
+        pool[6:] = pool[:6]
+        pool[6:, -1] ^= True  # pairs of sets that differ in their last byte alone
+        members = pool[rng.integers(0, len(pool), size=500)]
+        packed = np.packbits(members, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        labels = [f"c{i}" for i in range(n_labels)]
+        cells, got = cli._set_cells(members, labels)
+        assert np.array_equal(got, which.ravel())
+        assert cells.shape[0] == len(first)
+        for k, r in enumerate(first):
+            text = cells[k].tobytes().replace(dataset.FILL, b"").decode()
+            chosen = np.flatnonzero(members[r])
+            assert text == f",{';'.join(labels[i] for i in chosen)},{chosen.size}"
 
     def test_classify_file_matches_reference(self, tmp_path):
         spec = {
