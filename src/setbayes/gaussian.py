@@ -13,6 +13,8 @@ sampler code.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -30,12 +32,20 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Elements of ``CategoryDraws.log_density``'s one scratch buffer of
-#: (rows, draws) log densities: 512 KB of float64, which stays in a 2 MiB
-#: per-core L2 cache while each chunk's passes run over it.  A chunk holds
-#: ``_BUDGET // n_draws`` rows (at least one), so the kernel's memory stays
-#: bounded whatever the draw count.
-_BUDGET = 1 << 16
+#: Elements of scratch one ``CategoryDraws.log_density`` call may hold
+#: over all its workers: 1 MiB of float64, room for ``_BUDGET // _SHARE``
+#: workers.  Also the block size, in elements, of the calibration's
+#: scoring and factor application.
+_BUDGET = 1 << 17
+
+#: Elements of one worker's scratch buffer of (rows, draws) log densities:
+#: 512 KB of float64, which stays in a 2 MiB per-core L2 cache while each
+#: chunk's passes run over it.  A chunk holds ``min(_SHARE, _BUDGET) //
+#: n_draws`` rows (at least one) at any worker count, so the kernel's
+#: memory stays bounded whatever the draw count.  One 1 MiB buffer ran
+#: slower on one CPU at d = 3, and two workers with smaller shares lost
+#: the gain to the hand-offs of the interpreter lock.
+_SHARE = 1 << 16
 
 #: Elements of one batch's (folds, draws, d, d) Bartlett factors in
 #: ``_held_out_log_densities``: 256 KB of float64, about 18 folds at 200
@@ -283,15 +293,55 @@ def _log_sum_exp_chunk(
         out += top
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset -c 0`` gives one), else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
     """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
-    ``_BUDGET // draws`` rows (at least one) through one scratch buffer."""
-    chunks = _chunks(feats.shape[0], max(1, _BUDGET // coef.shape[1]))
+    ``min(_SHARE, _BUDGET) // draws`` rows (at least one).
+
+    One worker per CPU, up to ``_BUDGET // _SHARE`` and one per two
+    chunks, takes every workers-th chunk into its own buffer and writes
+    its rows of the output; the calling thread is one of them.  The GEMM,
+    exp and sums release the interpreter lock, so the workers run at
+    once.  Starting a thread and passing the lock back and forth cost
+    about one chunk's work, so a worker with a single chunk would lose
+    time.  The chunks do not depend on the worker count, so neither do
+    the bits.
+    """
+    n, draws = feats.shape[0], coef.shape[1]
+    chunks = _chunks(n, max(1, min(_SHARE, _BUDGET) // draws))
+    workers = max(1, min(_cores(), _BUDGET // _SHARE, len(chunks) // 2))
     widest = max((stop - start for start, stop in chunks), default=0)
-    buf = np.empty((widest, coef.shape[1]))
-    out = np.empty(feats.shape[0])
-    for start, stop in chunks:
-        _log_sum_exp_chunk(feats[start:stop], coef, buf, out[start:stop], shift)
+    bufs = np.empty((workers, widest, draws))
+    out = np.empty(n)
+    failed = []
+
+    def work(k):
+        try:
+            # A new thread does not inherit its caller's floating-point
+            # state.  An overflow leaves inf, -inf or nan (inf - inf) in a
+            # row, which the caller resolves.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for start, stop in chunks[k::workers]:
+                    _log_sum_exp_chunk(feats[start:stop], coef, bufs[k], out[start:stop], shift)
+        except BaseException as exc:  # re-raised below, in the calling thread
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return out
 
 
@@ -347,10 +397,12 @@ class CategoryDraws:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
         The features of every row are built once; the rows then go in
-        chunks of ``_BUDGET // n_draws`` (at least one) through one scratch
-        buffer, each chunk one GEMM of its features against ``coef``, which
-        is shifted by the bound ``peak``, then an in-place exp, sum and
-        log.  A row whose sum falls below 2**-800, or is not finite, goes
+        chunks of ``_SHARE // n_draws`` (at least one), split among the
+        call's workers (see ``_chunked_log_sum_exp``) with a scratch
+        buffer each, each chunk one GEMM of its features against
+        ``coef``, which is shifted by the bound ``peak``, then an in-place
+        exp, sum and log; the bits do not depend on the worker count.  A
+        row whose sum falls below 2**-800, or is not finite, goes
         through the chunks once more, shifted by its own maximum, so heavy
         tails and tiny densities cannot underflow to an unusable zero.
         Those rows go in groups of at least two, so that none takes BLAS's

@@ -1,12 +1,13 @@
 """Shrunken benchmark runs pass the benchmark's own checks.
 
 ``bench/run.py`` checks the outputs it times: for ``tune`` the nested
-rates and the threshold selections, traced through the names
-``bench/tracing.py`` wraps; for ``classify`` the rows of ``sets.csv``,
-read back, against a per-draw recomputation of the posteriors and, row
-by row, against the exhaustive oracle's value.  A
-change that breaks either fails here, on a shrunken workload, rather than
-in a full benchmark run.
+rates and the threshold selections; for ``classify`` the rows of
+``sets.csv``, read back, against a per-draw recomputation of the
+posteriors and, row by row, against the exhaustive oracle's value; for
+``conformal`` the audited coverage against its band.  The traced runs
+also go through the names ``bench/tracing.py`` wraps and build its span
+tree.  A change that breaks any of these fails here, on a shrunken
+workload, rather than in a full benchmark run.
 """
 
 import json
@@ -38,3 +39,11 @@ def test_tiny_traced_tune_run_is_correct():
 
 def test_tiny_classify_run_is_correct():
     tiny_run("classify-decide", trace=0)
+
+
+def test_tiny_conformal_run_is_correct():
+    tiny_run("conformal-two", trace=0)
+
+
+def test_tiny_traced_classify_dense_run_is_correct():
+    tiny_run("classify-dense", trace=1)

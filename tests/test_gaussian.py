@@ -1,4 +1,7 @@
+import multiprocessing
+import queue
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -456,10 +459,9 @@ class TestPredictiveDensity:
                 assert sum(rescued) == (max(2, n_far) if n_far else 0), f"{n} rows"
                 assert 1 not in rescued
 
-    def test_near_points_take_one_pass_per_chunk(self, monkeypatch):
-        """Points within a few standard deviations of the draws make one
-        chunk call per chunk, none of them shifted by its row maximum: the
-        bound keeps every row's sum far above 2**-800."""
+    def near_point_chunk_calls(self, monkeypatch):
+        """The (rows, shift) of each chunk call on 200 points within a few
+        standard deviations of 1000 draws, with a budget of 64 rows."""
         rng = np.random.default_rng(113)
         draws = random_draws(rng, 3, 1000)
         points = draws.center + rng.standard_normal((200, 3)) * 3.0
@@ -473,7 +475,73 @@ class TestPredictiveDensity:
         )
         monkeypatch.setattr(gaussian, "_BUDGET", 64 * draws.n_draws)
         draws.log_density(points)
-        assert calls == [(64, False)] * 3 + [(8, False)]
+        return calls
+
+    def test_near_points_take_one_pass_per_chunk(self, monkeypatch):
+        """Points within a few standard deviations of the draws make one
+        chunk call per chunk, none of them shifted by its row maximum: the
+        bound keeps every row's sum far above 2**-800."""
+        monkeypatch.setattr(gaussian, "_cores", lambda: 1)
+        assert self.near_point_chunk_calls(monkeypatch) == [(64, False)] * 3 + [(8, False)]
+
+    def test_near_points_take_one_pass_per_chunk_in_two_workers(self, monkeypatch):
+        """With the budget in two shares of 32 rows, two workers take the
+        chunks, and still no chunk is shifted.  The workers' calls
+        interleave, so they are compared in order of size."""
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        monkeypatch.setattr(gaussian, "_SHARE", 32 * 1000)
+        calls = self.near_point_chunk_calls(monkeypatch)
+        assert sorted(calls, reverse=True) == [(32, False)] * 6 + [(8, False)]
+
+    @pytest.mark.parametrize("n_draws", [100, 101])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, n_draws):
+        """Every call of 2 to 40 rows gives the same bits at 1, 2 and 3
+        workers, also with every seventh row, from row 5, 200 units out,
+        where the row goes through the chunks again, shifted by its own
+        maximum.  The budget is 600 elements in shares of 200, so at 100
+        draws the chunks hold 2 rows, the same bits as one chunk, and at
+        101 draws single rows, which go through BLAS's matrix-vector
+        routine at every worker count.  A worker starts only for two
+        chunks of its own."""
+        rng = np.random.default_rng(139)
+        draws = random_draws(rng, 3, n_draws)
+        points = rng.standard_normal((40, 3)) * 2.0
+        mixed = points.copy()
+        far = np.arange(4, 40, 7)
+        directions = rng.standard_normal((far.size, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        mixed[far] = draws.center + 200.0 * directions
+        seen = []
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, coef, buf, out, shift: (
+                seen.append((threading.current_thread(), shift))
+            ) or chunk(feats, coef, buf, out, shift),
+        )
+        step = 200 // n_draws
+        for rows in (points, mixed):
+            for n in range(2, 41):
+                monkeypatch.setattr(gaussian, "_cores", lambda: 1)
+                monkeypatch.setattr(gaussian, "_BUDGET", n * n_draws)
+                monkeypatch.setattr(gaussian, "_SHARE", n * n_draws)
+                whole = draws.log_density(rows[:n])
+                assert np.all(np.isfinite(whole))
+                monkeypatch.setattr(gaussian, "_BUDGET", 600)
+                monkeypatch.setattr(gaussian, "_SHARE", 200)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
+                    seen.clear()
+                    got = draws.log_density(rows[:n])
+                    if workers == 1:
+                        alone = got
+                        if step > 1:
+                            np.testing.assert_array_equal(alone, whole, err_msg=f"{n} rows")
+                    np.testing.assert_array_equal(got, alone, err_msg=f"{n} rows, {workers} workers")
+                    # ``seen`` holds the threads, so their ids stay distinct.
+                    threads = {id(thread) for thread, shift in seen if not shift}
+                    assert len(threads) == max(1, min(workers, len(gaussian._chunks(n, step)) // 2))
+                    assert any(shift for _, shift in seen) == (rows is mixed and n > 4)
 
     def test_kernel_memory_is_bounded_by_the_budget(self):
         """Beyond the features (rows x k) and the output, a call on 20000
@@ -513,6 +581,97 @@ class TestPredictiveDensity:
         assert got[1] == -np.inf
         assert np.all(np.isfinite(got[[0, 2]]))
         np.testing.assert_array_equal(got[[0, 2]], draws.log_density(points[[0, 2]]))
+
+    def test_overflow_in_a_worker_share_is_minus_inf(self, monkeypatch):
+        """Rows whose arithmetic overflows get -inf, with no RuntimeWarning,
+        also in a worker thread, which does not inherit the caller's
+        floating-point state: two workers take chunks of 2 of 40 rows, and
+        the worker's first chunk, rows 3 and 4, overflows; so do its
+        chunks of the shifted second pass over the eight far rows."""
+        base = random_draws(np.random.default_rng(109), 3, 30)
+        draws = CategoryDraws(base.means, base.chols * 1e-5)
+        points = np.random.default_rng(151).standard_normal((40, 3))
+        far = np.array([2, 3, 9, 17, 22, 30, 31, 38])
+        points[far] = [1e200, -1e200, 1e200]
+        monkeypatch.setattr(gaussian, "_BUDGET", 4 * 30)
+        monkeypatch.setattr(gaussian, "_SHARE", 2 * 30)
+        monkeypatch.setattr(gaussian, "_cores", lambda: 1)
+        alone = draws.log_density(np.delete(points, far, axis=0))
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        workers = {False: set(), True: set()}
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, coef, buf, out, shift: (
+                workers[shift].add(threading.current_thread())
+            ) or chunk(feats, coef, buf, out, shift),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = draws.log_density(points)
+        assert [len(workers[shift]) for shift in (False, True)] == [2, 2]
+        assert np.all(got[far] == -np.inf)
+        np.testing.assert_array_equal(np.delete(got, far), alone)
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        """An exception raised in a worker thread is raised again by the
+        call, after every worker has finished."""
+        rng = np.random.default_rng(163)
+        draws = random_draws(rng, 3, 1000)
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        chunk = gaussian._log_sum_exp_chunk
+
+        def fail_in_a_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            chunk(*args)
+
+        monkeypatch.setattr(gaussian, "_log_sum_exp_chunk", fail_in_a_worker)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker"):
+            draws.log_density(rng.standard_normal((400, 3)))
+        assert threading.active_count() == before
+
+    def test_forked_child_after_a_threaded_call_returns_the_densities(self, monkeypatch):
+        """A child forked after a call that ran two workers makes the same
+        call, in two workers again, and returns the parent's densities
+        within a timeout instead of waiting on threads the fork did not
+        copy."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        rng = np.random.default_rng(157)
+        draws = random_draws(rng, 3, 1000)
+        points = rng.standard_normal((400, 3)) * 2.0
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        workers = set()
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda *args: workers.add(threading.current_thread()) or chunk(*args),
+        )
+        parent = draws.log_density(points)
+        assert len(workers) == 2
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+
+        def child():
+            workers.clear()
+            results.put((draws.log_density(points), len(workers)))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            got, child_workers = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child did not return its densities within 60 s")
+        finally:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert child_workers == 2
+        np.testing.assert_array_equal(got, parent)
 
     def test_monte_carlo_matches_closed_form(self):
         """With many draws the averaged density approaches the exact
