@@ -27,6 +27,7 @@ from .rewards import (
     PenaltySequence,
     ProportionBased,
     RewardSpec,
+    _check_cost,
     value_function,  # unused here, but bench/tracing.py wraps classifiers.value_function
     weighted_sum,
 )
@@ -163,10 +164,7 @@ def conformal_classifier(p: PosteriorVector, cost: float) -> ClassifiedSet:
     returned set shrinks as ``cost`` grows, so a calibrated ``cost``
     controls how often the true category is dropped.
     """
-    cost = float(cost)
-    if not np.isfinite(cost) or cost < 0.0:
-        raise OutOfRange(f"cost must be finite and nonnegative, got {cost}")
-    members = np.flatnonzero(p.p >= cost) + 1
+    members = np.flatnonzero(p.p >= _check_cost(cost)) + 1
     return ClassifiedSet.of(members.tolist(), p.n_categories)
 
 

@@ -37,7 +37,7 @@ from .dataset import (
     format_floats,
     generate_rows,
     load_dataset,
-    load_generator_spec,
+    parse_generator_spec,
     read_header,
     write_dataset,
 )
@@ -214,7 +214,7 @@ def _read_observations(path, feature_names) -> np.ndarray:
 
 
 def _cmd_synth(args) -> int:
-    categories, feature_names = load_generator_spec(args.spec)
+    categories, feature_names = parse_generator_spec(_read_json(args.spec))
     rows, labels, blocks = generate_rows(categories, args.seed)
     metadata = {
         "command": "synth",

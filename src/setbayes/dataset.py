@@ -556,12 +556,3 @@ def generate_rows(
     if not all_rows:
         raise SchemaError("every category has count 0; nothing to write")
     return np.vstack(all_rows), labels, blocks
-
-
-def load_generator_spec(path) -> tuple[list[GeneratorCategory], tuple[str, ...]]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from None
-    return parse_generator_spec(obj)

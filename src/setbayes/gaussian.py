@@ -41,8 +41,8 @@ _BUDGET = 1 << 17
 #: Elements of one worker's scratch buffer of (rows, draws) log densities:
 #: 512 KB of float64, which stays in a 2 MiB per-core L2 cache while each
 #: chunk's passes run over it.  A chunk holds ``min(_SHARE, _BUDGET) //
-#: n_draws`` rows (at least one) at any worker count, so the kernel's
-#: memory stays bounded whatever the draw count.  One 1 MiB buffer ran
+#: n_draws`` rows (at least two) at any worker count, so a call's scratch
+#: stays within ``max(_BUDGET, 2 n_draws)`` elements.  One 1 MiB buffer ran
 #: slower on one CPU at d = 3, and two workers with smaller shares lost
 #: the gain to the hand-offs of the interpreter lock.
 _SHARE = 1 << 16
@@ -257,20 +257,6 @@ def _features(z: np.ndarray, center: np.ndarray) -> np.ndarray:
     return feats.T
 
 
-def _chunks(n: int, step: int) -> list[tuple[int, int]]:
-    """(start, stop) of ``n`` rows in chunks of ``step`` rows.
-
-    A one-row product goes through BLAS's matrix-vector routine, whose sums
-    may round differently from a GEMM's, so when ``step`` > 1 a one-row
-    tail joins the chunk before it and no row's bits depend on the
-    chunking.
-    """
-    bounds = [*range(0, n, step), n]
-    if step > 1 and len(bounds) > 2 and n - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _log_sum_exp_chunk(
     feats: np.ndarray, coef: np.ndarray, buf: np.ndarray, out: np.ndarray,
     shift: bool,
@@ -280,9 +266,18 @@ def _log_sum_exp_chunk(
     in-place exp, a sum and a log.  With ``shift``, each row is first
     shifted by its own maximum, which is added back after the log; a row
     whose maximum is not finite (its arithmetic overflowed) is not
-    shifted."""
-    logp = buf[:feats.shape[0]]
-    np.matmul(feats, coef, out=logp)
+    shifted.
+
+    A one-row product would go through BLAS's matrix-vector routine, whose
+    sums may round differently from a GEMM's, so a chunk of one row goes
+    through the GEMM as two copies of it, in the column-major layout
+    ``_features`` gives, and ``buf`` must hold two rows.  Every row then
+    has the bits it has in any chunk."""
+    rows = feats.shape[0]
+    if rows == 1:
+        feats = feats.T.repeat(2, axis=1).T
+    np.matmul(feats, coef, out=buf[:feats.shape[0]])
+    logp = buf[:rows]
     if shift:
         top = logp.max(axis=1)
         top[~np.isfinite(top)] = 0.0
@@ -304,11 +299,12 @@ def _cores() -> int:
 
 def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
     """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
-    ``min(_SHARE, _BUDGET) // draws`` rows (at least one).
+    ``min(_SHARE, _BUDGET) // draws`` rows (at least two).
 
-    One worker per CPU, up to ``_BUDGET // _SHARE`` and one per two
-    chunks, takes every workers-th chunk into its own buffer and writes
-    its rows of the output; the calling thread is one of them.  The GEMM,
+    One worker per CPU, up to ``_BUDGET // max(_SHARE, chunk)`` for a
+    chunk of ``chunk`` elements and one per two chunks, takes every
+    workers-th chunk into its own buffer and writes its rows of the
+    output; the calling thread is one of them.  The GEMM,
     exp and sums release the interpreter lock, so the workers run at
     once.  Starting a thread and passing the lock back and forth cost
     about one chunk's work, so a worker with a single chunk would lose
@@ -316,10 +312,10 @@ def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np
     the bits.
     """
     n, draws = feats.shape[0], coef.shape[1]
-    chunks = _chunks(n, max(1, min(_SHARE, _BUDGET) // draws))
-    workers = max(1, min(_cores(), _BUDGET // _SHARE, len(chunks) // 2))
-    widest = max((stop - start for start, stop in chunks), default=0)
-    bufs = np.empty((workers, widest, draws))
+    step = max(2, min(_SHARE, _BUDGET) // draws)
+    starts = range(0, n, step)
+    workers = max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), len(starts) // 2))
+    bufs = np.empty((workers, min(step, max(n, 2)), draws))
     out = np.empty(n)
     failed = []
 
@@ -329,8 +325,9 @@ def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np
             # state.  An overflow leaves inf, -inf or nan (inf - inf) in a
             # row, which the caller resolves.
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for start, stop in chunks[k::workers]:
-                    _log_sum_exp_chunk(feats[start:stop], coef, bufs[k], out[start:stop], shift)
+                for start in starts[k::workers]:
+                    rows = slice(start, start + step)
+                    _log_sum_exp_chunk(feats[rows], coef, bufs[k], out[rows], shift)
         except BaseException as exc:  # re-raised below, in the calling thread
             failed.append(exc)
 
@@ -397,16 +394,16 @@ class CategoryDraws:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
         The features of every row are built once; the rows then go in
-        chunks of ``_SHARE // n_draws`` (at least one), split among the
+        chunks of ``_SHARE // n_draws`` (at least two), split among the
         call's workers (see ``_chunked_log_sum_exp``) with a scratch
         buffer each, each chunk one GEMM of its features against
         ``coef``, which is shifted by the bound ``peak``, then an in-place
         exp, sum and log; the bits do not depend on the worker count.  A
         row whose sum falls below 2**-800, or is not finite, goes
         through the chunks once more, shifted by its own maximum, so heavy
-        tails and tiny densities cannot underflow to an unusable zero.
-        Those rows go in groups of at least two, so that none takes BLAS's
-        matrix-vector routine.  A finite point so far out that the
+        tails and tiny densities cannot underflow to an unusable zero.  A
+        row has the same bits alone as in any batch (see
+        ``_log_sum_exp_chunk``).  A finite point so far out that the
         arithmetic overflows gets -inf, as every draw's density underflows
         there.
         """
@@ -419,8 +416,10 @@ class CategoryDraws:
             out = _chunked_log_sum_exp(feats, self.coef, shift=False)
             redo = np.flatnonzero(~((out >= _LOG_FLOOR) & (out < np.inf)))
             if redo.size:
-                rows = redo if redo.size > 1 else redo.repeat(2)
-                again = _chunked_log_sum_exp(feats[rows], self.coef, shift=True)[:redo.size]
+                # Built again rather than indexed out of ``feats``, so they
+                # keep its column-major layout, on which a GEMM's rounding
+                # depends.
+                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, shift=True)
                 again[~np.isfinite(again) & np.isfinite(z[redo]).all(axis=1)] = -np.inf
                 out[redo] = again
         out += self.peak - math.log(self.n_draws)
@@ -833,9 +832,10 @@ def sample_mixture(
         draws = model.draws[i]
         which = rng.integers(0, draws.n_draws, size=rows.size)
         eps = rng.standard_normal((rows.size, model.dim, 1))
-        for start, stop in _chunks(rows.size, step):
-            w = which[start:stop]
-            points[rows[start:stop]] = draws.means[w] + (draws.chols[w] @ eps[start:stop])[:, :, 0]
+        for start in range(0, rows.size, step):
+            block = slice(start, start + step)
+            w = which[block]
+            points[rows[block]] = draws.means[w] + (draws.chols[w] @ eps[block])[:, :, 0]
     return points, cats + 1
 
 
@@ -852,17 +852,19 @@ def _own_category_scores(
 
     Every sample is drawn first, so the generator stream does not depend on
     the blocking.  The samples are then scored in blocks of ``_BUDGET //
-    N`` rows (at least one; a one-row tail joins the block before it), so
-    no (samples, N) posterior matrix is held at once.
+    N`` rows (at least one), so no (samples, N) posterior matrix is held
+    at once.
     """
     points, cats = sample_mixture(model, prior, n_samples, rng)
     scores = np.empty(n_samples)
-    for start, stop in _chunks(n_samples, max(1, _BUDGET // model.n_categories)):
+    step = max(1, _BUDGET // model.n_categories)
+    for start in range(0, n_samples, step):
+        block = slice(start, start + step)
         try:
-            post = posterior_matrix(model, prior, points[start:stop])
+            post = posterior_matrix(model, prior, points[block])
         except AllZeroMass as exc:
             raise _zero_mass(start + exc.row) from None
-        scores[start:stop] = post[np.arange(stop - start), cats[start:stop] - 1]
+        scores[block] = post[np.arange(post.shape[0]), cats[block] - 1]
     return scores
 
 

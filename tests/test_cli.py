@@ -311,6 +311,27 @@ class TestClassify:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    def test_one_row_query_gets_its_batch_line(self, workspace):
+        """Each row of a 40-row query file, classified from a file of its
+        own, gets the line it gets in the whole file, after the row
+        number."""
+        tmp_path, _, _, model = workspace
+        points = 2.0 + 2.0 * np.random.default_rng(11).standard_normal((40, 2))
+        rows = [f"{a!r},{b!r}\n" for a, b in points.tolist()]
+
+        def classify(name, rows):
+            query, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-sets.csv"
+            query.write_text("x1,x2\n" + "".join(rows))
+            assert main(["classify", "--model", str(model), "--data", str(query),
+                         "--reward", '{"kind": "proportion", "c": 0.2}', "--out", str(out)]) == 0
+            lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+            return [line.split(",", 1)[1] for line in lines[1:]]
+
+        batch = classify("all", rows)
+        assert len(batch) == 40
+        for i, row in enumerate(rows):
+            assert classify(f"row{i + 1}", [row]) == [batch[i]], f"row {i + 1}"
+
     def test_bad_prior_fails_before_any_density(self, workspace, monkeypatch):
         tmp_path, _, _, model = workspace
         monkeypatch.setattr(cli, "posterior_matrix", must_not_run("posterior_matrix"))
@@ -891,7 +912,7 @@ class TestArgparseBehavior:
             "fit": ["fit", "--data", str(data)],
             "conformal": ["conformal", "--model", str(model), "--delta", "0.1"],
         }[command]
-        for name in ("load_generator_spec", "load_dataset", "_read_json"):
+        for name in ("load_dataset", "_read_json"):
             monkeypatch.setattr(cli, name, must_not_run(name))
         assert main(argv + ["--out", str(out), "--seed", "-1"]) == 3
         assert not out.exists()

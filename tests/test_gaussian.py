@@ -392,8 +392,8 @@ class TestPredictiveDensity:
 
     def test_chunks_stay_within_the_budget(self, monkeypatch):
         """Rows go in chunks of budget // draws; several chunks give the
-        bits of one, and with more draws than the budget a chunk is one
-        row."""
+        bits of one, also with a one-row tail, and with more draws than
+        the budget a chunk is two rows."""
         rng = np.random.default_rng(107)
         draws = random_draws(rng, 3, 50)
         points = rng.standard_normal((11, 3)) * 2.0
@@ -408,28 +408,25 @@ class TestPredictiveDensity:
         np.testing.assert_array_equal(draws.log_density(points), whole)
         assert rows == [3, 3, 3, 2]
         rows.clear()
-        # A one-row tail joins the chunk before it.
+        # A one-row tail goes through the GEMM as two copies of itself.
         np.testing.assert_array_equal(draws.log_density(points[:10]), whole[:10])
-        assert rows == [3, 3, 4]
+        assert rows == [3, 3, 3, 1]
         rows.clear()
         monkeypatch.setattr(gaussian, "_BUDGET", 10)
-        # A one-row product goes through BLAS's matrix-vector routine,
-        # whose sums may round differently, so this compares values only.
-        np.testing.assert_allclose(draws.log_density(points[:4]), whole[:4], rtol=1e-13)
-        assert rows == [1, 1, 1, 1]
+        np.testing.assert_array_equal(draws.log_density(points[:4]), whole[:4])
+        assert rows == [2, 2]
 
     def test_multi_row_bits_do_not_depend_on_the_chunking(self, monkeypatch):
         """Every call of 2 to 40 rows gives the same bits in chunks of 3
-        rows as in one chunk: no chunk is a single row, whose product
-        would go through BLAS's matrix-vector routine.  On this seed the
-        calls of 7, 19, 22 and 25 rows differ in some bit when their
-        one-row tail is left on its own.
+        rows as in one chunk: no product is a single row, which would go
+        through BLAS's matrix-vector routine.  On this seed the calls of 7,
+        19, 22 and 25 rows differ in some bit when their one-row tail goes
+        through the product on its own rather than as two copies of itself.
 
         The same holds with every seventh row, from row 5, 200 units out,
         where its sum falls below 2**-800 and the row goes through the
         chunks again, shifted by its own maximum: also in the calls of 5
-        to 11 rows, whose one rescued row is paired with a copy of itself.
-        No rescue chunk is a single row."""
+        to 11 rows, whose one rescued row is a chunk of one."""
         rng = np.random.default_rng(103)
         draws = random_draws(rng, 3, 1000)
         points = rng.standard_normal((40, 3)) * 2.0
@@ -456,8 +453,40 @@ class TestPredictiveDensity:
                 np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows")
                 assert np.all(np.isfinite(got))
                 n_far = int((far < n).sum()) if rows is mixed else 0
-                assert sum(rescued) == (max(2, n_far) if n_far else 0), f"{n} rows"
-                assert 1 not in rescued
+                assert sum(rescued) == n_far, f"{n} rows"
+
+    def test_one_row_call_gets_its_batch_bits(self, monkeypatch):
+        """A call on one point gives the bits of the point's row in a call
+        on many, at d = 1, 2, 3 and 5 and 20, 200 and 1000 draws: for 100
+        points near the draws, and for 100 points 200 units out, whose
+        sums fall below 2**-800, so that they go through the chunks again,
+        shifted by their own maxima, alone and as a group.  On this
+        seed a one-row product differs in some bit at every setting; at
+        d = 5 and 20 draws, so do two copies of a row laid out row-major,
+        unlike the column-major features of a batch."""
+        rescued = []
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda feats, coef, buf, out, shift: (
+                shift and rescued.append(len(feats))
+            ) or chunk(feats, coef, buf, out, shift),
+        )
+        rng = np.random.default_rng(167)
+        for d in (1, 2, 3, 5):
+            for n_draws in (20, 200, 1000):
+                draws = random_draws(rng, d, n_draws)
+                directions = rng.standard_normal((100, d))
+                directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+                points = np.vstack([
+                    draws.center + 2.0 * rng.standard_normal((100, d)),
+                    draws.center + 200.0 * directions,
+                ])
+                rescued.clear()
+                batch = draws.log_density(points)
+                assert sum(rescued) == 100
+                alone = np.concatenate([draws.log_density(point) for point in points])
+                np.testing.assert_array_equal(alone, batch, err_msg=f"d = {d}, {n_draws} draws")
 
     def near_point_chunk_calls(self, monkeypatch):
         """The (rows, shift) of each chunk call on 200 points within a few
@@ -498,11 +527,11 @@ class TestPredictiveDensity:
         """Every call of 2 to 40 rows gives the same bits at 1, 2 and 3
         workers, also with every seventh row, from row 5, 200 units out,
         where the row goes through the chunks again, shifted by its own
-        maximum.  The budget is 600 elements in shares of 200, so at 100
-        draws the chunks hold 2 rows, the same bits as one chunk, and at
-        101 draws single rows, which go through BLAS's matrix-vector
-        routine at every worker count.  A worker starts only for two
-        chunks of its own."""
+        maximum.  The budget is 600 elements in shares of 200, so the
+        chunks hold 2 rows, the same bits as one chunk: at 100 draws they
+        fill a share, for up to 3 workers, and at 101 draws, where a share
+        holds one row, they take more than a share, which leaves room for
+        2.  A worker starts only for two chunks of its own."""
         rng = np.random.default_rng(139)
         draws = random_draws(rng, 3, n_draws)
         points = rng.standard_normal((40, 3)) * 2.0
@@ -519,7 +548,8 @@ class TestPredictiveDensity:
                 seen.append((threading.current_thread(), shift))
             ) or chunk(feats, coef, buf, out, shift),
         )
-        step = 200 // n_draws
+        step = 2
+        most = 600 // max(200, step * n_draws)
         for rows in (points, mixed):
             for n in range(2, 41):
                 monkeypatch.setattr(gaussian, "_cores", lambda: 1)
@@ -533,14 +563,10 @@ class TestPredictiveDensity:
                     monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
                     seen.clear()
                     got = draws.log_density(rows[:n])
-                    if workers == 1:
-                        alone = got
-                        if step > 1:
-                            np.testing.assert_array_equal(alone, whole, err_msg=f"{n} rows")
-                    np.testing.assert_array_equal(got, alone, err_msg=f"{n} rows, {workers} workers")
+                    np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows, {workers} workers")
                     # ``seen`` holds the threads, so their ids stay distinct.
                     threads = {id(thread) for thread, shift in seen if not shift}
-                    assert len(threads) == max(1, min(workers, len(gaussian._chunks(n, step)) // 2))
+                    assert len(threads) == max(1, min(workers, most, -(-n // step) // 2))
                     assert any(shift for _, shift in seen) == (rows is mixed and n > 4)
 
     def test_kernel_memory_is_bounded_by_the_budget(self):
@@ -551,9 +577,8 @@ class TestPredictiveDensity:
         draws = random_draws(rng, 3, 1000)
         points = rng.standard_normal((20000, 3)) * 2.0
         # Per row: k = 10 float64 features, the float64 output and a
-        # finiteness flag.  The quarter of slack holds the one-row tail
-        # a chunk may take, numpy's 8192-element ufunc buffer and the
-        # per-row vectors of a chunk.
+        # finiteness flag.  The quarter of slack holds numpy's
+        # 8192-element ufunc buffer and the per-row vectors of a chunk.
         bound = 1.25 * 8 * gaussian._BUDGET + points.shape[0] * (8 * 10 + 8 + 1)
         tracemalloc.start()
         try:
@@ -741,6 +766,17 @@ class TestPosteriors:
         with pytest.raises(DimensionMismatch, match=match):
             model.draws[0].log_density(np.zeros(shape))
 
+    def test_one_point_gets_its_batch_row(self):
+        """``posterior_matrix`` of one point gives the bits of the point's
+        row in a call on 200 points."""
+        rng = np.random.default_rng(173)
+        model = fit(small_training_data(rng, n_cats=4), n_draws=300, seed=3)
+        prior = np.full(4, 0.25)
+        points = 3.0 * rng.standard_normal((200, 2))
+        batch = posterior_matrix(model, prior, points)
+        alone = np.vstack([posterior_matrix(model, prior, point) for point in points])
+        np.testing.assert_array_equal(alone, batch)
+
     def test_logsumexp_matches_scipy_bit_for_bit(self):
         """Rows with -inf entries, exact ties at the maximum, dyadic rows
         full of ties and rows of -inf only."""
@@ -836,11 +872,12 @@ class TestCalibration:
 
     def test_scores_go_in_blocks_within_the_budget(self, monkeypatch):
         """With a budget of 2**10 elements and 4 categories, 5121 samples
-        are scored in blocks of 256 rows, the one-row tail joining the last
-        block.  The scores equal one block's bit for bit, the generator
-        stream is unchanged, a row without mass is named by its number in
-        the whole sample, and beyond drawing the samples and holding their
-        scores the peak memory stays within 16 budgets of float64."""
+        are scored in blocks of 256 rows and a one-row tail, which the
+        kernel pairs with a copy of itself.  The scores equal one block's
+        bit for bit, the generator stream is unchanged, a row without mass
+        is named by its number in the whole sample, and beyond drawing the
+        samples and holding their scores the peak memory stays within 16
+        budgets of float64."""
         rng = np.random.default_rng(131)
         model = fit(small_training_data(rng, n_cats=4), n_draws=50, seed=2)
         prior = np.full(4, 0.25)
@@ -858,7 +895,7 @@ class TestCalibration:
         np.testing.assert_array_equal(
             gaussian._own_category_scores(model, prior, n, blocks), whole
         )
-        assert rows == [256] * 19 + [257]
+        assert rows == [256] * 20 + [1]
         assert blocks.random() == one_block.random()
 
         tracemalloc.start()
