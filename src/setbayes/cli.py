@@ -513,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="at least 1; accepted for compatibility, it changes nothing: "
-                        "the density kernel runs one worker per CPU the process "
-                        "may use (taskset -c 0 gives one)")
+                        "the leave-one-out categories and the density kernel run "
+                        "on one worker per CPU the process may use (taskset -c 0 "
+                        "gives one)")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("conformal", help="calibrate the coverage-controlling cost")

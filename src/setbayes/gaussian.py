@@ -297,39 +297,30 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
-    """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
-    ``min(_SHARE, _BUDGET) // draws`` rows (at least two).
+def _in_workers(tasks, workers: int, run) -> None:
+    """Call ``run(k, task)`` for every task, an integer, in ``workers``
+    workers at once: worker k takes tasks k, k + workers, ... of
+    ``tasks`` in that order.
 
-    One worker per CPU, up to ``_BUDGET // max(_SHARE, chunk)`` for a
-    chunk of ``chunk`` elements and one per two chunks, takes every
-    workers-th chunk into its own buffer and writes its rows of the
-    output; the calling thread is one of them.  The GEMM,
-    exp and sums release the interpreter lock, so the workers run at
-    once.  Starting a thread and passing the lock back and forth cost
-    about one chunk's work, so a worker with a single chunk would lose
-    time.  The chunks do not depend on the worker count, so neither do
-    the bits.
+    The calling thread is worker 0; the others are threads started for
+    the call and joined before it returns, so no thread outlives a call
+    and a forked child inherits none.  Each worker runs under the
+    caller's floating-point error state, which a new thread does not
+    inherit.  A failed task does not stop its worker.  Once every worker
+    has finished, the error of the lowest failed task is raised, so a
+    call raises what a loop over the tasks in ascending order raises
+    first.
     """
-    n, draws = feats.shape[0], coef.shape[1]
-    step = max(2, min(_SHARE, _BUDGET) // draws)
-    starts = range(0, n, step)
-    workers = max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), len(starts) // 2))
-    bufs = np.empty((workers, min(step, max(n, 2)), draws))
-    out = np.empty(n)
-    failed = []
+    state = np.geterr()
+    failed = {}
 
     def work(k):
-        try:
-            # A new thread does not inherit its caller's floating-point
-            # state.  An overflow leaves inf, -inf or nan (inf - inf) in a
-            # row, which the caller resolves.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for start in starts[k::workers]:
-                    rows = slice(start, start + step)
-                    _log_sum_exp_chunk(feats[rows], coef, bufs[k], out[rows], shift)
-        except BaseException as exc:  # re-raised below, in the calling thread
-            failed.append(exc)
+        with np.errstate(**state):
+            for task in tasks[k::workers]:
+                try:
+                    run(k, task)
+                except BaseException as exc:  # raised again below, in the calling thread
+                    failed[task] = exc
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for thread in threads:
@@ -338,7 +329,34 @@ def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np
     for thread in threads:
         thread.join()
     if failed:
-        raise failed[0]
+        raise failed[min(failed)]
+
+
+def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
+    """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
+    ``min(_SHARE, _BUDGET) // draws`` rows (at least two).
+
+    One worker per CPU, up to ``_BUDGET // max(_SHARE, chunk)`` for a
+    chunk of ``chunk`` elements and one per two chunks, takes every
+    workers-th chunk into its own buffer and writes its rows of the
+    output (see ``_in_workers``).  The GEMM, exp and sums release the
+    interpreter lock, so the workers run at once.  Starting a thread and
+    passing the lock back and forth cost about one chunk's work, so a
+    worker with a single chunk would lose time.  The chunks do not
+    depend on the worker count, so neither do the bits.
+    """
+    n, draws = feats.shape[0], coef.shape[1]
+    step = max(2, min(_SHARE, _BUDGET) // draws)
+    starts = range(0, n, step)
+    workers = max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), len(starts) // 2))
+    bufs = np.empty((workers, min(step, max(n, 2)), draws))
+    out = np.empty(n)
+
+    def chunk(k, start):
+        rows = slice(start, start + step)
+        _log_sum_exp_chunk(feats[rows], coef, bufs[k], out[rows], shift)
+
+    _in_workers(starts, workers, chunk)
     return out
 
 

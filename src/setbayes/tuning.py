@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gaussian
 from .core import CategorySpace, Ranking
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps tuning.PosteriorVector
 from .errors import (
@@ -213,10 +214,13 @@ def loocv_posteriors(
     categories reuse the full fit.  The folds of one category draw from
     three streams spawned from (seed, category) and run as one batched
     path, in batches under a memory budget
-    (``gaussian._held_out_log_densities``).  The
-    held-out log densities replace the full-fit ones in the matrix that
-    ``posterior_from_log_densities`` turns into rows, with the same fixed
-    ``prior`` for every fold.
+    (``gaussian._held_out_log_densities``).  The categories run on up to
+    one worker per CPU, largest first (``gaussian._in_workers``); each
+    fills its own rows from its own streams, so the bits do not depend on
+    the worker count, and an error is the one the lowest failing category
+    raises.  The held-out log densities replace the full-fit ones in the
+    matrix that ``posterior_from_log_densities`` turns into rows, with the
+    same fixed ``prior`` for every fold.
 
     Raises
     ------
@@ -239,12 +243,17 @@ def loocv_posteriors(
     model = fit(data, hyperprior, n_draws, seed, space)
     rows, labels = data.stacked()
     logf = _log_densities(model, rows)
+    groups = data.groups
+    held_out = [None] * len(groups)
+
+    def folds(k, i):
+        held_out[i] = _held_out_log_densities(groups[i], hyperprior, i + 1, n_draws, seed)
+
+    # Largest first, so that no worker is left with a large category at the end.
+    order = sorted(range(len(groups)), key=lambda i: -counts[i])
+    gaussian._in_workers(order, min(gaussian._cores(), len(groups)), folds)
     # Fold r holds out row j of category i, which is row r of ``rows``.
-    held_out = np.concatenate([
-        _held_out_log_densities(g, hyperprior, i, n_draws, seed)
-        for i, g in enumerate(data.groups, start=1)
-    ])
-    logf[np.arange(rows.shape[0]), labels - 1] = held_out
+    logf[np.arange(rows.shape[0]), labels - 1] = np.concatenate(held_out)
     return HeldOutPosteriors(posterior_from_log_densities(logf, prior), labels, counts, space)
 
 

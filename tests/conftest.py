@@ -1,6 +1,20 @@
+import atexit
+import shutil
+import tempfile
+
 import numpy as np
+from hypothesis import configuration, settings
 
 from setbayes import BinaryReward, CategorySpace, PosteriorVector
+
+# No example database, and hypothesis's other caches (the constants it
+# reads from the source) in a temporary directory removed at exit, so a
+# test run writes no ``.hypothesis/`` directory into the working tree.
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 def random_partition(rng, n, k):

@@ -109,6 +109,35 @@ def read_outcome(read, path, feature_names=("x1", "x2")):
     return points.shape, points.dtype, points.tobytes()
 
 
+def run_pinned_and_free(argvs):
+    """Run the CLI calls ``argvs("pinned")`` in a child process pinned to
+    one CPU, so the density kernel and the leave-one-out categories run
+    in one thread, then ``argvs("free")`` in an unpinned child, which runs
+    one worker per CPU.  Skips where the affinity cannot be set, or on
+    one CPU, where the unpinned child would run one worker too."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the CPU affinity cannot be set on this platform")
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("one CPU: the unpinned child would run one worker too")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = ("import json, os, sys\n"
+             "if sys.argv[1]:\n"
+             "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+             "from setbayes.cli import main\n"
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[2])))\n")
+    for tag, pin in (("pinned", str(cpus[0])), ("free", "")):
+        try:
+            subprocess.run([sys.executable, "-c", child, pin, json.dumps(argvs(tag))],
+                           env=env, check=True, capture_output=True, timeout=300)
+        except subprocess.CalledProcessError as exc:
+            if pin and b"sched_setaffinity" in exc.stderr:
+                pytest.skip("the CPU affinity cannot be set here")
+            raise
+
+
 class TestSynth:
     def test_deterministic_bytes(self, tmp_path):
         spec = tmp_path / "gen.json"
@@ -762,6 +791,19 @@ class TestTune:
             written.append((curve.read_bytes(), selection.read_bytes()))
         assert written[0] == written[1]
 
+    def test_cpu_affinity_leaves_the_outputs_unchanged(self, workspace):
+        """``tune`` run in a child process pinned to one CPU, so its three
+        categories' folds run in one thread, writes the same curve and
+        selection bytes as in an unpinned child, whose folds run on one
+        worker per CPU, up to one per category."""
+        tmp_path, _, data, _ = workspace
+        run_pinned_and_free(lambda tag: [
+            self.tune_args(data, tmp_path / f"c-{tag}.csv", tmp_path / f"s-{tag}.json")
+        ])
+        for name in ("c-{}.csv", "s-{}.json"):
+            assert ((tmp_path / name.format("pinned")).read_bytes()
+                    == (tmp_path / name.format("free")).read_bytes())
+
     def test_tiny_category_exits_4(self, tmp_path):
         data = tmp_path / "tiny.csv"
         data.write_text("x,label\n0.0,a\n1.0,a\n0.5,b\n")
@@ -830,41 +872,21 @@ class TestConformal:
         CPU (up to the budget's shares).  Both commands' density calls
         span five chunks of up to 819 rows at 80 draws, enough for two
         workers."""
-        if not hasattr(os, "sched_setaffinity"):
-            pytest.skip("the CPU affinity cannot be set on this platform")
-        cpus = sorted(os.sched_getaffinity(0))
-        if len(cpus) < 2:
-            pytest.skip("one CPU: the unpinned child would run one worker too")
         tmp_path, _, _, model = workspace
         points = 2.0 + 2.0 * np.random.default_rng(7).standard_normal((4000, 2))
         probe = tmp_path / "many.csv"
         probe.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        child = ("import json, os, sys\n"
-                 "if sys.argv[1]:\n"
-                 "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
-                 "from setbayes.cli import main\n"
-                 "sys.exit(max(main(argv) for argv in json.loads(sys.argv[2])))\n")
-        written = []
-        for pin in (str(cpus[0]), ""):
-            report, sets = tmp_path / f"report{pin}.json", tmp_path / f"sets{pin}.csv"
-            runs = [
-                ["conformal", "--model", str(model), "--delta", "0.1", "--samples", "4000",
-                 "--seed", "9", "--audit", "--audit-samples", "4000", "--out", str(report)],
-                ["classify", "--model", str(model), "--data", str(probe),
-                 "--reward", '{"kind": "proportion", "c": 0.2}', "--out", str(sets)],
-            ]
-            try:
-                subprocess.run([sys.executable, "-c", child, pin, json.dumps(runs)],
-                               env=env, check=True, capture_output=True, timeout=300)
-            except subprocess.CalledProcessError as exc:
-                if pin and b"sched_setaffinity" in exc.stderr:
-                    pytest.skip("the CPU affinity cannot be set here")
-                raise
-            written.append((report.read_bytes(), sets.read_bytes()))
-        assert written[0] == written[1]
+        run_pinned_and_free(lambda tag: [
+            ["conformal", "--model", str(model), "--delta", "0.1", "--samples", "4000",
+             "--seed", "9", "--audit", "--audit-samples", "4000",
+             "--out", str(tmp_path / f"report-{tag}.json")],
+            ["classify", "--model", str(model), "--data", str(probe),
+             "--reward", '{"kind": "proportion", "c": 0.2}',
+             "--out", str(tmp_path / f"sets-{tag}.csv")],
+        ])
+        for name in ("report-{}.json", "sets-{}.csv"):
+            assert ((tmp_path / name.format("pinned")).read_bytes()
+                    == (tmp_path / name.format("free")).read_bytes())
 
     def test_delta_out_of_range_exits_3(self, workspace):
         tmp_path, _, _, model = workspace

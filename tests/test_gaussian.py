@@ -1,6 +1,7 @@
 import multiprocessing
 import queue
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -655,6 +656,44 @@ class TestPredictiveDensity:
         before = threading.active_count()
         with pytest.raises(MemoryError, match="worker"):
             draws.log_density(rng.standard_normal((400, 3)))
+        assert threading.active_count() == before
+
+    def test_workers_run_under_the_callers_floating_point_state(self):
+        """Every worker of ``_in_workers``, the threads too, runs its tasks
+        under its caller's floating-point error state, which a new thread
+        does not inherit."""
+        seen = {}
+
+        def run(k, task):
+            seen[task] = np.geterr()["over"]
+
+        for mode in ("ignore", "raise"):
+            with np.errstate(over=mode):
+                gaussian._in_workers(range(6), 3, run)
+            assert seen == dict.fromkeys(range(6), mode)
+
+    def test_workers_lose_no_task_and_raise_the_lowest_error(self):
+        """With more workers than CPUs and the interpreter switching
+        threads every microsecond, every task of ``_in_workers`` runs once
+        and the lowest failed task's error is raised, though the tasks go
+        highest first."""
+        runs = [0] * 200
+
+        def run(k, task):
+            runs[task] += 1
+            if task % 7 == 3:
+                raise ValueError(task)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = threading.active_count()
+            with pytest.raises(ValueError) as info:
+                gaussian._in_workers(range(199, -1, -1), 8, run)
+        finally:
+            sys.setswitchinterval(interval)
+        assert info.value.args == (3,)
+        assert runs == [1] * 200
         assert threading.active_count() == before
 
     def test_forked_child_after_a_threaded_call_returns_the_densities(self, monkeypatch):

@@ -1,3 +1,6 @@
+import multiprocessing
+import queue
+import threading
 import warnings
 
 import numpy as np
@@ -270,6 +273,99 @@ class TestHeldOutPosteriors:
         a = loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=7)
         b = loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=7)
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def fold_threads(self, monkeypatch):
+        """Patch the folds of each category to record the thread that ran
+        them, in a dict the caller reads, keyed by category (1-based)."""
+        threads = {}
+        folds = tuning._held_out_log_densities
+
+        def recorded(observations, prior, category, n_draws, seed):
+            threads[category] = threading.current_thread()
+            return folds(observations, prior, category, n_draws, seed)
+
+        monkeypatch.setattr(tuning, "_held_out_log_densities", recorded)
+        return threads
+
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        """The categories give the same held-out matrix, bit for bit, on 1,
+        2, 3 and 5 workers, one of them a category of two rows.  Each
+        worker takes every workers-th category, largest first: the calling
+        thread takes the largest, there are at most as many workers as
+        categories, and no thread outlives the call."""
+        data, space = blocked_data(np.random.default_rng(59), counts=(6, 2, 9), d=3)
+        prior = np.array([0.4, 0.25, 0.35])
+        threads = self.fold_threads(monkeypatch)
+        want = None
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
+            threads.clear()
+            before = threading.active_count()
+            got = loocv_posteriors(data, space, prior, n_draws=30, seed=17).matrix
+            assert threading.active_count() == before
+            if want is None:
+                want = got
+            np.testing.assert_array_equal(got, want, err_msg=f"{workers} workers")
+            assert threads[3] is threading.main_thread()
+            # ``threads`` holds the threads, so their ids stay distinct.
+            assert len({id(thread) for thread in threads.values()}) == min(workers, 3)
+
+    def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
+        """With the folds of categories 2 and 3 failing, the call raises
+        category 2's error at every worker count, as a loop over the
+        categories in order does, though category 3, the largest, starts
+        first; every worker has finished when it does."""
+        data, space = blocked_data(np.random.default_rng(61), counts=(5, 3, 8))
+        folds = tuning._held_out_log_densities
+
+        def failing(observations, prior, category, n_draws, seed):
+            if category in (2, 3):
+                raise SingularScatter(f"category {category} fails")
+            return folds(observations, prior, category, n_draws, seed)
+
+        monkeypatch.setattr(tuning, "_held_out_log_densities", failing)
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
+            before = threading.active_count()
+            with pytest.raises(SingularScatter, match="category 2 fails"):
+                loocv_posteriors(data, space, uniform_prior(3), n_draws=20, seed=1)
+            assert threading.active_count() == before
+
+    def test_forked_child_after_a_threaded_call_returns_the_matrix(self, monkeypatch):
+        """A child forked after a call that ran the categories on three
+        workers makes the same call, on three workers again, and returns
+        the parent's matrix within a timeout instead of waiting on threads
+        the fork did not copy."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        data, space = blocked_data(np.random.default_rng(67), counts=(8, 6, 7))
+        prior = uniform_prior(3)
+        monkeypatch.setattr(gaussian, "_cores", lambda: 3)
+        threads = self.fold_threads(monkeypatch)
+        parent = loocv_posteriors(data, space, prior, n_draws=40, seed=5).matrix
+        assert len({id(thread) for thread in threads.values()}) == 3
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+
+        def child():
+            threads.clear()
+            held = loocv_posteriors(data, space, prior, n_draws=40, seed=5)
+            results.put((held.matrix, len({id(thread) for thread in threads.values()})))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            got, child_workers = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("the forked child did not return its matrix within 60 s")
+        finally:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+        assert not proc.is_alive()
+        assert child_workers == 3
+        np.testing.assert_array_equal(got, parent)
 
     def test_fold_weight_shape_checked(self):
         rng = np.random.default_rng(19)
