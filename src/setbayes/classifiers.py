@@ -97,9 +97,9 @@ def map_classifier(p: PosteriorVector) -> ClassifiedSet:
 def mmp_general(p: PosteriorVector, penalty: PenaltySequence) -> Decision:
     """Best most-probable-categories set for an arbitrary size penalty.
 
-    Scans all sizes m = 0..N of the expected reward
-    ``top_m_cumsum(m) - g(m)`` and keeps the maximizer, preferring the
-    larger m when several sizes tie exactly.
+    Scans all sizes m = 0..N of the expected reward, the total probability
+    of the m most probable categories minus g(m), and keeps the maximizer,
+    preferring the larger m when several sizes tie exactly.
 
     Parameters
     ----------

@@ -7,10 +7,11 @@ leave-one-out cost selection, and ``conformal`` calibrates the cost whose
 sets miss the truth a prescribed fraction of the time.
 
 Exit codes: 0 on success, 2 for malformed inputs (bad file schemas or
-unparseable values), 3 for incompatible dimensions or out-of-range
-arguments, 4 for violated cross-validation preconditions.  All sampling is
-driven by explicit ``--seed`` values and repeated runs write byte
-identical outputs.
+unparseable values), 3 for incompatible dimensions, out-of-range
+arguments or an output path that cannot be written (checked before any
+input is read), 4 for violated cross-validation preconditions.  All
+sampling is driven by explicit ``--seed`` values and repeated runs write
+byte identical outputs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import warnings
 
@@ -87,6 +89,20 @@ def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any input is read, an output path whose directory is
+    missing or not writable, or that names a directory."""
+    for option in args.outputs:
+        path = getattr(args, option.lstrip("-").replace("-", "_"))
+        if path is None:
+            continue
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (
+            os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
+        ):
+            raise OutOfRange(f"cannot write {option} {path}: not a file in a writable directory")
 
 
 def _read_json(path) -> dict:
@@ -470,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="generator spec JSON file")
     p.add_argument("--out", required=True, help="output dataset CSV")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, outputs=("--out",))
 
     p = sub.add_parser("fit", help="fit the Gaussian category model to a dataset")
     p.add_argument("--data", required=True, help="dataset CSV")
@@ -478,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=int, default=1000,
                    help=f"Monte Carlo draws per category, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, outputs=("--out",))
 
     p = sub.add_parser("classify", help="optimal sets for new observations")
     p.add_argument("--model", required=True, help="model JSON from fit")
@@ -490,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'flat', 'prop' (training counts), or a JSON list")
     p.add_argument("--oracle", action="store_true",
                    help="add the exhaustive-search value column")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, outputs=("--out",))
 
     p = sub.add_parser("tune", help="leave-one-out tuning of the cost parameters")
     p.add_argument("--data", required=True, help="dataset CSV")
@@ -516,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the leave-one-out categories and the density kernel run "
                         "on one worker per CPU the process may use (taskset -c 0 "
                         "gives one)")
-    p.set_defaults(func=_cmd_tune)
+    p.set_defaults(func=_cmd_tune, outputs=("--out-curve", "--out-selection"))
 
     p = sub.add_parser("conformal", help="calibrate the coverage-controlling cost")
     p.add_argument("--model", required=True, help="model JSON from fit")
@@ -529,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimate coverage on a fresh sample")
     p.add_argument("--audit-samples", type=int, default=10000)
     p.add_argument("--out", default=None, help="optional JSON report")
-    p.set_defaults(func=_cmd_conformal)
+    p.set_defaults(func=_cmd_conformal, outputs=("--out",))
     return parser
 
 
@@ -544,6 +560,7 @@ def main(argv=None) -> int:
             raise OutOfRange(f"--seed must be non-negative, got {args.seed}")
         if getattr(args, "draws", 0) > MAX_DRAWS:
             raise OutOfRange(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
+        _check_outputs(args)
         return args.func(args)
     except SchemaError as exc:
         _err(exc)

@@ -81,11 +81,6 @@ class CategorySpace:
         start = self._block_starts[k - 1]
         return slice(start, start + self.block_sizes[k - 1])
 
-    def block_members(self, k: int) -> tuple[int, ...]:
-        """The 1-based category indices of block k, in increasing order."""
-        sl = self.block_slice(k)
-        return tuple(range(sl.start + 1, sl.stop + 1))
-
     def block_of(self, category: int) -> int:
         """Return the 1-based block index containing a category."""
         i = int(category)
@@ -118,25 +113,9 @@ class ClassifiedSet:
     def of(cls, members: Iterable[int], n_categories: int) -> "ClassifiedSet":
         return cls(tuple(members), n_categories)
 
-    @classmethod
-    def empty(cls, n_categories: int) -> "ClassifiedSet":
-        return cls((), n_categories)
-
-    @classmethod
-    def full(cls, n_categories: int) -> "ClassifiedSet":
-        return cls(tuple(range(1, n_categories + 1)), n_categories)
-
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.members
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.n_categories
 
     def as_mask(self) -> np.ndarray:
         """Boolean membership mask over 0-based category positions."""
@@ -213,10 +192,6 @@ class PosteriorVector:
     ``SUM_TOLERANCE``.  Larger deviations raise ``InvalidDistribution``
     rather than being silently rescaled.
 
-    Order statistics come from ``Ranking`` and share its tie rule: among
-    equal probabilities the category with the smaller index counts as the
-    larger one.
-
     Parameters
     ----------
     p : array_like
@@ -225,7 +200,7 @@ class PosteriorVector:
         Defaults to a single-block space over ``len(p)`` categories.
     """
 
-    __slots__ = ("p", "space", "__dict__")
+    __slots__ = ("p", "space")
 
     def __init__(self, p, space: CategorySpace | None = None):
         arr = np.asarray(p, dtype=float)
@@ -242,55 +217,13 @@ class PosteriorVector:
     def n_categories(self) -> int:
         return self.space.n_categories
 
-    @cached_property
-    def _ranked(self) -> Ranking:
-        return Ranking(self.p[None, :], self.space)
-
-    @cached_property
-    def order_desc(self) -> np.ndarray:
-        """0-based category positions sorted by decreasing probability.
-
-        Stable in the category index, so ties list the smaller index first.
-        """
-        order = np.argsort(Ranking(self.p[None, :]).rank[0])
-        order.setflags(write=False)
-        return order
-
-    @property
-    def sorted_desc(self) -> np.ndarray:
-        return self.p[self.order_desc]
-
     def max_prob(self) -> float:
         """The largest posterior probability."""
-        return float(self.sorted_desc[0])
-
-    def argmax_category(self) -> int:
-        """1-based index of the most probable category (ties: smallest index)."""
-        return int(self.order_desc[0]) + 1
-
-    def top_m_set(self, m: int) -> ClassifiedSet:
-        """The m most probable categories under the tie rule."""
-        m = self._check_size(m)
-        members = (self.order_desc[:m] + 1).tolist()
-        return ClassifiedSet.of(members, self.n_categories)
-
-    def top_m_cumsum(self, m: int) -> float:
-        """Total probability of the m most probable categories.
-
-        Nondecreasing and concave as a function of m, with value 0 at m=0.
-        """
-        m = self._check_size(m)
-        return float(np.cumsum(self.sorted_desc[:m])[-1]) if m else 0.0
+        return float(self.p.max())
 
     def block_mass(self, k: int) -> float:
         """Total posterior probability of block k."""
-        return float(self._ranked.mass[0, self.space.check_block(k) - 1])
-
-    def _check_size(self, m: int) -> int:
-        m = int(m)
-        if not 0 <= m <= self.n_categories:
-            raise OutOfRange(f"size {m} outside 0..{self.n_categories}")
-        return m
+        return float(self.p[self.space.block_slice(k)].sum())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PosteriorVector({np.array2string(self.p, precision=4)})"

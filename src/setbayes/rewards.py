@@ -66,32 +66,10 @@ class PenaltySequence:
         return np.asarray(self.values, dtype=float)
 
     @classmethod
-    def linear(cls, cost: float, n_categories: int) -> "PenaltySequence":
-        """g(m) = cost * m, the per-member charge behind conformal sets."""
-        cost = _check_cost(cost)
-        return cls(tuple(cost * m for m in range(n_categories + 1)), convex=True)
-
-    @classmethod
     def proportional(cls, cost: float, n_categories: int) -> "PenaltySequence":
         """g(m) = cost * max(0, m - 1): the first category is free."""
         cost = _check_cost(cost)
         return cls(tuple(cost * max(0, m - 1) for m in range(n_categories + 1)), convex=True)
-
-    @classmethod
-    def reject_plateau(cls, reject_reward: float, n_categories: int) -> "PenaltySequence":
-        """The penalty shape equivalent to a singleton-or-everything rule.
-
-        g(1) = 0, g(m) = 1 for intermediate sizes, and g(N) = 1 - reject_reward,
-        so the only competitive sets are singletons and the full set.
-        """
-        n = int(n_categories)
-        if n < 2:
-            raise OutOfRange("the singleton-or-everything shape needs at least 2 categories")
-        r = float(reject_reward)
-        if not 1.0 / n < r < 1.0:
-            raise OutOfRange(f"reject reward {r} outside (1/{n}, 1)")
-        vals = [0.0, 0.0] + [1.0] * (n - 2) + [1.0 - r]
-        return cls(tuple(vals), convex=False)
 
 
 def _convexity_holds(vals: tuple[float, ...]) -> bool:
@@ -373,7 +351,7 @@ class IndifferenceZone(RewardSpec, kind="indifference_zone"):
         # the best regular category (ties: the smaller index), kept at equality
         keep = P[:, :-1].max(axis=1) >= self.empty_reward * P[:, -1]
         members = np.zeros(P.shape, dtype=bool)
-        members[:, :-1] = (Ranking(P[:, :-1]).rank == 0) & keep[:, None]
+        members[np.arange(len(P)), np.argmax(P[:, :-1], axis=1)] = keep
         return members
 
 

@@ -78,8 +78,9 @@ def make_weights(kind: str, counts, real_prior=None) -> np.ndarray:
     Raises
     ------
     OutOfRange
-        For an unknown kind, ``real_prior`` with another kind than
-        ``rarity``, or nonpositive or non-finite frequencies.
+        For an unknown kind, negative or non-finite counts, ``real_prior``
+        with another kind than ``rarity``, or nonpositive or non-finite
+        frequencies.
     MissingRealPrior
         If ``rarity`` comes without real-world frequencies.
     """
@@ -88,8 +89,8 @@ def make_weights(kind: str, counts, real_prior=None) -> np.ndarray:
     if real_prior is not None and kind != "rarity":
         raise OutOfRange(f"real-world frequencies apply to rarity weights, not {kind!r}")
     n = np.asarray(counts, dtype=float)
-    if n.ndim != 1 or n.size < 1 or np.any(n < 0):
-        raise OutOfRange(f"counts must be nonnegative, got {counts!r}")
+    if n.ndim != 1 or n.size < 1 or not np.all((n >= 0) & np.isfinite(n)):
+        raise OutOfRange(f"counts must be finite and nonnegative, got {counts!r}")
     if kind == "per_observation":
         total = n.sum()
         if total <= 0:

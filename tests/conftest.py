@@ -41,7 +41,8 @@ def binary_reward(variant, chosen, true_category, space):
     """One of the four 0/1 scores of a (set, truth) pair, scored set by set:
     the reference for ``HeldOutPosteriors.binary_scores``."""
     i = int(true_category)
-    block = set(space.block_members(space.block_of(i)))
+    sl = space.block_slice(space.block_of(i))
+    block = set(range(sl.start + 1, sl.stop + 1))
     if variant is BinaryReward.EXACT_SINGLETON:
         return int(chosen.members == (i,))
     if variant is BinaryReward.WITHIN_BLOCK:

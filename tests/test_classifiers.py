@@ -63,7 +63,7 @@ class TestWorkedExamples:
         assert got.value == pytest.approx(0.5)
 
     def test_mmp_convex_quarter_per_member(self):
-        got = mmp_convex(P532, PenaltySequence.linear(0.25, 3))
+        got = mmp_convex(P532, PenaltySequence((0.0, 0.25, 0.5, 0.75), convex=True))
         assert got.chosen.members == (1, 2)
         assert got.value == pytest.approx(0.3)
 
@@ -79,7 +79,7 @@ class TestWorkedExamples:
 
     def test_proportion_zero_cost_gives_everything(self):
         got = proportion_classifier(P532, 0.0)
-        assert got.chosen.is_full
+        assert got.chosen.members == (1, 2, 3)
         assert got.value == pytest.approx(1.0)
 
     def test_composite_two_blocks(self):
@@ -92,27 +92,27 @@ class TestWorkedExamples:
 
     def test_ripley_both_branches(self):
         assert optimal_set(RipleyReject(0.45), P532)[0].members == (1,)
-        assert optimal_set(RipleyReject(0.6), P532)[0].is_full
+        assert optimal_set(RipleyReject(0.6), P532)[0].members == (1, 2, 3)
         # equality goes to the full space: both actions earn the same
-        assert optimal_set(RipleyReject(0.5), P532)[0].is_full
+        assert optimal_set(RipleyReject(0.5), P532)[0].members == (1, 2, 3)
 
     def test_conformal_cut(self):
         assert conformal_classifier(P532, 0.25).members == (1, 2)
         assert conformal_classifier(P532, 0.2).members == (1, 2, 3)
-        assert conformal_classifier(P532, 0.51).is_empty
+        assert conformal_classifier(P532, 0.51).size == 0
 
     def test_rho_cut(self):
         p = PosteriorVector([0.5, 0.3, 0.1, 0.1])
         assert rho_classifier(p, 0.6).members == (1, 2)
         assert rho_classifier(p, 1.0).members == (1,)
-        assert rho_classifier(p, 0.0).is_full
+        assert rho_classifier(p, 0.0).members == (1, 2, 3, 4)
 
     def test_indifference_zone(self):
         def zone(probs, empty_reward):  # last entry is the zone
             return optimal_set(IndifferenceZone(empty_reward), PosteriorVector(probs))[0]
 
         assert zone([0.5, 0.2, 0.3], 1.5).members == (1,)
-        assert zone([0.3, 0.2, 0.5], 1.5).is_empty
+        assert zone([0.3, 0.2, 0.5], 1.5).size == 0
         # equality keeps the singleton
         assert zone([0.4, 0.2, 0.4], 1.0).members == (1,)
 
@@ -131,7 +131,7 @@ class TestTieRules:
     def test_proportion_includes_category_at_exact_cost(self):
         p = PosteriorVector([0.5, 0.25, 0.25])
         got = proportion_classifier(p, 0.25)
-        assert got.chosen.is_full  # both 0.25 entries sit exactly at the cost
+        assert got.chosen.members == (1, 2, 3)  # both 0.25 entries sit exactly at the cost
 
     # Dyadic probabilities and costs, so every tie below is exact in floating
     # point and the pinned sets do not depend on summation order.
@@ -268,7 +268,8 @@ class TestBruteForceAgreement:
             r = float(rng.uniform(1.0 / n + 1e-6, 1.0 - 1e-9))
             p = random_posterior(rng, space)
             direct, _ = optimal_set(RipleyReject(r), p)
-            via_penalty = mmp_general(p, PenaltySequence.reject_plateau(r, n))
+            plateau = PenaltySequence((0.0, 0.0) + (1.0,) * (n - 2) + (1.0 - r,))
+            via_penalty = mmp_general(p, plateau)
             assert direct == via_penalty.chosen
 
     def test_rho_matches_proportion_scaling(self):
@@ -306,7 +307,7 @@ class TestGuards:
         with pytest.raises(DimensionMismatch):
             mmp_general(P532, PenaltySequence((0.0, 0.5)))
         with pytest.raises(DimensionMismatch):
-            mmp_convex(P532, PenaltySequence.linear(0.1, 5))
+            mmp_convex(P532, PenaltySequence(tuple(0.1 * m for m in range(6)), convex=True))
 
     def test_convex_path_requires_convexity(self):
         with pytest.raises(NotConvex):
@@ -327,7 +328,7 @@ class TestGuards:
 
 class TestOptimalSetDispatch:
     def test_routes_convex_flag(self):
-        convex = PenaltySequence.linear(0.25, 3)
+        convex = PenaltySequence((0.0, 0.25, 0.5, 0.75), convex=True)
         chosen, value = optimal_set(InvariantPenalty(convex), P532)
         assert chosen.members == (1, 2)
         assert value == pytest.approx(0.3)

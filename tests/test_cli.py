@@ -919,6 +919,54 @@ class TestConformal:
         assert captured.err == f"error: need at least one audit sample, got {audit_samples}\n"
 
 
+class TestUnwritableOutput:
+    """Every output path is checked before any input is read: a missing
+    directory, or a path naming a directory, exits 3 with the path named,
+    and no output file is created."""
+
+    def argvs(self, workspace, curve, selection, out):
+        tmp_path, spec, data, model = workspace
+        return {
+            "synth": ["synth", "--spec", str(spec), "--out", str(out)],
+            "fit": ["fit", "--data", str(data), "--out", str(out)],
+            "classify": ["classify", "--model", str(model), "--data", str(data),
+                         "--reward", '{"kind": "map"}', "--out", str(out)],
+            "tune": ["tune", "--data", str(data), "--out-curve", str(curve),
+                     "--out-selection", str(selection), "--draws", "20"],
+            "conformal": ["conformal", "--model", str(model), "--delta", "0.1",
+                          "--samples", "200", "--out", str(out)],
+        }
+
+    @pytest.mark.parametrize("command, bad", [
+        ("synth", "out"), ("fit", "out"), ("classify", "out"),
+        ("tune", "curve"), ("tune", "selection"), ("conformal", "out"),
+    ])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_exits_3_before_any_input(self, workspace, monkeypatch, capsys,
+                                      command, bad, where):
+        tmp_path = workspace[0]
+        paths = {name: tmp_path / f"new-{name}" for name in ("curve", "selection", "out")}
+        paths[bad] = tmp_path / "missing" / "file" if where == "missing directory" else tmp_path
+        argv = self.argvs(workspace, **paths)[command]
+        for name in ("load_dataset", "_read_json", "posterior_matrix", "loocv_posteriors",
+                     "calibrate_conformal_cost"):
+            monkeypatch.setattr(cli, name, must_not_run(name))
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        option = "--out" if bad == "out" else f"--out-{bad}"
+        assert captured.err == (f"error: cannot write {option} {paths[bad]}: "
+                                "not a file in a writable directory\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_conformal_without_out_checks_nothing(self, workspace, capsys):
+        model = workspace[3]
+        assert main(["conformal", "--model", str(model), "--delta", "0.1",
+                     "--samples", "200"]) == 0
+        assert "conformal cost" in capsys.readouterr().out
+
+
 class TestArgparseBehavior:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2

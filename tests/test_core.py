@@ -10,6 +10,7 @@ from setbayes import (
     OutOfRange,
     PosteriorVector,
 )
+from setbayes.core import Ranking
 
 from conftest import random_posterior, random_space
 
@@ -19,16 +20,15 @@ class TestCategorySpace:
         space = CategorySpace(5)
         assert space.block_sizes == (5,)
         assert space.n_blocks == 1
-        assert space.block_members(1) == (1, 2, 3, 4, 5)
+        assert space.block_slice(1) == slice(0, 5)
 
     def test_block_lookup(self):
         space = CategorySpace(6, (2, 3, 1))
         assert space.n_blocks == 3
-        assert space.block_members(1) == (1, 2)
-        assert space.block_members(2) == (3, 4, 5)
-        assert space.block_members(3) == (6,)
+        assert [space.block_slice(k) for k in (1, 2, 3)] == [
+            slice(0, 2), slice(2, 5), slice(5, 6)
+        ]
         assert [space.block_of(i) for i in range(1, 7)] == [1, 1, 2, 2, 2, 3]
-        assert space.block_slice(2) == slice(2, 5)
 
     def test_sizes_must_sum(self):
         with pytest.raises(DimensionMismatch):
@@ -43,7 +43,7 @@ class TestCategorySpace:
     def test_block_index_bounds(self):
         space = CategorySpace(4, (2, 2))
         with pytest.raises(BlockOutOfRange):
-            space.block_members(3)
+            space.block_slice(3)
         with pytest.raises(OutOfRange):
             space.block_of(5)
 
@@ -57,10 +57,11 @@ class TestClassifiedSet:
         assert 2 in s and 4 not in s
 
     def test_empty_and_full(self):
-        assert ClassifiedSet.empty(3).is_empty
-        assert ClassifiedSet.full(3).members == (1, 2, 3)
-        assert ClassifiedSet.full(3).is_full
-        assert not ClassifiedSet.of([1, 2], 3).is_full
+        assert ClassifiedSet.of([], 3).size == 0
+        assert not ClassifiedSet.of([], 3).as_mask().any()
+        assert ClassifiedSet.of(range(1, 4), 3).members == (1, 2, 3)
+        assert ClassifiedSet.of(range(1, 4), 3).as_mask().all()
+        assert ClassifiedSet.of([1, 2], 3).size == 2
 
     def test_mask_round_trip(self):
         rng = np.random.default_rng(3)
@@ -101,9 +102,9 @@ class TestPosteriorVector:
     def test_tie_order_prefers_smaller_index(self):
         """Exact ties in probability rank by category number."""
         p = PosteriorVector([0.25, 0.25, 0.5])
-        assert p.order_desc.tolist() == [2, 0, 1]
-        assert p.argmax_category() == 3
-        assert p.top_m_set(2).members == (1, 3)
+        rank = Ranking(p.p[None, :]).rank[0]
+        assert rank.tolist() == [1, 2, 0]
+        assert (np.flatnonzero(rank < 2) + 1).tolist() == [1, 3]
 
     def test_top_m_against_sorting(self):
         rng = np.random.default_rng(11)
@@ -113,23 +114,21 @@ class TestPosteriorVector:
             n = space.n_categories
             m = int(rng.integers(0, n + 1))
             expected = float(np.sort(p.p)[::-1][:m].sum())
-            assert p.top_m_cumsum(m) == pytest.approx(expected, abs=1e-12)
-            assert p.top_m_set(m).size == m
+            ranked = Ranking(p.p[None, :])
+            top = ranked.rank[0] < m
+            assert float(ranked.sorted[0, 0, :m].sum()) == pytest.approx(expected, abs=1e-12)
+            assert top.sum() == m
             # the chosen members really are the m largest probabilities
             if 0 < m < n:
-                inside = min(p.p[i - 1] for i in p.top_m_set(m))
-                outside = max(
-                    p.p[i - 1]
-                    for i in range(1, n + 1)
-                    if i not in p.top_m_set(m)
-                )
-                assert inside >= outside
+                assert p.p[top].min() >= p.p[~top].max()
 
     def test_block_accessors(self):
         space = CategorySpace(5, (2, 3))
         p = PosteriorVector([0.1, 0.2, 0.15, 0.3, 0.25], space)
         assert p.block_mass(1) == pytest.approx(0.3)
         assert p.block_mass(2) == pytest.approx(0.7)
+        with pytest.raises(BlockOutOfRange):
+            p.block_mass(3)
 
     def test_block_masses_sum_to_one(self):
         rng = np.random.default_rng(7)
@@ -138,8 +137,3 @@ class TestPosteriorVector:
             p = random_posterior(rng, space)
             total = sum(p.block_mass(k) for k in range(1, space.n_blocks + 1))
             assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_size_bounds(self):
-        p = PosteriorVector([0.4, 0.6])
-        with pytest.raises(OutOfRange):
-            p.top_m_set(3)

@@ -1,4 +1,5 @@
-"""The self-contained Python examples in README.md run as written.
+"""The self-contained Python examples in README.md run as written, and
+the calls its text names exist.
 
 A block is self-contained when it opens with its imports, one of them
 from ``setbayes``; the other blocks continue an example in the text.
@@ -6,6 +7,8 @@ from ``setbayes``; the other blocks continue an example in the text.
 
 import re
 from pathlib import Path
+
+import setbayes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -37,3 +40,27 @@ def test_self_contained_snippets_run():
 def test_quick_start_prints_its_set(capsys):
     _run(min(SNIPPETS))
     assert capsys.readouterr().out == "(1, 2, 3) 0.5499999999999999\n"
+
+
+def _named_calls(text):
+    """The dotted name of every inline code span outside the fenced
+    blocks that reads as a call, such as ``PenaltySequence.proportional``
+    for `PenaltySequence.proportional(c, n)`."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", text)
+    calls = (re.match(r"([A-Za-z_]\w*(?:\.\w+)*)\(", span) for span in spans)
+    return [m.group(1) for m in calls if m]
+
+
+def test_named_calls_resolve():
+    """Every call the text names whose head is in ``setbayes.__all__``
+    resolves, so that a removed name cannot stay in the README."""
+    assert _named_calls("`a.b(x)`, `c` and\n```\n`d(y)`\n```\n") == ["a.b"]
+    names = [n for n in _named_calls(README.read_text(encoding="utf-8"))
+             if n.split(".")[0] in setbayes.__all__]
+    assert len(names) >= 10
+    for name in names:
+        obj = setbayes
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README.md names {name}, which does not resolve"
+            obj = getattr(obj, part)

@@ -28,7 +28,7 @@ from conftest import binary_reward, random_posterior, random_space
 
 class TestPenaltySequence:
     def test_linear_and_proportional(self):
-        lin = PenaltySequence.linear(0.3, 4)
+        lin = PenaltySequence(tuple(0.3 * m for m in range(5)), convex=True)
         assert lin.values == (0.0, 0.3, 0.6, 0.8999999999999999, 1.2)
         assert lin.convex
         prop = PenaltySequence.proportional(0.3, 4)
@@ -43,12 +43,12 @@ class TestPenaltySequence:
         PenaltySequence(tuple(0.3 * m for m in range(8)), convex=True)
 
     def test_reject_plateau_shape(self):
-        g = PenaltySequence.reject_plateau(0.6, 4)
+        """Ripley's rule as a size penalty: (0, 0, 1, ..., 1, 1 - r)."""
+        g = PenaltySequence((0.0, 0.0, 1.0, 1.0, 1.0 - 0.6))
         assert g.values == (0.0, 0.0, 1.0, 1.0, 0.4)
+        assert not g.convex
         with pytest.raises(NotConvex):
             PenaltySequence(g.values, convex=True)
-        with pytest.raises(OutOfRange):
-            PenaltySequence.reject_plateau(0.2, 4)  # below 1/N
 
     def test_negative_entries_rejected(self):
         with pytest.raises(OutOfRange):
@@ -67,7 +67,7 @@ class TestRewardEvaluation:
         space = CategorySpace(3)
         spec = InvariantPenalty(PenaltySequence((0.0, 0.1, 0.5, 0.9)))
         assert reward(spec, ClassifiedSet.of([1, 3], 3), 3, space) == pytest.approx(0.5)
-        assert reward(spec, ClassifiedSet.empty(3), 1, space) == pytest.approx(0.0)
+        assert reward(spec, ClassifiedSet.of([], 3), 1, space) == pytest.approx(0.0)
         with pytest.raises(DimensionMismatch):
             reward(spec, ClassifiedSet.of([1], 4), 1, CategorySpace(4))
 
@@ -78,14 +78,14 @@ class TestRewardEvaluation:
         got = reward(spec, ClassifiedSet.of([2, 3], 4), 2, space)
         assert got == pytest.approx(0.9)
         assert reward(spec, ClassifiedSet.of([1], 4), 1, space) == 1.0
-        assert reward(spec, ClassifiedSet.full(4), 3, space) == pytest.approx(0.7)
+        assert reward(spec, ClassifiedSet.of(range(1, 5), 4), 3, space) == pytest.approx(0.7)
 
     def test_ripley(self):
         space = CategorySpace(4)
         spec = RipleyReject(0.6)
         assert reward(spec, ClassifiedSet.of([2], 4), 2, space) == 1.0
         assert reward(spec, ClassifiedSet.of([2], 4), 1, space) == 0.0
-        assert reward(spec, ClassifiedSet.full(4), 1, space) == 0.6
+        assert reward(spec, ClassifiedSet.of(range(1, 5), 4), 1, space) == 0.6
         assert reward(spec, ClassifiedSet.of([1, 2], 4), 1, space) == 0.0
         with pytest.raises(OutOfRange):
             reward(RipleyReject(0.2), ClassifiedSet.of([1], 4), 1, space)
@@ -111,8 +111,8 @@ class TestRewardEvaluation:
         space = CategorySpace(4)  # categories 1..3 regular, 4 is the zone
         spec = IndifferenceZone(0.7)
         assert reward(spec, ClassifiedSet.of([2], 4), 2, space) == 1.0
-        assert reward(spec, ClassifiedSet.empty(4), 4, space) == 0.7
-        assert reward(spec, ClassifiedSet.empty(4), 1, space) == 0.0
+        assert reward(spec, ClassifiedSet.of([], 4), 4, space) == 0.7
+        assert reward(spec, ClassifiedSet.of([], 4), 1, space) == 0.0
         assert reward(spec, ClassifiedSet.of([2], 4), 4, space) == 0.0
         assert reward(spec, ClassifiedSet.of([1, 2], 4), 1, space) == 0.0
 
@@ -174,9 +174,10 @@ class TestValueFunction:
             p = random_posterior(rng, space)
             g = PenaltySequence(tuple(np.sort(rng.random(n + 1)) * 2))
             m = int(rng.integers(0, n + 1))
-            chosen = p.top_m_set(m)
+            top = np.argsort(-p.p, kind="stable")[:m]
+            chosen = ClassifiedSet.of((top + 1).tolist(), n)
             got = value_function(InvariantPenalty(g), p, chosen)
-            want = p.top_m_cumsum(m) - g.values[m]
+            want = p.p[top].sum() - g.values[m]
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_proportion_never_pays_for_first(self):
@@ -186,9 +187,10 @@ class TestValueFunction:
             p = random_posterior(rng, space)
             c = float(rng.random())
             m = int(rng.integers(1, space.n_categories + 1))
-            chosen = p.top_m_set(m)
+            top = np.argsort(-p.p, kind="stable")[:m]
+            chosen = ClassifiedSet.of((top + 1).tolist(), space.n_categories)
             got = value_function(ProportionBased(c), p, chosen)
-            want = p.top_m_cumsum(m) - c * (m - 1)
+            want = p.p[top].sum() - c * (m - 1)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_space_mismatch(self):

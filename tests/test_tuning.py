@@ -110,6 +110,12 @@ class TestWeights:
         with pytest.raises(OutOfRange):
             make_weights("uniform", (3, 1))
 
+    @pytest.mark.parametrize("kind", ["per_observation", "per_category", "rarity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_counts_must_be_finite_and_nonnegative(self, kind, bad):
+        with pytest.raises(OutOfRange, match="finite and nonnegative"):
+            make_weights(kind, [3, bad], [0.5, 0.5] if kind == "rarity" else None)
+
     def test_all_schemes_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
