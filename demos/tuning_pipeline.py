@@ -13,8 +13,9 @@ per score variant:
 
 R3 and R4 degrade monotonically as b grows (sets shrink), so those
 variants take the largest b whose error stays under a chosen bound.
-R1 and R2 are not monotone and are simply minimized over the grid, with
-a scalar refinement pass around the best point.
+R1 and R2 are not monotone.  Each fold's score is a step function of b,
+so their error is minimized exactly over the grid's range, at the
+smallest b that reaches the minimum.
 """
 
 import numpy as np
@@ -71,8 +72,7 @@ def main() -> None:
     for name, variant in (("R1", BinaryReward.EXACT_SINGLETON),
                           ("R2", BinaryReward.WITHIN_BLOCK)):
         sel = select_b_minimize(report, variant)
-        tag = "refined off-grid" if sel.refined else "grid point"
-        print(f"  {name}: b = {sel.cost:.4f}  (non-reward {sel.non_reward_rate:.4f}, {tag})")
+        print(f"  {name}: b = {sel.cost:.4f}  (non-reward {sel.non_reward_rate:.4f})")
 
 
 if __name__ == "__main__":

@@ -52,6 +52,7 @@ from .errors import (
     SetBayesError,
 )
 from .gaussian import (
+    MAX_DRAWS,
     GaussianCategoryModel,
     calibrate_conformal_cost,
     check_prior,
@@ -71,11 +72,6 @@ from .tuning import (
     select_b_threshold,
 )
 
-#: Largest ``--draws`` that ``fit`` and ``tune`` accept, checked before any
-#: input is read: 100 times ``fit``'s default.  A category's draws are held
-#: as several (draws, d, d) arrays at once, 7.2 MB each at the limit and
-#: d = 3, so memory stays bounded whatever the argument.
-MAX_DRAWS = 100_000
 #: Bytes that ``np.loadtxt`` strips around a number as whitespace and
 #: ``float()`` refuses; a query file holding one is read row by row.
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
@@ -433,7 +429,6 @@ def _cmd_tune(args) -> int:
             "selected_b": sel.cost,
             "within_cost": args.epsilon * sel.cost,
             "non_reward_rate": sel.non_reward_rate,
-            "refined": sel.refined,
         }
         print(f"{name} minimum rule:   b = {sel.cost:.4f} "
               f"(non-reward {sel.non_reward_rate:.4f})")

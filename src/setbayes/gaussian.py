@@ -925,6 +925,13 @@ def conformal_coverage(
     return float(np.mean(_own_category_scores(model, prior, n_samples, rng) >= cost))
 
 
+#: Most draws a model file, or ``fit``'s and ``tune``'s ``--draws``, may ask
+#: for: 100 times ``fit``'s default.  A category's draws are held as several
+#: (draws, d, d) arrays at once, 7.2 MB each at the limit and d = 3, so
+#: memory stays bounded whatever the input.
+MAX_DRAWS = 100_000
+
+
 def model_to_json(model: GaussianCategoryModel) -> dict:
     """JSON form of a fitted model: hyperparameters plus (n_draws, seed).
 
@@ -950,12 +957,15 @@ def model_to_json(model: GaussianCategoryModel) -> dict:
 
 
 def model_from_json(obj: dict) -> GaussianCategoryModel:
-    """Rebuild a model from ``model_to_json`` output, regenerating draws."""
+    """Rebuild a model from ``model_to_json`` output, checking it before any draw."""
     if not isinstance(obj, dict) or obj.get("format") != "setbayes-model":
         raise ValueError("not a setbayes model object")
+    n_draws, seed, dim = obj.get("n_draws"), obj.get("seed"), obj.get("dim")
+    if type(n_draws) is not int or not 1 <= n_draws <= MAX_DRAWS:
+        raise ValueError(f"'n_draws' must be an integer in 1..{MAX_DRAWS}, got {n_draws!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"'seed' must be a non-negative integer, got {seed!r}")
     try:
-        n_draws = int(obj["n_draws"])
-        seed = int(obj["seed"])
         space = CategorySpace(
             sum(int(s) for s in obj["block_sizes"]),
             tuple(int(s) for s in obj["block_sizes"]),
@@ -973,4 +983,6 @@ def model_from_json(obj: dict) -> GaussianCategoryModel:
         raise ValueError(f"malformed model object: {exc}") from None
     if len(posteriors) != space.n_categories:
         raise ValueError("model categories do not match the block sizes")
+    if type(dim) is not int or any(post.dim != dim for post in posteriors):
+        raise ValueError(f"'dim' must be every category's mean length, got {dim!r}")
     return GaussianCategoryModel(posteriors, n_draws, seed, space)

@@ -302,20 +302,25 @@ class CompositeProportion(RewardSpec, kind="composite"):
 
     @staticmethod
     def block_sizes(ranked: Ranking, within_cost: float, cross_cost: float) -> np.ndarray:
-        """How many of each block's most probable categories join, shape (R, K).
+        """How many of each block's most probable categories join, shape (R, K):
+        the objective separates over blocks, and those that join are a prefix."""
+        return CompositeProportion.joins(ranked, within_cost, cross_cost).sum(axis=2)
 
-        The objective separates over blocks.  Within block k, writing P_k
-        for the block's mass, the first category joins when its probability
-        is at least (1 - P_k) * cross_cost, and category number m >= 2 joins
-        while its probability is at least P_k * within_cost + (1 - P_k) *
-        cross_cost; a category exactly at its threshold joins.
+    @staticmethod
+    def joins(ranked: Ranking, within_cost, cross_cost) -> np.ndarray:
+        """Whether block k's j-th most probable category joins, shape (R, K, W).
+
+        Writing P_k for the block's mass, the first category joins when its
+        probability is at least (1 - P_k) * cross_cost, and each later one
+        when its probability is at least P_k * within_cost + (1 - P_k) *
+        cross_cost; a category exactly at its threshold joins.  The costs
+        are scalars or arrays broadcasting against (R, K, W).
         """
-        mass = ranked.mass
-        t_extra = mass * within_cost + (1.0 - mass) * cross_cost
-        t_first = (1.0 - mass) * cross_cost
-        included = (ranked.sorted >= t_extra[:, :, None]).sum(axis=2)
-        first = ranked.sorted[:, :, 0] >= t_first
-        return np.where(included >= 2, included, first)
+        mass = ranked.mass[:, :, None]
+        rest = (1.0 - mass) * cross_cost
+        joined = ranked.sorted >= mass * within_cost + rest
+        joined[:, :, 0] = ranked.sorted[:, :, 0] >= rest[:, :, 0]
+        return joined
 
 
 @dataclass(frozen=True)
@@ -431,9 +436,9 @@ _JSON_TYPES = {
 def reward_spec_from_json(obj: dict) -> RewardSpec:
     """Build a reward specification from its JSON dictionary form.
 
-    The dictionary carries a ``kind`` discriminator; unknown kinds and
-    missing or mistyped parameters raise ``ValueError`` so callers can map
-    the failure to an input-schema error.
+    The dictionary carries a ``kind`` discriminator; unknown kinds, and
+    missing, mistyped or unknown parameters, raise ``ValueError`` so callers
+    can map the failure to an input-schema error.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("reward specification must be an object with a 'kind' field")
@@ -441,6 +446,9 @@ def reward_spec_from_json(obj: dict) -> RewardSpec:
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise ValueError(f"unknown reward kind {kind!r}; expected one of {sorted(_FAMILIES)}")
+    unknown = sorted(set(obj) - {"kind"} - {name for name, *_ in family.params})
+    if unknown:
+        raise ValueError(f"reward kind {kind!r} has unknown parameter {unknown[0]!r}")
     values = []
     for name, want, *default in family.params:
         if name not in obj and not default:

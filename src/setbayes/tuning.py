@@ -9,12 +9,13 @@ sample for that category; every other category keeps the full-fit draws.
 The folds of one category run together, as a rank-one downdate of the
 category's scatter and batches of draws sized by a memory budget.
 
-The held-out posterior matrix is computed and ranked once; sweeping the
-grid afterwards costs one vectorized pass of the composite rule per cost
-point.  Two selection rules are provided: the largest cost whose error
-stays under a bound (for scores where the error is monotone in the cost)
-and direct error minimization with a golden section refinement (for the
-singleton-style scores).
+The held-out posterior matrix is computed and ranked once.  A fold's
+score is a step function of the cost, so one bisection finds the costs at
+which each fold scores 1, and a rate is then one dot product.  Two rules
+select the cost: the largest grid cost whose error stays under a bound
+(for scores whose error grows with the cost), and the exact minimum of the
+piecewise-constant error over the grid's range (for the singleton-style
+scores).
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ from .gaussian import conjugate_update  # unused here, but bench/tracing.py wrap
 from .gaussian import draw_category_sample  # unused here, but bench/tracing.py wraps tuning.draw_category_sample
 from .rewards import BinaryReward, CompositeProportion
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Most points a ``CVConfig`` cost grid may have.  The sweep makes one pass
-#: of the composite rule over every fold per point, so a larger grid would
-#: run for hours or fail to allocate its curves after all the folds.
+#: Most points a ``CVConfig`` cost grid may have.  A point costs four dot
+#: products over the folds, so a larger grid would run for minutes or fail
+#: to allocate its curves after all the folds.
 MAX_GRID_POINTS = 10**6
 
 
@@ -199,6 +198,43 @@ class HeldOutPosteriors:
             BinaryReward.HITS_TRUE_BLOCK: (m_true >= 1).astype(float),
         }
 
+    def score_intervals(
+        self, epsilon: float, lo: float, hi: float
+    ) -> dict[BinaryReward, tuple[np.ndarray, np.ndarray]]:
+        """Per-fold cost intervals (L, R] of all four scores, for 0 < lo <= hi.
+
+        Fold f scores 1 under ``binary_scores(epsilon * b, b)`` exactly when
+        L[f] < b <= R[f], for every b in [lo, hi].  The join test of
+        ``CompositeProportion.joins`` fails from some cost on, so it holds
+        exactly up to J, the largest float in [lo, hi] at which it holds (the
+        float below lo if none); J is bisected over the int64 bits of b,
+        which positive floats sort in.  A later category joins only with the
+        first, so block k is nonempty while b <= J[k, 0].
+        """
+        ranked = self._ranked
+        first, last = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+        below = np.full(ranked.sorted.shape, first - 1)
+        above = np.full(ranked.sorted.shape, last + 1)
+        for _ in range(int(last - first + 1).bit_length()):
+            mid = below + (above - below) // 2
+            b = mid.view(np.float64)
+            holds = CompositeProportion.joins(ranked, epsilon * b, b)
+            below, above = np.where(holds, mid, below), np.where(holds, above, mid)
+        J = below.view(np.float64)
+        rows, truth = np.arange(self.n_folds), self.categories - 1
+        kt = self.space._block_index[truth]
+        contained = J[rows, kt, ranked.rank[rows, truth]]
+        others = J[:, :, 0].copy()
+        others[rows, kt] = -np.inf
+        alone = others.max(axis=1)  # every other block is empty above this
+        two = J[rows, kt, 1:2].max(axis=1, initial=-np.inf)  # the true block holds two up to this
+        return {
+            BinaryReward.EXACT_SINGLETON: (np.maximum(alone, two), contained),
+            BinaryReward.WITHIN_BLOCK: (alone, contained),
+            BinaryReward.CONTAINS_TRUTH: (np.full(self.n_folds, -np.inf), contained),
+            BinaryReward.HITS_TRUE_BLOCK: (np.full(self.n_folds, -np.inf), J[rows, kt, 0]),
+        }
+
 
 def loocv_posteriors(
     data: TrainingData,
@@ -261,13 +297,13 @@ def loocv_posteriors(
 @dataclass(frozen=True)
 class CVReport:
     """Reward-rate curves of all four binary scores along the cost grid,
-    with the settings, held-out rows and fold weights that produced them,
-    which the selection rules read."""
+    with the settings, fold score intervals and fold weights that
+    produced them, which the selection rules read."""
 
     grid: np.ndarray
     rates: dict[BinaryReward, np.ndarray]
     config: CVConfig
-    held: HeldOutPosteriors
+    intervals: dict[BinaryReward, tuple[np.ndarray, np.ndarray]]
     fold_weights: np.ndarray
 
     def non_reward(self, variant: BinaryReward) -> np.ndarray:
@@ -284,12 +320,10 @@ class CVReport:
         ]
 
 
-def _rates(
-    held: HeldOutPosteriors, fold_w: np.ndarray, within_cost: float, cross_cost: float
-) -> dict[BinaryReward, float]:
-    """Weighted held-out rate of each binary score at one cost pair."""
-    scores = held.binary_scores(within_cost, cross_cost)
-    return {v: min(1.0, max(0.0, float(fold_w @ scores[v]))) for v in BinaryReward}
+def _rate(fold_w: np.ndarray, interval: tuple[np.ndarray, np.ndarray], cost: float) -> float:
+    """Weighted held-out rate of one score at one cost, from its intervals."""
+    lower, upper = interval
+    return min(1.0, max(0.0, float(fold_w @ ((lower < cost) & (cost <= upper)).astype(float))))
 
 
 def evaluate_curves(
@@ -301,11 +335,9 @@ def evaluate_curves(
     """
     grid = config.grid()
     fold_w = held.fold_weights(weights)
-    curves = {v: np.empty(grid.size) for v in BinaryReward}
-    for idx, cost in enumerate(grid):
-        for v, rate in _rates(held, fold_w, config.epsilon * cost, cost).items():
-            curves[v][idx] = rate
-    return CVReport(grid, curves, config, held, fold_w)
+    intervals = held.score_intervals(config.epsilon, grid[0], grid[-1])
+    curves = {v: np.array([_rate(fold_w, intervals[v], b) for b in grid]) for v in BinaryReward}
+    return CVReport(grid, curves, config, intervals, fold_w)
 
 
 @dataclass(frozen=True)
@@ -361,62 +393,35 @@ def select_b_threshold(report: CVReport, variant: BinaryReward) -> ThresholdSele
 
 @dataclass(frozen=True)
 class MinimizeSelection:
-    """Cost minimizing the non-reward rate, with optional refinement."""
+    """Smallest cost minimizing the non-reward rate over the grid's range."""
 
     cost: float
     non_reward_rate: float
-    refined: bool
 
 
 def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelection:
-    """Minimize the non-reward rate of ``variant`` over the grid, then
-    refine locally.
+    """The exact minimum of the non-reward rate of ``variant`` over
+    [grid[0], grid[-1]], at the smallest cost that reaches it.
 
-    The coarse grid supplies a bracketing triple around its best point; a
-    golden section search inside that bracket then looks for a better
-    cost, scoring the report's held-out rows with its fold weights and
-    epsilon.  On plateaus (several grid points sharing the minimum) the
-    smallest cost is returned unrefined, which keeps the rule
-    deterministic.  The refined answer is never worse than the grid
-    minimum, because the grid point stays among the candidates.
+    The rate is constant between consecutive ends of the folds' score
+    intervals, so it is evaluated once per piece, at the piece's right end
+    (grid[-1] for the last), with the dot product of the curve; the
+    selected rate is never above the curve's minimum.  The cost is grid[0]
+    for the first piece, else the float just above the previous end.
     """
     if variant not in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
         raise OutOfRange(
             "rate minimization applies to the singleton-style scores; "
             "use select_b_threshold for the containment scores"
         )
-    curve = report.non_reward(variant)
-    best_rate = float(curve.min())
-    at_minimum = np.flatnonzero(curve == best_rate)
-    idx = int(at_minimum[0])
-    plateau = at_minimum.size > 1
-    interior = 0 < idx < curve.size - 1
-    if plateau or not interior:
-        return MinimizeSelection(float(report.grid[idx]), best_rate, False)
-
-    held, fold_w, config = report.held, report.fold_weights, report.config
-
-    def objective(cost: float) -> float:
-        return 1.0 - _rates(held, fold_w, config.epsilon * cost, cost)[variant]
-
-    lo = float(report.grid[idx - 1])
-    hi = float(report.grid[idx + 1])
-    candidates = [(float(report.grid[idx]), best_rate)]
-    x1 = hi - (hi - lo) * _INV_PHI
-    x2 = lo + (hi - lo) * _INV_PHI
-    f1, f2 = objective(x1), objective(x2)
-    candidates += [(x1, f1), (x2, f2)]
-    tol = config.grid_step * 1e-3
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - (hi - lo) * _INV_PHI
-            f1 = objective(x1)
-            candidates.append((x1, f1))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + (hi - lo) * _INV_PHI
-            f2 = objective(x2)
-            candidates.append((x2, f2))
-    cost, rate = min(candidates, key=lambda t: (t[1], t[0]))
-    return MinimizeSelection(float(cost), float(rate), True)
+    lo, hi = report.grid[0], report.grid[-1]
+    lower, upper = report.intervals[variant]
+    ends = np.concatenate([lower[lower < upper], upper[lower < upper]])
+    ends = np.unique(ends[(lo <= ends) & (ends < hi)])
+    non_reward = [
+        1.0 - _rate(report.fold_weights, report.intervals[variant], b)
+        for b in np.append(ends, hi)
+    ]
+    idx = int(np.argmin(non_reward))
+    cost = lo if idx == 0 else np.nextafter(ends[idx - 1], np.inf)
+    return MinimizeSelection(float(cost), non_reward[idx])

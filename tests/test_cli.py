@@ -263,7 +263,9 @@ class TestClassify:
         for malformed in ('{"kind": "proportion", "c": [1]}',
                           '{"kind": "penalty", "g": 5}',
                           '{"kind": "ripley", "r": null}',
-                          '{"kind": "penalty", "g": [0, 0, 1, 1], "convex": "no"}'):
+                          '{"kind": "penalty", "g": [0, 0, 1, 1], "convex": "no"}',
+                          '{"kind": "proportion", "c": 0.2, "cc": 9}',
+                          '{"kind": "penalty", "g": [0, 0, 0.5, 1], "convx": true}'):
             assert main(base + ["--reward", malformed]) == 2
         assert main(base + ["--reward", '{"kind": "map"}', "--prior", "[0.5, 0.5]"]) == 3
         capsys.readouterr()
@@ -917,6 +919,34 @@ class TestConformal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: need at least one audit sample, got {audit_samples}\n"
+
+
+class TestModelFileFields:
+    @pytest.mark.parametrize("field, value", [
+        ("n_draws", 2.7), ("n_draws", True), ("n_draws", "80"), ("n_draws", 0),
+        ("n_draws", gaussian.MAX_DRAWS + 1), ("n_draws", None),
+        ("seed", -1), ("seed", 2.0), ("seed", False), ("seed", None),
+        ("dim", 7), ("dim", 2.0), ("dim", None),
+    ])
+    def test_bad_field_exits_2_before_any_draw(self, workspace, monkeypatch, capsys,
+                                               field, value):
+        """A hand-edited model file is refused with the field named (a
+        ``None`` value drops the field), before any draw is made."""
+        tmp_path, _, data, model = workspace
+        bundle = json.loads(model.read_text())
+        bundle["model"].pop(field)
+        if value is not None:
+            bundle["model"][field] = value
+        model.write_text(json.dumps(bundle))
+        monkeypatch.setattr(gaussian, "draw_category_sample", must_not_run("draw_category_sample"))
+        capsys.readouterr()
+        for argv in (
+            ["classify", "--model", str(model), "--data", str(data),
+             "--reward", '{"kind": "map"}', "--out", str(tmp_path / "sets.csv")],
+            ["conformal", "--model", str(model), "--delta", "0.1"],
+        ):
+            assert main(argv) == 2
+            assert f"'{field}'" in capsys.readouterr().err
 
 
 class TestUnwritableOutput:

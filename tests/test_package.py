@@ -1,6 +1,10 @@
-"""The package's export list matches what it binds."""
+"""The package's export list matches what it binds, and its imports."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import setbayes
 
@@ -15,3 +19,18 @@ def test_all_lists_exactly_the_public_bindings():
     }
     assert len(listed) == len(set(listed))
     assert set(listed) == public
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing the package and its
+    command line in a fresh interpreter loads no scipy module."""
+    code = (
+        "import sys, setbayes, setbayes.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    src = str(Path(setbayes.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "[]\n"

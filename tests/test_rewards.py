@@ -245,6 +245,11 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             reward_spec_from_json(obj)
 
+    @pytest.mark.parametrize("obj", [obj for obj, _ in PARSED], ids=lambda obj: obj["kind"])
+    def test_unknown_parameter_named(self, obj):
+        with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+            reward_spec_from_json({**obj, "zz": 1})
+
     def test_convex_defaults_to_false(self):
         spec = reward_spec_from_json({"kind": "penalty", "g": [0, 0, 1]})
         assert spec == InvariantPenalty(PenaltySequence((0.0, 0.0, 1.0)))

@@ -415,6 +415,70 @@ class TestKernelAgainstReference:
                 assert kernel_rate == pytest.approx(ref, abs=1e-12)
 
 
+#: Block sizes of the three categories: blocked, one block, all singletons.
+SWEEP_SPACES = {"blocked": (2, 1), "one-block": (3,), "singletons": (1, 1, 1)}
+
+
+@pytest.fixture(scope="module")
+def sweep_folds():
+    rng = np.random.default_rng(41)
+    data, space = blocked_data(rng, counts=(20, 12, 9), spread=2.0)
+    held = loocv_posteriors(data, space, uniform_prior(3), n_draws=40, seed=17)
+    return held, make_weights("per_observation", data.counts)
+
+
+@pytest.mark.parametrize("sizes", SWEEP_SPACES.values(), ids=SWEEP_SPACES)
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 1.0, 2.0])
+class TestScoreIntervals:
+    """The exact sweep against the composite rule, cost by cost."""
+
+    def report(self, sweep_folds, sizes, epsilon):
+        held, weights = sweep_folds
+        held = tuning.HeldOutPosteriors(
+            held.matrix, held.categories, held.counts, CategorySpace(3, sizes)
+        )
+        return held, evaluate_curves(CVConfig(epsilon, 0.05, 0.05, 3.0, 0.05), held, weights)
+
+    def test_intervals_match_binary_scores(self, sweep_folds, sizes, epsilon):
+        """At every grid point, at random costs, and at every finite end
+        and one float either side of it, fold f scores 1 exactly when
+        L[f] < b <= R[f]."""
+        held, report = self.report(sweep_folds, sizes, epsilon)
+        lo, hi = report.grid[0], report.grid[-1]
+        ends = np.concatenate([end for pair in report.intervals.values() for end in pair])
+        ends = ends[(lo <= ends) & (ends <= hi)]
+        assert ends.size > 0
+        near = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+        rng = np.random.default_rng(43)
+        costs = np.concatenate([report.grid, rng.uniform(lo, hi, 200), near])
+        for b in np.unique(costs[(lo <= costs) & (costs <= hi)]):
+            scores = held.binary_scores(epsilon * b, b)
+            for variant, (lower, upper) in report.intervals.items():
+                np.testing.assert_array_equal(
+                    (lower < b) & (b <= upper), scores[variant] == 1, err_msg=f"{variant} at {b!r}"
+                )
+
+    def test_minimize_is_the_lowest_rate_at_any_end(self, sweep_folds, sizes, epsilon):
+        """The selected rate is the lowest ``binary_scores`` rate over the
+        grid's ends, every in-range end and the float just above it, and
+        the cost is the smallest of those that reaches it."""
+        held, report = self.report(sweep_folds, sizes, epsilon)
+        lo, hi = report.grid[0], report.grid[-1]
+        for variant in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
+            ends = np.concatenate(report.intervals[variant])
+            ends = ends[(lo <= ends) & (ends < hi)]
+            costs = np.unique(np.concatenate([[lo, hi], ends, np.nextafter(ends, np.inf)]))
+            rates = [
+                1.0 - min(1.0, max(0.0, float(
+                    report.fold_weights @ held.binary_scores(epsilon * b, b)[variant]
+                )))
+                for b in costs
+            ]
+            sel = select_b_minimize(report, variant)
+            assert sel.non_reward_rate == min(rates)
+            assert sel.cost == costs[rates.index(min(rates))]
+
+
 @pytest.fixture(scope="module")
 def curve_setup():
     rng = np.random.default_rng(31)
@@ -520,7 +584,6 @@ class TestCurves:
         assert np.ptp(curve) == 0.0  # genuinely flat, or the test is vacuous
         sel = select_b_minimize(report, BinaryReward.EXACT_SINGLETON)
         assert sel.cost == pytest.approx(0.5)
-        assert not sel.refined
 
     def test_minimize_rejects_containment_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
