@@ -322,6 +322,21 @@ class CompositeProportion(RewardSpec, kind="composite"):
         joined[:, :, 0] = ranked.sorted[:, :, 0] >= rest[:, :, 0]
         return joined
 
+    @staticmethod
+    def join_costs(ranked: Ranking, epsilon: float) -> np.ndarray:
+        """The cross cost b at which each category of ``joins`` sits at its
+        threshold when within_cost = epsilon * b, shape (R, K, W).
+
+        It is p / (1 - P_k) for the first and p / (P_k * epsilon + 1 - P_k)
+        for each later one, exact only up to rounding, so it is a guess for
+        a search with ``joins``; a zero divisor gives inf or nan.
+        """
+        mass = ranked.mass[:, :, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cost = ranked.sorted / (mass * epsilon + 1.0 - mass)
+            cost[:, :, 0] = ranked.sorted[:, :, 0] / (1.0 - ranked.mass)
+        return cost
+
 
 @dataclass(frozen=True)
 class IndifferenceZone(RewardSpec, kind="indifference_zone"):

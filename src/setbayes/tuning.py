@@ -10,12 +10,14 @@ The folds of one category run together, as a rank-one downdate of the
 category's scatter and batches of draws sized by a memory budget.
 
 The held-out posterior matrix is computed and ranked once.  A fold's
-score is a step function of the cost, so one bisection finds the costs at
+score is a step function of the cost, so one bisection, started from a
+few ulps around each join test's closed-form cost, finds the costs at
 which each fold scores 1, and a rate is then one dot product.  Two rules
 select the cost: the largest grid cost whose error stays under a bound
 (for scores whose error grows with the cost), and the exact minimum of the
 piecewise-constant error over the grid's range (for the singleton-style
-scores).
+scores), which running sums of the fold weights over the sorted interval
+ends locate and the dot product confirms near the minimum.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ from .rewards import BinaryReward, CompositeProportion
 #: products over the folds, so a larger grid would run for minutes or fail
 #: to allocate its curves after all the folds.
 MAX_GRID_POINTS = 10**6
+
+#: Half-width, in ulps, of the bracket around each closed-form join cost
+#: that ``HeldOutPosteriors.join_limits`` bisects: its rounding error
+#: is a few ulps, and 32 ulps take five steps.
+BRACKET_ULPS = 16
 
 
 def make_weights(kind: str, counts, real_prior=None) -> np.ndarray:
@@ -150,7 +157,8 @@ class CVConfig:
 
     def grid(self) -> np.ndarray:
         """The cost grid lo, lo + step, ..., up to hi inclusive."""
-        return self.grid_lo + self.grid_step * np.arange(int(self._n_points()))
+        points = self.grid_lo + self.grid_step * np.arange(int(self._n_points()))
+        return np.minimum(points, self.grid_hi)  # the last step may round past hi
 
 
 @dataclass(eq=False)
@@ -198,29 +206,48 @@ class HeldOutPosteriors:
             BinaryReward.HITS_TRUE_BLOCK: (m_true >= 1).astype(float),
         }
 
+    def join_limits(self, epsilon: float, lo: float, hi: float) -> np.ndarray:
+        """J[r, k, j], the largest float b in [lo, hi] at which block k's j-th
+        category of fold r joins at costs (epsilon * b, b), or the float below
+        lo if none; shape (R, K, W), for 0 < lo <= hi.
+
+        The join test of ``CompositeProportion.joins`` fails from some cost
+        on, so it holds exactly up to J.  J is bisected over the int64 bits
+        of b, which positive floats sort in, from a bracket of
+        ``BRACKET_ULPS`` around the closed form
+        ``CompositeProportion.join_costs``: the test must hold at the
+        bracket's lower end and fail at its upper end, and a side that does
+        not is widened to the range's end, so a bad guess costs steps, never
+        bits.
+        """
+        ranked = self._ranked
+        first, last = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+        guess = np.clip(CompositeProportion.join_costs(ranked, epsilon).view(np.int64), first, last)
+        below = np.maximum(guess - BRACKET_ULPS, first - 1)
+        above = np.minimum(guess + BRACKET_ULPS, last + 1)
+        b = below.view(np.float64)
+        below[(below >= first) & ~CompositeProportion.joins(ranked, epsilon * b, b)] = first - 1
+        b = above.view(np.float64)
+        above[(above <= last) & CompositeProportion.joins(ranked, epsilon * b, b)] = last + 1
+        for _ in range(int((above - below).max(initial=1) - 1).bit_length()):
+            mid = below + (above - below) // 2
+            b = mid.view(np.float64)
+            holds = CompositeProportion.joins(ranked, epsilon * b, b)
+            below, above = np.where(holds, mid, below), np.where(holds, above, mid)
+        return below.view(np.float64)
+
     def score_intervals(
         self, epsilon: float, lo: float, hi: float
     ) -> dict[BinaryReward, tuple[np.ndarray, np.ndarray]]:
         """Per-fold cost intervals (L, R] of all four scores, for 0 < lo <= hi.
 
         Fold f scores 1 under ``binary_scores(epsilon * b, b)`` exactly when
-        L[f] < b <= R[f], for every b in [lo, hi].  The join test of
-        ``CompositeProportion.joins`` fails from some cost on, so it holds
-        exactly up to J, the largest float in [lo, hi] at which it holds (the
-        float below lo if none); J is bisected over the int64 bits of b,
-        which positive floats sort in.  A later category joins only with the
-        first, so block k is nonempty while b <= J[k, 0].
+        L[f] < b <= R[f], for every b in [lo, hi].  They are read from
+        ``join_limits``: a later category joins only with the first, so
+        block k is nonempty while b <= J[k, 0].
         """
+        J = self.join_limits(epsilon, lo, hi)
         ranked = self._ranked
-        first, last = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
-        below = np.full(ranked.sorted.shape, first - 1)
-        above = np.full(ranked.sorted.shape, last + 1)
-        for _ in range(int(last - first + 1).bit_length()):
-            mid = below + (above - below) // 2
-            b = mid.view(np.float64)
-            holds = CompositeProportion.joins(ranked, epsilon * b, b)
-            below, above = np.where(holds, mid, below), np.where(holds, above, mid)
-        J = below.view(np.float64)
         rows, truth = np.arange(self.n_folds), self.categories - 1
         kt = self.space._block_index[truth]
         contained = J[rows, kt, ranked.rank[rows, truth]]
@@ -404,10 +431,14 @@ def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelect
     [grid[0], grid[-1]], at the smallest cost that reaches it.
 
     The rate is constant between consecutive ends of the folds' score
-    intervals, so it is evaluated once per piece, at the piece's right end
-    (grid[-1] for the last), with the dot product of the curve; the
-    selected rate is never above the curve's minimum.  The cost is grid[0]
-    for the first piece, else the float just above the previous end.
+    intervals, so each piece is rated at its right end (grid[-1] for the
+    last).  Running sums of the fold weights over the sorted lower and
+    upper ends rate every piece in one pass, up to rounding; only the
+    pieces within ``1e-9`` of the best of those (scaled by the total
+    weight above one) are rated again with the curve's dot product, which
+    picks the piece, so the selected rate is never above the curve's
+    minimum.  The cost is grid[0] for the first piece, else the float just
+    above the previous end.
     """
     if variant not in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
         raise OutOfRange(
@@ -416,12 +447,23 @@ def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelect
         )
     lo, hi = report.grid[0], report.grid[-1]
     lower, upper = report.intervals[variant]
-    ends = np.concatenate([lower[lower < upper], upper[lower < upper]])
+    live = lower < upper
+    ends = np.concatenate([lower[live], upper[live]])
     ends = np.unique(ends[(lo <= ends) & (ends < hi)])
-    non_reward = [
-        1.0 - _rate(report.fold_weights, report.intervals[variant], b)
-        for b in np.append(ends, hi)
-    ]
-    idx = int(np.argmin(non_reward))
+    rights = np.append(ends, hi)
+    w = report.fold_weights[live]
+
+    def weight_below(end):
+        # Weight of the live folds whose ``end`` is below each piece's right end.
+        order = np.argsort(end)
+        total = np.concatenate([[0.0], np.cumsum(w[order])])
+        return total[np.searchsorted(end[order], rights)]
+
+    # A live fold scores 1 at b when lower < b, unless also upper < b.
+    approx = 1.0 - np.clip(weight_below(lower[live]) - weight_below(upper[live]), 0.0, 1.0)
+    tol = 1e-9 * max(1.0, float(np.abs(w).sum()))
+    near = np.flatnonzero(approx <= approx.min() + tol)
+    non_reward = [1.0 - _rate(report.fold_weights, report.intervals[variant], rights[i]) for i in near]
+    idx = int(near[np.argmin(non_reward)])
     cost = lo if idx == 0 else np.nextafter(ends[idx - 1], np.inf)
-    return MinimizeSelection(float(cost), non_reward[idx])
+    return MinimizeSelection(float(cost), min(non_reward))

@@ -139,6 +139,15 @@ class TestCVConfig:
         cfg = CVConfig(1.0, 0.05, 0.1, 0.25, 0.1)
         np.testing.assert_allclose(cfg.grid(), [0.1, 0.2])
 
+    @pytest.mark.parametrize("lo, hi", [(0.1, 0.3), (0.1, 0.7), (0.2, 0.9)])
+    def test_grid_never_passes_hi(self, lo, hi):
+        """lo + n * step rounds one ulp past hi on these grids; the last
+        point is hi itself."""
+        grid = CVConfig(1.0, 0.05, lo, hi, 0.1).grid()
+        assert lo + 0.1 * (grid.size - 1) > hi  # the unclamped point overshoots
+        assert grid[-1] == hi
+        np.testing.assert_array_equal(grid[:-1], lo + 0.1 * np.arange(grid.size - 1))
+
     def test_validation(self):
         with pytest.raises(OutOfRange):
             CVConfig(1.0, 0.0, 0.1, 1.0, 0.1)
@@ -477,6 +486,195 @@ class TestScoreIntervals:
             sel = select_b_minimize(report, variant)
             assert sel.non_reward_rate == min(rates)
             assert sel.cost == costs[rates.index(min(rates))]
+
+
+def full_range_limits(held, epsilon, lo, hi):
+    """``join_limits`` by bisecting every entry over all of [lo, hi]: the
+    reference for the bracketed bisection."""
+    ranked = held._ranked
+    first, last = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+    below = np.full(ranked.sorted.shape, first - 1)
+    above = np.full(ranked.sorted.shape, last + 1)
+    for _ in range(int(last - first + 1).bit_length()):
+        mid = below + (above - below) // 2
+        b = mid.view(np.float64)
+        holds = CompositeProportion.joins(ranked, epsilon * b, b)
+        below, above = np.where(holds, mid, below), np.where(holds, above, mid)
+    return below.view(np.float64)
+
+
+def assert_same_limits(held, epsilon, lo, hi):
+    with np.errstate(over="ignore"):  # epsilon 1e308 takes the within cost to inf
+        np.testing.assert_array_equal(
+            held.join_limits(epsilon, lo, hi).view(np.int64),
+            full_range_limits(held, epsilon, lo, hi).view(np.int64),
+        )
+
+
+def warbler_like_folds(n_draws=60):
+    """Leave-one-out posteriors of the warbler-like spec's four categories in
+    blocks (2, 1, 1), at a tenth of its counts."""
+    rng = np.random.default_rng(53)
+    means = ([0.0, 0.0, 0.0], [1.6, 0.8, 0.4], [3.2, 2.4, 1.5], [5.0, 4.2, 2.5])
+    groups = [np.asarray(m) + rng.standard_normal((n, 3)) for m, n in zip(means, (41, 42, 8, 6))]
+    data, space = TrainingData(groups), CategorySpace(4, (2, 1, 1))
+    held = loocv_posteriors(data, space, uniform_prior(4), n_draws=n_draws, seed=59)
+    return held, make_weights("per_observation", data.counts)
+
+
+#: Rows whose blocks sum to exactly 1 or hold exact zeros: on one block the
+#: first category's closed form divides by 0 (P_k = 1), and at epsilon 0 a
+#: zero later one is 0/0.
+EXACT_ROWS = np.array([
+    [0.5, 0.25, 0.25],
+    [1.0, 0.0, 0.0],
+    [0.75, 0.25, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.125, 0.375, 0.5],
+])
+
+
+@pytest.mark.parametrize("sizes", SWEEP_SPACES.values(), ids=SWEEP_SPACES)
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0, 1e308])
+class TestJoinLimits:
+    """The bracketed bisection against the full-range one, bit for bit."""
+
+    def held(self, sweep_folds, sizes):
+        held, _ = sweep_folds
+        return tuning.HeldOutPosteriors(
+            held.matrix, held.categories, held.counts, CategorySpace(3, sizes)
+        )
+
+    @pytest.mark.parametrize("lo, hi", [(0.05, 3.0), (0.05, 5.0), (1e-300, 1e300)])
+    def test_matches_full_range(self, sweep_folds, sizes, epsilon, lo, hi):
+        assert_same_limits(self.held(sweep_folds, sizes), epsilon, lo, hi)
+
+    def test_single_cost_range(self, sweep_folds, sizes, epsilon):
+        for cost in (0.05, 0.4, 1.0, 3.0):
+            assert_same_limits(self.held(sweep_folds, sizes), epsilon, cost, cost)
+
+    def test_exact_masses_and_zeros(self, sizes, epsilon):
+        held = tuning.HeldOutPosteriors(
+            EXACT_ROWS, np.array([1, 1, 2, 3, 3]), (2, 1, 2), CategorySpace(3, sizes)
+        )
+        for lo, hi in ((0.05, 5.0), (1e-300, 1e300), (1.0, 1.0)):
+            assert_same_limits(held, epsilon, lo, hi)
+
+    def test_a_bad_guess_costs_steps_not_bits(self, sweep_folds, sizes, epsilon, monkeypatch):
+        for bad in (np.nan, -np.nan, np.inf, 0.0, -1.0, 1e-320, 0.7):
+            monkeypatch.setattr(
+                CompositeProportion, "join_costs",
+                staticmethod(lambda ranked, eps: np.full(ranked.sorted.shape, bad)),
+            )
+            assert_same_limits(self.held(sweep_folds, sizes), epsilon, 0.05, 5.0)
+
+
+def test_join_passes_on_warbler_like_folds(monkeypatch):
+    """The bracket takes two checks and five bisection steps where the full
+    range [0.05, 5.0] takes 55 steps."""
+    held, _ = warbler_like_folds()
+    calls = []
+    joins = CompositeProportion.joins
+
+    def counted(ranked, within_cost, cross_cost):
+        calls.append(cross_cost)
+        return joins(ranked, within_cost, cross_cost)
+
+    monkeypatch.setattr(CompositeProportion, "joins", staticmethod(counted))
+    for epsilon in (0.5, 2.0):
+        calls.clear()
+        held.score_intervals(epsilon, 0.05, 5.0)
+        assert len(calls) <= 10
+
+
+def per_piece_minimum(report, variant):
+    """``select_b_minimize`` by rating every piece with the dot product:
+    the reference for the running-sum pass."""
+    lo, hi = report.grid[0], report.grid[-1]
+    lower, upper = report.intervals[variant]
+    ends = np.concatenate([lower[lower < upper], upper[lower < upper]])
+    ends = np.unique(ends[(lo <= ends) & (ends < hi)])
+    rights = np.append(ends, hi)
+    non_reward = [1.0 - tuning._rate(report.fold_weights, report.intervals[variant], b) for b in rights]
+    idx = int(np.argmin(non_reward))
+    cost = lo if idx == 0 else np.nextafter(ends[idx - 1], np.inf)
+    return float(cost), non_reward[idx], dict(zip(rights, non_reward))
+
+
+def fold_report(lower, upper, weights, variant=BinaryReward.EXACT_SINGLETON):
+    """A report over [0.05, 5.0] holding one score's fold intervals."""
+    cfg = CVConfig(1.0, 0.05, 0.05, 5.0, 0.05)
+    intervals = {variant: (np.asarray(lower, float), np.asarray(upper, float))}
+    return tuning.CVReport(cfg.grid(), {}, cfg, intervals, np.asarray(weights, float))
+
+
+def tied_report(n=6):
+    """Fold 0 spans the range and folds 1..n each cover one piece, with a
+    piece between them that none covers.  The n covered pieces tie
+    exactly, as each rate sums the same two nonzero weights, but the
+    running sums reach them with different rounding: 1 - (0.47 + 0.16)
+    read through them is an ulp lower at the third piece than at the first."""
+    ends = np.linspace(0.1, 4.9, 2 * n)
+    lower = np.concatenate([[-np.inf], ends[0::2]])
+    upper = np.concatenate([[np.inf], ends[1::2]])
+    return fold_report(lower, upper, [0.47] + [0.16] * n)
+
+
+def gap_report(tiny, later):
+    """Two covered pieces whose rates differ by one fold of weight ``tiny``,
+    on the later piece or the earlier one."""
+    lower = [-np.inf, 0.5, 2.0, 2.0 if later else 0.5]
+    upper = [np.inf, 1.0, 2.5, 2.5 if later else 1.0]
+    return fold_report(lower, upper, [0.4, 0.3, 0.3, tiny])
+
+
+def counted_minimum(report, variant, monkeypatch):
+    """``select_b_minimize`` with the costs at which it calls ``_rate``."""
+    costs = []
+    rate = tuning._rate
+
+    def counted(fold_w, interval, cost):
+        costs.append(cost)
+        return rate(fold_w, interval, cost)
+
+    monkeypatch.setattr(tuning, "_rate", counted)
+    sel = select_b_minimize(report, variant)
+    monkeypatch.setattr(tuning, "_rate", rate)
+    return sel, costs
+
+
+class TestRunningSumMinimum:
+    """The one-pass selection against the per-piece loop."""
+
+    def check(self, report, monkeypatch, variant=BinaryReward.EXACT_SINGLETON):
+        cost, non_reward, by_piece = per_piece_minimum(report, variant)
+        sel, costs = counted_minimum(report, variant, monkeypatch)
+        assert (sel.cost, sel.non_reward_rate) == (cost, non_reward)
+        assert costs
+        for b in costs:  # exact dot products only near the minimum
+            assert by_piece[b] <= non_reward + 1e-9
+        return sel, costs
+
+    def test_exact_ties_take_the_first_piece(self, monkeypatch):
+        report = tied_report()
+        sel, costs = self.check(report, monkeypatch)
+        assert sel.cost == np.nextafter(0.1, np.inf)
+        assert len(costs) == 6  # every tied piece, no other
+
+    @pytest.mark.parametrize("tiny", [1e-12, 1e-6])
+    @pytest.mark.parametrize("later", [True, False], ids=["later", "earlier"])
+    def test_one_fold_apart(self, monkeypatch, tiny, later):
+        sel, costs = self.check(gap_report(tiny, later), monkeypatch)
+        assert sel.cost == np.nextafter(2.0 if later else 0.5, np.inf)
+        assert len(costs) == (2 if tiny < 1e-9 else 1)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
+    def test_warbler_like_folds(self, monkeypatch, epsilon):
+        held, weights = warbler_like_folds()
+        report = evaluate_curves(CVConfig(epsilon, 0.05, 0.05, 5.0, 0.05), held, weights)
+        for variant in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
+            _, costs = self.check(report, monkeypatch, variant)
+            assert len(costs) <= 4  # 1 to 3 of 54 to 85 pieces are near the minimum here
 
 
 @pytest.fixture(scope="module")
