@@ -27,7 +27,7 @@ from .rewards import (
     PenaltySequence,
     ProportionBased,
     RewardSpec,
-    _check_cost,
+    check_cost,
     value_function,  # unused here, but bench/tracing.py wraps classifiers.value_function
     weighted_sum,
 )
@@ -69,7 +69,7 @@ def optimal_sets(spec: RewardSpec, P, space) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decision(mask: np.ndarray, value: float, space) -> Decision:
-    per_block = np.add.reduceat(mask.astype(np.int64), space._block_starts)
+    per_block = space.block_counts(mask)
     chosen = ClassifiedSet.of((np.flatnonzero(mask) + 1).tolist(), space.n_categories)
     return Decision(chosen, float(value), tuple(int(m) for m in per_block))
 
@@ -164,7 +164,7 @@ def conformal_classifier(p: PosteriorVector, cost: float) -> ClassifiedSet:
     returned set shrinks as ``cost`` grows, so a calibrated ``cost``
     controls how often the true category is dropped.
     """
-    members = np.flatnonzero(p.p >= _check_cost(cost)) + 1
+    members = np.flatnonzero(p.p >= check_cost(cost)) + 1
     return ClassifiedSet.of(members.tolist(), p.n_categories)
 
 

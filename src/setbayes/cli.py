@@ -18,30 +18,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
-from . import dataset
 from .classifiers import check_exhaustive, exhaustive_sets, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps cli.PosteriorVector
 from .dataset import (
-    FILL,
-    FLOAT_COLUMNS,
-    check_unique_columns,
-    csv_rows,
     format_float,
-    format_floats,
     generate_rows,
     load_dataset,
     parse_generator_spec,
-    read_header,
+    read_observations,
     write_dataset,
+    write_sets,
 )
 from .errors import (
     CategoryTooSmall,
@@ -71,10 +64,6 @@ from .tuning import (
     select_b_minimize,
     select_b_threshold,
 )
-
-#: Bytes that ``np.loadtxt`` strips around a number as whitespace and
-#: ``float()`` refuses; a query file holding one is read row by row.
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _err(message) -> None:
@@ -175,56 +164,6 @@ class _ModelFile:
             raise SchemaError("label list does not match the model's categories")
 
 
-def _read_observations(path, feature_names) -> np.ndarray:
-    """Numeric matrix of the named feature columns from a CSV file.
-
-    The file is read once.  Its header is found as ``csv_rows`` finds it,
-    and the rows after it go through ``np.loadtxt``'s C tokenizer, which
-    converts each number as ``float()`` does.  That table is used when it
-    has at least one row, each as wide as the header, with finite feature
-    values, and the file holds none of the ``_SEPARATORS``.  Otherwise
-    ``csv_rows`` parses the same text row by row: it words every error
-    with its line number, and reads what loadtxt refuses, such as quoted
-    numbers, ``1_0``, non-ASCII digits, whitespace-only rows and
-    non-numeric columns.
-    """
-
-    def feature_columns(header):
-        names = [h.strip() for h in header]
-        check_unique_columns([n for n in names if n in feature_names])
-        missing = sorted(set(feature_names) - set(names))
-        if missing:
-            raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
-        return [names.index(name) for name in feature_names]
-
-    with open(path, "rb") as raw:
-        data = raw.read()
-
-    def text():
-        # "utf-8-sig" drops a leading byte-order mark, as read_csv_rows does
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-
-    fh = text()
-    header = read_header(csv.reader(fh))
-    cols = feature_columns(header)
-    if not any(sep in data for sep in _SEPARATORS):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a file of no rows
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except (ValueError, Warning):
-            pass
-        else:
-            if table.shape[0] and table.shape[1] == len(header):
-                points = table.take(cols, axis=1)  # C order, as np.asarray(rows) gives
-                if np.isfinite(points).all():
-                    return points
-    rows = [values for _, _, values in csv_rows(text(), feature_columns)]
-    if not rows:
-        raise SchemaError("no observation rows")
-    return np.asarray(rows, dtype=float)
-
-
 def _cmd_synth(args) -> int:
     categories, feature_names = parse_generator_spec(_read_json(args.spec))
     rows, labels, blocks = generate_rows(categories, args.seed)
@@ -266,88 +205,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The ``,set,set_size`` cells of each distinct row of ``members``, as
-    ``csv.writer`` renders them, in UTF-8 padded with ``FILL``: one row of
-    a byte matrix per distinct set, and the index of every row's cells.
-
-    Rows are grouped by a stable sort of their packed membership bytes,
-    so the sets come in byte order and each is rendered from its first
-    row, as ``np.unique`` over the packed rows would give them.
-    """
-    packed = np.packbits(members, axis=1)
-    order = np.lexsort(packed.T[::-1])
-    ranked = packed[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = order[starts]
-    which = np.empty_like(order)
-    which[order] = np.cumsum(starts) - 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for r in first.tolist():
-        chosen = np.flatnonzero(members[r])
-        writer.writerow(["", ";".join(labels[i] for i in chosen), chosen.size])
-        cells.append(buf.getvalue()[:-1].encode("utf-8"))
-        buf.seek(0)
-        buf.truncate()
-    width = max((len(c) for c in cells), default=0)
-    chars = np.frombuffer(b"".join(c.ljust(width, FILL) for c in cells), dtype=np.uint8)
-    return chars.reshape(len(cells), width), which
-
-
-def _write_sets(fh, labels, post, members, values, oracle=None) -> None:
-    """Write ``classify``'s header and one CSV line per row of ``post``.
-
-    A block of rows is one ``format_floats`` pass: ``_FORMAT_CHUNK``
-    floats, so ``_FORMAT_CHUNK // floats per row`` rows and at least one,
-    and the formatting scratch is set by the chunk, not by the rows.  Each
-    block fills one byte matrix, reused from block to block, with a line
-    per row: the row's number, its floats as ``format_floats`` lays them
-    out, its set's cells from ``_set_cells``, and the separators, which
-    are written once.  The block's text is that matrix's bytes with every
-    ``FILL`` byte deleted.
-    """
-    tail = [values] + ([] if oracle is None else [oracle])
-    csv.writer(fh, lineterminator="\n").writerow(
-        ["row"]
-        + [f"p_{label}" for label in labels]
-        + ["set", "set_size", "value"]
-        + (["oracle_value"] if oracle is not None else [])
-    )
-    cells, which = _set_cells(members, labels)
-    n_rows, n_post = post.shape
-    n_floats = n_post + len(tail)
-    block = max(1, min(dataset._FORMAT_CHUNK // n_floats, n_rows))
-    powers = 10 ** np.arange(len(str(n_rows)) - 1, -1, -1)
-    # a line: the row number, a comma and a float per posterior column,
-    # the set's cells, a comma and a float per tail column, the newline
-    field = FLOAT_COLUMNS + 1
-    at_cells = powers.size + field * n_post
-    at_tail = at_cells + cells.shape[1]
-    lines = np.empty((block, at_tail + field * len(tail) + 1), dtype=np.uint8)
-    head_fields = lines[:, powers.size:at_cells].reshape(block, n_post, field)
-    tail_fields = lines[:, at_tail:-1].reshape(block, len(tail), field)
-    head_fields[:, :, 0] = tail_fields[:, :, 0] = ord(",")
-    lines[:, -1] = ord("\n")
-    floats = np.empty((block, n_floats))
-    for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
-        m = stop - start
-        floats[:m, :n_post] = post[start:stop]
-        for j, column in enumerate(tail, start=n_post):
-            floats[:m, j] = column[start:stop]
-        chars = format_floats(floats[:m]).reshape(m, n_floats, FLOAT_COLUMNS)
-        head_fields[:m, :, 1:] = chars[:, :n_post]
-        tail_fields[:m, :, 1:] = chars[:, n_post:]
-        rows = np.arange(start + 1, stop + 1)[:, None]
-        # the row number, its leading zeros filled
-        lines[:m, :powers.size] = np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0])
-        lines[:m, at_cells:at_tail] = cells[which[start:stop]]
-        fh.write(lines[:m].tobytes().translate(None, FILL).decode("utf-8"))
-
-
 def _cmd_classify(args) -> int:
     bundle = _ModelFile(_read_json(args.model))
     model = bundle.model
@@ -356,7 +213,7 @@ def _cmd_classify(args) -> int:
     if args.oracle:
         check_exhaustive(model.space)
     spec.check(model.space)
-    points = _read_observations(args.data, bundle.feature_names)
+    points = read_observations(args.data, bundle.feature_names)
     post = posterior_matrix(model, prior, points)
     members, values = optimal_sets(spec, post, model.space)
     oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
@@ -369,7 +226,7 @@ def _cmd_classify(args) -> int:
     }
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        _write_sets(fh, bundle.labels, post, members, values, oracle)
+        write_sets(fh, bundle.labels, post, members, values, oracle)
     print(f"classified {points.shape[0]} observations -> {args.out}")
     return 0
 

@@ -57,17 +57,16 @@ class CategorySpace:
         return len(self.block_sizes)
 
     @cached_property
-    def _block_starts(self) -> tuple[int, ...]:
-        # 0-based start offset of each block
-        starts = np.concatenate(([0], np.cumsum(self.block_sizes)[:-1]))
-        return tuple(int(s) for s in starts)
-
-    @cached_property
-    def _block_index(self) -> np.ndarray:
-        # 0-based block of each 0-based category position
+    def block_index(self) -> np.ndarray:
+        """The 0-based block of each 0-based category position, read-only."""
         out = np.repeat(np.arange(self.n_blocks), self.block_sizes)
         out.setflags(write=False)
         return out
+
+    def block_counts(self, members: np.ndarray) -> np.ndarray:
+        """Each block's member count (int64) along the last axis of a boolean array."""
+        starts = np.cumsum((0,) + self.block_sizes[:-1])
+        return np.add.reduceat(members.astype(np.int64), starts, axis=-1)
 
     def check_block(self, k: int) -> int:
         k = int(k)
@@ -78,7 +77,7 @@ class CategorySpace:
     def block_slice(self, k: int) -> slice:
         """0-based slice of the categories in block k (1-based)."""
         k = self.check_block(k)
-        start = self._block_starts[k - 1]
+        start = sum(self.block_sizes[:k - 1])
         return slice(start, start + self.block_sizes[k - 1])
 
     def block_of(self, category: int) -> int:
@@ -86,7 +85,7 @@ class CategorySpace:
         i = int(category)
         if not 1 <= i <= self.n_categories:
             raise OutOfRange(f"category {i} outside 1..{self.n_categories}")
-        return int(self._block_index[i - 1]) + 1
+        return int(self.block_index[i - 1]) + 1
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
-"""CSV dataset files and synthetic data generation.
+"""CSV files and synthetic data generation.
 
-A dataset file is a plain CSV with one or more numeric feature columns, a
-``label`` column, and an optional ``block`` column.  Labels may appear in
-any order; ingestion numbers them 1..N so that each block occupies a
-contiguous index range (blocks ordered by first appearance, labels within
-a block likewise), because the classifiers expect contiguous blocks.
+Every CSV format of the package is read and written here: datasets,
+``classify``'s query files and its report of sets.  A dataset file is a
+plain CSV with one or more numeric feature columns, a ``label`` column,
+and an optional ``block`` column.  Labels may appear in any order;
+ingestion numbers them 1..N so that each block occupies a contiguous
+index range (blocks ordered by first appearance, labels within a block
+likewise), because the classifiers expect contiguous blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -60,28 +64,31 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
     return features, label_col, block_col
 
 
+#: How every CSV input is decoded: UTF-8 less a leading byte-order mark,
+#: which spreadsheets write and which would otherwise start the first name.
+_ENCODING = "utf-8-sig"
+
+#: Bytes that ``np.loadtxt`` strips around a number as whitespace and
+#: ``float()`` refuses; a query file holding one is read row by row.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _records(reader):
+    """The rows of a ``csv.reader``; a ``csv.Error``, such as a field over
+    the csv module's size limit, is raised as a ``SchemaError`` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+
 def read_header(reader) -> list[str]:
-    """The first row of a ``csv.reader`` that is not a ``#`` comment line.
-
-    Raises
-    ------
-    SchemaError
-        If the reader ends first.
-    """
-    header = next(
-        (row for row in reader if not (row and row[0].lstrip().startswith("#"))), None
-    )
-    if header is None:
-        raise SchemaError("empty file; expected a header row")
-    return header
-
-
-def read_csv_rows(path, numeric_columns):
-    """``csv_rows`` of the CSV file at ``path``, decoded as UTF-8 without
-    a leading byte-order mark, which spreadsheets write and which would
-    otherwise start the first column's name."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        yield from csv_rows(fh, numeric_columns)
+    """The first row of a ``csv.reader`` that is not a ``#`` comment line;
+    raises ``SchemaError`` if the reader ends first or a line is not CSV."""
+    for row in _records(reader):
+        if not (row and row[0].lstrip().startswith("#")):
+            return row
+    raise SchemaError("empty file; expected a header row")
 
 
 def csv_rows(fh, numeric_columns):
@@ -96,14 +103,14 @@ def csv_rows(fh, numeric_columns):
     Raises
     ------
     SchemaError
-        On an empty file, a row whose field count differs from the
-        header's, or a value that is not a finite number, with the
-        offending line number.
+        On an empty file, a line the csv module refuses, a row whose field
+        count differs from the header's, or a value that is not a finite
+        number, with the offending line number.
     """
     reader = csv.reader(fh)
     header = read_header(reader)
     cols = numeric_columns(header)
-    for row in reader:
+    for row in _records(reader):
         lineno = reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -142,25 +149,26 @@ def load_dataset(path) -> LoadedDataset:
     rows_by_label: dict[str, list[list[float]]] = {}
     block_of_label: dict[str, str] = {}
     block_order: list[str] = []
-    for lineno, row, values in read_csv_rows(path, feature_columns):
-        label = row[label_col].strip()
-        if not label:
-            raise SchemaError(f"line {lineno}: empty label")
-        block = row[block_col].strip() if block_col is not None else ""
-        if block_col is not None and not block:
-            raise SchemaError(f"line {lineno}: empty block")
-        if label in block_of_label:
-            if block_of_label[label] != block:
-                raise SchemaError(
-                    f"line {lineno}: label {label!r} appears in blocks "
-                    f"{block_of_label[label]!r} and {block!r}"
-                )
-        else:
-            block_of_label[label] = block
-            if block not in block_order:
-                block_order.append(block)
-            rows_by_label[label] = []
-        rows_by_label[label].append(values)
+    with open(path, newline="", encoding=_ENCODING) as fh:
+        for lineno, row, values in csv_rows(fh, feature_columns):
+            label = row[label_col].strip()
+            if not label:
+                raise SchemaError(f"line {lineno}: empty label")
+            block = row[block_col].strip() if block_col is not None else ""
+            if block_col is not None and not block:
+                raise SchemaError(f"line {lineno}: empty block")
+            if label in block_of_label:
+                if block_of_label[label] != block:
+                    raise SchemaError(
+                        f"line {lineno}: label {label!r} appears in blocks "
+                        f"{block_of_label[label]!r} and {block!r}"
+                    )
+            else:
+                block_of_label[label] = block
+                if block not in block_order:
+                    block_order.append(block)
+                rows_by_label[label] = []
+            rows_by_label[label].append(values)
     if not rows_by_label:
         raise SchemaError("no data rows")
 
@@ -181,6 +189,52 @@ def load_dataset(path) -> LoadedDataset:
         tuple(block_order) if block_col is not None else None,
         features,
     )
+
+
+def read_observations(path, feature_names) -> np.ndarray:
+    """Numeric matrix of the named feature columns of a query CSV file.
+
+    The file is read once, into one text stream decoded as ``load_dataset``
+    decodes.  Its header is found as ``csv_rows`` finds it, and the rows
+    after it go through ``np.loadtxt``'s C tokenizer, which converts each
+    number as ``float()`` does.  That table is used when it has a row, each
+    as wide as the header, with finite feature values, and the file holds
+    none of the ``_SEPARATORS``.  Otherwise ``csv_rows`` parses the stream
+    again from its start: it words every error with its line number, and
+    reads what loadtxt refuses, such as quoted numbers, ``1_0``, non-ASCII
+    digits, whitespace-only rows and non-numeric columns.
+    """
+
+    def feature_columns(header):
+        names = [h.strip() for h in header]
+        check_unique_columns([n for n in names if n in feature_names])
+        missing = sorted(set(feature_names) - set(names))
+        if missing:
+            raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
+        return [names.index(name) for name in feature_names]
+
+    with open(path, "rb") as raw:
+        data = raw.read()
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding=_ENCODING, newline="")
+    header = read_header(csv.reader(fh))
+    cols = feature_columns(header)
+    if not any(sep in data for sep in _SEPARATORS):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on a file of no rows
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except (ValueError, Warning):
+            pass
+        else:
+            if table.shape[0] and table.shape[1] == len(header):
+                points = table.take(cols, axis=1)  # C order, as np.asarray(rows) gives
+                if np.isfinite(points).all():
+                    return points
+    fh.seek(0)
+    rows = [values for _, _, values in csv_rows(fh, feature_columns)]
+    if not rows:
+        raise SchemaError("no observation rows")
+    return np.asarray(rows, dtype=float)
 
 
 def format_float(x: float) -> str:
@@ -427,6 +481,83 @@ def _format_chunk(x: np.ndarray, chars: np.ndarray) -> None:
     for i in np.flatnonzero(special).tolist():
         text = repr(float(x[i])).encode()
         chars[i] = np.frombuffer(text.ljust(FLOAT_COLUMNS, FILL), dtype=np.uint8)
+
+
+def set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The ``,set,set_size`` cells of each distinct row of ``members``, as
+    ``csv.writer`` renders them, in UTF-8 padded with ``FILL``: one row of
+    a byte matrix per distinct set, and the index of every row's cells.
+
+    Rows are grouped by a stable sort of their packed membership bytes,
+    so the sets come in byte order and each is rendered from its first
+    row, as ``np.unique`` over the packed rows would give them.
+    """
+    packed = np.packbits(members, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[starts]
+    which = np.empty_like(order)
+    which[order] = np.cumsum(starts) - 1
+    cells = []
+    for r in first.tolist():
+        chosen = np.flatnonzero(members[r])
+        buf = io.StringIO()
+        row = ["", ";".join(labels[i] for i in chosen), chosen.size]
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        cells.append(buf.getvalue()[:-1].encode("utf-8"))
+    width = max((len(c) for c in cells), default=0)
+    chars = np.frombuffer(b"".join(c.ljust(width, FILL) for c in cells), dtype=np.uint8)
+    return chars.reshape(len(cells), width), which
+
+
+def write_sets(fh, labels, post, members, values, oracle=None) -> None:
+    """Write ``classify``'s header and one CSV line per row of ``post``.
+
+    A block of rows is one ``format_floats`` pass: ``_FORMAT_CHUNK``
+    floats, so ``_FORMAT_CHUNK // floats per row`` rows and at least one,
+    and the formatting scratch is set by the chunk, not by the rows.  Each
+    block fills one byte matrix, reused from block to block, with a line
+    per row: the row's number, its floats as ``format_floats`` lays them
+    out, its set's cells from ``set_cells``, and the separators, which
+    are written once.  The block's text is that matrix's bytes with every
+    ``FILL`` byte deleted.
+    """
+    tail, extra = ([values], []) if oracle is None else ([values, oracle], ["oracle_value"])
+    csv.writer(fh, lineterminator="\n").writerow(
+        ["row", *(f"p_{label}" for label in labels), "set", "set_size", "value", *extra]
+    )
+    cells, which = set_cells(members, labels)
+    n_rows, n_post = post.shape
+    n_floats = n_post + len(tail)
+    block = max(1, min(_FORMAT_CHUNK // n_floats, n_rows))
+    powers = 10 ** np.arange(len(str(n_rows)) - 1, -1, -1)
+    # a line: the row number, a comma and a float per posterior column,
+    # the set's cells, a comma and a float per tail column, the newline
+    field = FLOAT_COLUMNS + 1
+    at_cells = powers.size + field * n_post
+    at_tail = at_cells + cells.shape[1]
+    lines = np.empty((block, at_tail + field * len(tail) + 1), dtype=np.uint8)
+    head_fields = lines[:, powers.size:at_cells].reshape(block, n_post, field)
+    tail_fields = lines[:, at_tail:-1].reshape(block, len(tail), field)
+    head_fields[:, :, 0] = tail_fields[:, :, 0] = ord(",")
+    lines[:, -1] = ord("\n")
+    floats = np.empty((block, n_floats))
+    for start in range(0, n_rows, block):
+        stop = min(start + block, n_rows)
+        m = stop - start
+        floats[:m, :n_post] = post[start:stop]
+        for j, column in enumerate(tail, start=n_post):
+            floats[:m, j] = column[start:stop]
+        chars = format_floats(floats[:m]).reshape(m, n_floats, FLOAT_COLUMNS)
+        head_fields[:m, :, 1:] = chars[:, :n_post]
+        tail_fields[:m, :, 1:] = chars[:, n_post:]
+        rows = np.arange(start + 1, stop + 1)[:, None]
+        # the row number, its leading zeros filled
+        lines[:m, :powers.size] = np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0])
+        lines[:m, at_cells:at_tail] = cells[which[start:stop]]
+        fh.write(lines[:m].tobytes().translate(None, FILL).decode("utf-8"))
 
 
 def write_dataset(path, feature_names, rows, labels, blocks=None, metadata=None) -> None:

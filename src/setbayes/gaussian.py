@@ -48,7 +48,7 @@ _BUDGET = 1 << 17
 _SHARE = 1 << 16
 
 #: Elements of one batch's (folds, draws, d, d) Bartlett factors in
-#: ``_held_out_log_densities``: 256 KB of float64, about 18 folds at 200
+#: ``_fold_log_densities``: 256 KB of float64, about 18 folds at 200
 #: draws and d = 3.  A batch holds ``_FOLD_BUDGET // (n_draws d d)`` folds
 #: (at least one); the generator's outputs for them, d (d + 3) / 2 per draw,
 #: take as much again at d = 3.  A batch makes one call per generator for
@@ -585,7 +585,7 @@ def _drop_one_posteriors(
     return means, kappa, prior.dof + (n - 1), scatter
 
 
-def _held_out_log_densities(
+def _fold_log_densities(
     observations: np.ndarray, prior: NormalInverseWishart, category: int,
     n_draws: int, seed: int,
 ) -> np.ndarray:
@@ -658,6 +658,38 @@ def _held_out_log_densities(
         )
         out[folds] = _logsumexp(logp) - math.log(n_draws)
     return out
+
+
+def held_out_log_densities(
+    data: TrainingData, hyperprior: NormalInverseWishart | None = None,
+    n_draws: int = 200, seed: int = 0,
+) -> np.ndarray:
+    """(rows, categories) log predictive densities at the rows of
+    ``data.stacked()``: ``fit(data, hyperprior, n_draws, seed)``'s, with
+    each row's own category's replaced by its held-out value
+    (``_fold_log_densities``).  Every category needs two rows.
+
+    The categories run on up to one worker per CPU, largest first, so that
+    no worker is left with a large one at the end (``_in_workers``).  Each
+    fills its own rows from its own streams, so the bits do not depend on
+    the worker count, and an error is the lowest failing category's.
+    """
+    if hyperprior is None:
+        hyperprior = default_hyperprior(data)
+    model = fit(data, hyperprior, n_draws, seed)
+    rows, labels = data.stacked()
+    logf = _log_densities(model, rows)
+    groups = data.groups
+    held_out = [None] * len(groups)
+
+    def folds(k, i):
+        held_out[i] = _fold_log_densities(groups[i], hyperprior, i + 1, n_draws, seed)
+
+    order = sorted(range(len(groups)), key=lambda i: -groups[i].shape[0])
+    _in_workers(order, min(_cores(), len(groups)), folds)
+    # Fold r holds out row j of category i, which is row r of ``rows``.
+    logf[np.arange(rows.shape[0]), labels - 1] = np.concatenate(held_out)
+    return logf
 
 
 def fit(

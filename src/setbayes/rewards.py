@@ -68,7 +68,7 @@ class PenaltySequence:
     @classmethod
     def proportional(cls, cost: float, n_categories: int) -> "PenaltySequence":
         """g(m) = cost * max(0, m - 1): the first category is free."""
-        cost = _check_cost(cost)
+        cost = check_cost(cost)
         return cls(tuple(cost * max(0, m - 1) for m in range(n_categories + 1)), convex=True)
 
 
@@ -80,7 +80,8 @@ def _convexity_holds(vals: tuple[float, ...]) -> bool:
     return bool(np.all(np.diff(increments) >= -CONVEXITY_TOLERANCE))
 
 
-def _check_cost(cost: float) -> float:
+def check_cost(cost: float) -> float:
+    """``cost`` as a float; raises ``OutOfRange`` unless finite and nonnegative."""
     cost = float(cost)
     if not np.isfinite(cost) or cost < 0.0:
         raise OutOfRange(f"cost must be finite and nonnegative, got {cost}")
@@ -211,7 +212,7 @@ class ProportionBased(RewardSpec, kind="proportion"):
     params = (("c", float),)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cost", _check_cost(self.cost))
+        object.__setattr__(self, "cost", check_cost(self.cost))
 
     def rewards(self, members, space):
         size = members.sum(axis=1)
@@ -274,8 +275,8 @@ class CompositeProportion(RewardSpec, kind="composite"):
     params = (("a", float), ("b", float))
 
     def __post_init__(self) -> None:
-        a = _check_cost(self.within_cost)
-        b = _check_cost(self.cross_cost)
+        a = check_cost(self.within_cost)
+        b = check_cost(self.cross_cost)
         object.__setattr__(self, "within_cost", a)
         object.__setattr__(self, "cross_cost", b)
         if a > b:
@@ -286,8 +287,7 @@ class CompositeProportion(RewardSpec, kind="composite"):
             )
 
     def rewards(self, members, space):
-        per_block = np.add.reduceat(members.astype(np.int64), space._block_starts, axis=1)
-        in_block = per_block[:, space._block_index]
+        in_block = space.block_counts(members)[:, space.block_index]
         size = members.sum(axis=1)[:, None]
         return (
             members
@@ -298,7 +298,7 @@ class CompositeProportion(RewardSpec, kind="composite"):
     def decide(self, P, space):
         ranked = Ranking(P, space)
         m = self.block_sizes(ranked, self.within_cost, self.cross_cost)
-        return ranked.rank < m[:, space._block_index]
+        return ranked.rank < m[:, space.block_index]
 
     @staticmethod
     def block_sizes(ranked: Ranking, within_cost: float, cross_cost: float) -> np.ndarray:

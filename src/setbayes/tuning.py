@@ -28,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gaussian
 from .core import CategorySpace, Ranking
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps tuning.PosteriorVector
 from .errors import (
@@ -41,12 +40,9 @@ from .errors import (
 from .gaussian import (
     NormalInverseWishart,
     TrainingData,
-    _held_out_log_densities,
-    _log_densities,
     check_delta,
     check_prior,
-    default_hyperprior,
-    fit,
+    held_out_log_densities,
     posterior_from_log_densities,
 )
 from .gaussian import conjugate_update  # unused here, but bench/tracing.py wraps tuning.conjugate_update
@@ -120,13 +116,12 @@ class CVConfig:
     """Settings for sweeping and selecting the cost over held-out posteriors.
 
     ``epsilon`` ties the within-block cost to the swept cross-block cost:
-    within = epsilon * cross at every grid point.  ``delta`` is the error
-    bound used by the threshold selection rule.  The grid runs from
-    ``grid_lo`` to ``grid_hi`` in steps of ``grid_step``, with at most
-    ``MAX_GRID_POINTS`` points.  The score a
-    selection rule reads is its own argument, and the Monte Carlo draws
-    and the seed of the held-out posteriors are arguments of
-    ``loocv_posteriors``.
+    within = epsilon * cross at every grid point, so epsilon * ``grid_hi``
+    must be finite.  ``delta`` is the error bound used by the threshold
+    selection rule.  The grid runs from ``grid_lo`` to ``grid_hi`` in steps
+    of ``grid_step``, with at most ``MAX_GRID_POINTS`` points.  The score a
+    selection rule reads is its own argument, and the Monte Carlo draws and
+    the seed of the held-out posteriors are arguments of ``loocv_posteriors``.
     """
 
     epsilon: float
@@ -145,6 +140,9 @@ class CVConfig:
             )
         if not 0.0 < self.grid_step < math.inf:
             raise OutOfRange(f"grid step must be positive and finite, got {self.grid_step}")
+        # join_limits tries the within cost at epsilon times the float above grid_hi
+        if not math.isfinite(float(self.epsilon) * math.nextafter(self.grid_hi, math.inf)):
+            raise OutOfRange(f"epsilon {self.epsilon} times the grid's top {self.grid_hi} overflows")
         if self._n_points() > MAX_GRID_POINTS:
             raise OutOfRange(
                 f"grid from {self.grid_lo} to {self.grid_hi} in steps of {self.grid_step} "
@@ -197,7 +195,7 @@ class HeldOutPosteriors:
         m = CompositeProportion.block_sizes(self._ranked, float(within_cost), float(cross_cost))
         sizes = m.sum(axis=1)
         rows, truth = np.arange(self.n_folds), self.categories - 1
-        m_true = m[rows, self.space._block_index[truth]]
+        m_true = m[rows, self.space.block_index[truth]]
         contains = self._ranked.rank[rows, truth] < m_true
         return {
             BinaryReward.EXACT_SINGLETON: (contains & (sizes == 1)).astype(float),
@@ -249,7 +247,7 @@ class HeldOutPosteriors:
         J = self.join_limits(epsilon, lo, hi)
         ranked = self._ranked
         rows, truth = np.arange(self.n_folds), self.categories - 1
-        kt = self.space._block_index[truth]
+        kt = self.space.block_index[truth]
         contained = J[rows, kt, ranked.rank[rows, truth]]
         others = J[:, :, 0].copy()
         others[rows, kt] = -np.inf
@@ -275,50 +273,32 @@ def loocv_posteriors(
 
     For each fold only the left-out observation's category is refitted (an
     exact conjugate update on the remaining rows) and redrawn; the other
-    categories reuse the full fit.  The folds of one category draw from
-    three streams spawned from (seed, category) and run as one batched
-    path, in batches under a memory budget
-    (``gaussian._held_out_log_densities``).  The categories run on up to
-    one worker per CPU, largest first (``gaussian._in_workers``); each
-    fills its own rows from its own streams, so the bits do not depend on
-    the worker count, and an error is the one the lowest failing category
-    raises.  The held-out log densities replace the full-fit ones in the
-    matrix that ``posterior_from_log_densities`` turns into rows, with the
-    same fixed ``prior`` for every fold.
+    categories reuse the full fit.  ``gaussian.held_out_log_densities``
+    gives every fold's log densities, on up to one worker per CPU, and
+    ``posterior_from_log_densities`` turns them into rows, with the same
+    fixed ``prior`` for every fold.
 
     Raises
     ------
     CategoryTooSmall
         If any category has fewer than two observations.
     DimensionMismatch, InvalidDistribution
-        If the prior is not a probability vector over the categories;
-        this is checked before any fold runs.
+        If the prior is not a probability vector over the categories, or
+        the space does not cover them; this is checked before any fold
+        runs.
     SingularScatter
         If a fold's posterior scatter is not positive definite.
     """
     check_prior(prior, data.n_categories)
+    if space.n_categories != data.n_categories:
+        raise DimensionMismatch(f"space has {space.n_categories} categories, data {data.n_categories}")
     counts = data.counts
     if min(counts) < 2:
         raise CategoryTooSmall(
             f"every category needs at least 2 observations for leave-one-out, got {counts}"
         )
-    if hyperprior is None:
-        hyperprior = default_hyperprior(data)
-    model = fit(data, hyperprior, n_draws, seed, space)
-    rows, labels = data.stacked()
-    logf = _log_densities(model, rows)
-    groups = data.groups
-    held_out = [None] * len(groups)
-
-    def folds(k, i):
-        held_out[i] = _held_out_log_densities(groups[i], hyperprior, i + 1, n_draws, seed)
-
-    # Largest first, so that no worker is left with a large category at the end.
-    order = sorted(range(len(groups)), key=lambda i: -counts[i])
-    gaussian._in_workers(order, min(gaussian._cores(), len(groups)), folds)
-    # Fold r holds out row j of category i, which is row r of ``rows``.
-    logf[np.arange(rows.shape[0]), labels - 1] = np.concatenate(held_out)
-    return HeldOutPosteriors(posterior_from_log_densities(logf, prior), labels, counts, space)
+    post = posterior_from_log_densities(held_out_log_densities(data, hyperprior, n_draws, seed), prior)
+    return HeldOutPosteriors(post, data.stacked()[1], counts, space)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ def workspace(tmp_path):
 
 def reference_write_sets(fh, labels, post, members, values, oracle=None):
     """``classify``'s rows written one at a time through ``csv.writer``:
-    the reference for ``cli._write_sets``."""
+    the reference for ``dataset.write_sets``."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         ["row"] + [f"p_{label}" for label in labels] + ["set", "set_size", "value"]
@@ -84,8 +85,9 @@ def read_csv_rows(path):
 
 
 def reference_read_observations(path, feature_names):
-    """The query matrix read row by row through ``dataset.read_csv_rows``:
-    the reference for ``cli._read_observations``."""
+    """The query matrix read row by row through ``dataset.csv_rows``, from
+    the file opened as ``load_dataset`` opens it: the reference for
+    ``dataset.read_observations``."""
 
     def feature_columns(header):
         names = [h.strip() for h in header]
@@ -94,7 +96,8 @@ def reference_read_observations(path, feature_names):
             raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
         return [names.index(name) for name in feature_names]
 
-    rows = [values for _, _, values in dataset.read_csv_rows(path, feature_columns)]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [values for _, _, values in dataset.csv_rows(fh, feature_columns)]
     if not rows:
         raise SchemaError("no observation rows")
     return np.asarray(rows, dtype=float)
@@ -186,6 +189,19 @@ class TestFit:
         data.write_text("x,label\n0.0,a\nnan,a\n1.0,b\n2.0,b\n")
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
         assert "line 3: feature values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, text", [
+        (1, "x," + "l" * 200_000), (3, "0.5," + "a" * 200_000),
+    ], ids=["header", "label"])
+    def test_oversized_field_names_its_line(self, tmp_path, capsys, line, text):
+        """A field longer than the csv module's limit of 131,072 characters,
+        in the header or a label, is malformed input, not a traceback."""
+        lines = ["x,label", "0.0,a", "1.0,b", "2.0,b"]
+        lines[line - 1] = text
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"line {line}: field larger than field limit (131072)" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -414,6 +430,18 @@ class TestClassify:
         assert main(["classify", "--model", str(fake), "--data", str(self.probes(tmp_path)),
                      "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
 
+    def test_oversized_query_field_names_its_line(self, workspace, capsys):
+        """A 200,000-digit value, longer than the csv module's field limit,
+        fails loadtxt's checks, and the row reader then names its line: a
+        malformed input that writes no file."""
+        tmp_path, _, _, model = workspace
+        queries, out = tmp_path / "q.csv", tmp_path / "sets.csv"
+        queries.write_text("x1,x2\n1.0,2.0\n" + "1" * 200_000 + ",2.0\n")
+        assert main(["classify", "--model", str(model), "--data", str(queries),
+                     "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
+        assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: Query files, as bytes, that the two readers must read alike.
 QUERY_FILES = {
@@ -493,7 +521,7 @@ def query_files(draw):
 
 
 class TestReadObservations:
-    """``cli._read_observations`` reads every file as the row reader does:
+    """``dataset.read_observations`` reads every file as the row reader does:
     the same matrix bytes, or the same error."""
 
     @pytest.mark.parametrize("name", QUERY_FILES)
@@ -501,7 +529,7 @@ class TestReadObservations:
         path = tmp_path / "queries.csv"
         path.write_bytes(QUERY_FILES[name])
         names = QUERY_FEATURES.get(name, ("x1", "x2"))
-        assert read_outcome(cli._read_observations, path, names) == read_outcome(
+        assert read_outcome(dataset.read_observations, path, names) == read_outcome(
             reference_read_observations, path, names
         )
 
@@ -511,7 +539,7 @@ class TestReadObservations:
     def test_generated_files_match_the_row_reader(self, tmp_path, data):
         path = tmp_path / "queries.csv"
         path.write_bytes(data)
-        assert read_outcome(cli._read_observations, path) == read_outcome(
+        assert read_outcome(dataset.read_observations, path) == read_outcome(
             reference_read_observations, path
         )
 
@@ -527,7 +555,7 @@ class TestReadObservations:
         threads = [
             threading.Thread(target=fifo.write_bytes, args=(QUERY_FILES[name],), daemon=True),
             threading.Thread(daemon=True, target=lambda: got.update(
-                outcome=read_outcome(cli._read_observations, fifo))),
+                outcome=read_outcome(dataset.read_observations, fifo))),
         ]
         for thread in threads:
             thread.start()
@@ -550,8 +578,8 @@ class TestReadObservations:
         def row_reader(*args):
             pytest.fail("csv_rows read a file that loadtxt parses")
 
-        monkeypatch.setattr(cli, "csv_rows", row_reader)
-        got = cli._read_observations(path, names)
+        monkeypatch.setattr(dataset, "csv_rows", row_reader)
+        got = dataset.read_observations(path, names)
         assert got.tobytes() == expected.tobytes() == points.tobytes()
         assert got.shape == points.shape and got.flags.c_contiguous
 
@@ -618,7 +646,7 @@ class TestSetsWriter:
         post, members, values = self.inputs(50)
         extra = (values[::-1],) if oracle else ()
         args = (self.LABELS, post, members, values, *extra)
-        text = written(cli._write_sets, *args)
+        text = written(dataset.write_sets, *args)
         assert text == written(reference_write_sets, *args)
         assert '"say ""hi""' in text and '"a,b' in text
         assert ",,0," in text  # row 1's empty set is an empty field
@@ -629,7 +657,7 @@ class TestSetsWriter:
         oracle = -np.abs(values)
         oracle[:3] = [-0.0, -self.SUBNORMALS[1], -1e16]
         args = (self.LABELS, post, members, values, oracle)
-        text = written(cli._write_sets, *args)
+        text = written(dataset.write_sets, *args)
         assert text == written(reference_write_sets, *args)
         assert ",-0.0\n" in text and ",-2.225073858507201e-308\n" in text and ",-1e+16\n" in text
 
@@ -641,12 +669,13 @@ class TestSetsWriter:
         No rows give the header alone."""
         post, members, values = self.inputs(10, seed=1)
         passes = []
+        format_floats = dataset.format_floats
 
         def recorded(floats):
             passes.append(floats.size)
-            return dataset.format_floats(floats)
+            return format_floats(floats)
 
-        monkeypatch.setattr(cli, "format_floats", recorded)
+        monkeypatch.setattr(dataset, "format_floats", recorded)
         for chunk, oracle, expected in [
             (3, False, [5] * 10),
             (6, True, [6] * 10),
@@ -659,10 +688,10 @@ class TestSetsWriter:
             monkeypatch.setattr(dataset, "_FORMAT_CHUNK", chunk)
             args = (self.LABELS, post, members, values) + ((values[::-1],) if oracle else ())
             passes.clear()
-            assert written(cli._write_sets, *args) == written(reference_write_sets, *args)
+            assert written(dataset.write_sets, *args) == written(reference_write_sets, *args)
             assert passes == expected, (chunk, oracle)
         empty = (self.LABELS, post[:0], members[:0], values[:0])
-        assert written(cli._write_sets, *empty) == written(reference_write_sets, *empty)
+        assert written(dataset.write_sets, *empty) == written(reference_write_sets, *empty)
 
     def test_memory_is_set_by_the_chunk(self, monkeypatch):
         """With the chunk at 2**8 floats, the writer's peak under
@@ -675,10 +704,10 @@ class TestSetsWriter:
             for rows in (1000, 4000):
                 post, members, values = self.inputs(rows, seed=3)
                 args = (sink, self.LABELS, post, members, values, values[::-1])
-                cli._write_sets(*args)  # the float tables are built on first use
+                dataset.write_sets(*args)  # the float tables are built on first use
                 tracemalloc.start()
                 try:
-                    cli._write_sets(*args)
+                    dataset.write_sets(*args)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -686,7 +715,7 @@ class TestSetsWriter:
 
     @pytest.mark.parametrize("n_labels", [3, 8, 9, 70])
     def test_sets_are_grouped_as_unique_groups_them(self, n_labels):
-        """``_set_cells`` numbers the distinct sets as ``np.unique`` over
+        """``set_cells`` numbers the distinct sets as ``np.unique`` over
         the packed rows does, with one cell row per set, whether the
         membership rows pack into one byte or nine, also where sets share
         every byte but the last."""
@@ -700,7 +729,7 @@ class TestSetsWriter:
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
         labels = [f"c{i}" for i in range(n_labels)]
-        cells, got = cli._set_cells(members, labels)
+        cells, got = dataset.set_cells(members, labels)
         assert np.array_equal(got, which.ravel())
         assert cells.shape[0] == len(first)
         for k, r in enumerate(first):
@@ -840,6 +869,21 @@ class TestTune:
         monkeypatch.setattr(cli, "loocv_posteriors", must_not_run("loocv_posteriors"))
         args = self.tune_args(data, tmp_path / "c.csv", tmp_path / "s.json")
         assert main(args + extra) == 3
+
+    def test_overflowing_within_cost_exits_3_before_any_fold(self, workspace, monkeypatch, capsys):
+        """An epsilon whose product with the grid's top is not finite is a
+        bad value, refused before any fold, with no warning and no file;
+        such a within cost is not a JSON number."""
+        tmp_path, _, data, _ = workspace
+        monkeypatch.setattr(cli, "loocv_posteriors", must_not_run("loocv_posteriors"))
+        curve, selection = tmp_path / "c.csv", tmp_path / "s.json"
+        args = self.tune_args(data, curve, selection)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(args + ["--epsilon", "1e308", "--grid-lo", "2", "--grid-hi", "4"])
+        assert rc == 3 and caught == []
+        assert "epsilon 1e+308 times the grid's top 4.0 overflows" in capsys.readouterr().err
+        assert not curve.exists() and not selection.exists()
 
     @pytest.mark.parametrize("extra", [
         ["--real-prior", "5"], ["--real-prior", "[null, 1]"], ["--real-prior", "notjson"],

@@ -259,7 +259,7 @@ class TestFoldStreams:
             normals.append(rest[-3].reshape(-1, n_draws, 1).copy())
 
         monkeypatch.setattr(gaussian, "_generator_draws", record)
-        gaussian._held_out_log_densities(group, hyper, category, n_draws, seed)
+        gaussian._fold_log_densities(group, hyper, category, n_draws, seed)
         folds = np.concatenate(normals)
         assert folds.shape == (6, n_draws, 1)
         full = gaussian.category_rng(seed, category).normal(size=(n_draws, 1))
@@ -327,7 +327,7 @@ class TestFoldStreams:
         monkeypatch.setattr(
             gaussian, "_logsumexp", lambda a: per_draw.append(a.copy()) or reduce(a)
         )
-        got = gaussian._held_out_log_densities(group, hyper, 3, n_draws, 17)
+        got = gaussian._fold_log_densities(group, hyper, 3, n_draws, 17)
         weights = np.exp(np.vstack(per_draw) - got[:, None])
         se = weights.std(axis=1, ddof=1) / np.sqrt(n_draws)
         means, kappa, dof, scatter = gaussian._drop_one_posteriors(group, hyper)

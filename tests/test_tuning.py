@@ -276,11 +276,21 @@ class TestHeldOutPosteriors:
         def must_not_run(*args, **kwargs):
             pytest.fail("a fit or a fold ran before the prior was checked")
 
-        monkeypatch.setattr(tuning, "fit", must_not_run)
-        monkeypatch.setattr(tuning, "_held_out_log_densities", must_not_run)
-        monkeypatch.setattr(tuning, "draw_category_sample", must_not_run)
+        monkeypatch.setattr(tuning, "held_out_log_densities", must_not_run)
+        monkeypatch.setattr(gaussian, "fit", must_not_run)
+        monkeypatch.setattr(gaussian, "_fold_log_densities", must_not_run)
+        monkeypatch.setattr(gaussian, "draw_category_sample", must_not_run)
         with pytest.raises((InvalidDistribution, DimensionMismatch)):
             loocv_posteriors(data, space, prior, n_draws=10)
+
+    def test_space_must_cover_the_categories(self, monkeypatch):
+        """A space over another number of categories is refused before any
+        fit or fold, as ``fit`` refuses it."""
+        data, _ = blocked_data(np.random.default_rng(3), counts=(4, 3, 2))
+        monkeypatch.setattr(tuning, "held_out_log_densities", lambda *args: pytest.fail("folds ran"))
+        for space in (CategorySpace(2), CategorySpace(4, (2, 2))):
+            with pytest.raises(DimensionMismatch, match="space has"):
+                loocv_posteriors(data, space, uniform_prior(3), n_draws=10)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -293,13 +303,13 @@ class TestHeldOutPosteriors:
         """Patch the folds of each category to record the thread that ran
         them, in a dict the caller reads, keyed by category (1-based)."""
         threads = {}
-        folds = tuning._held_out_log_densities
+        folds = gaussian._fold_log_densities
 
         def recorded(observations, prior, category, n_draws, seed):
             threads[category] = threading.current_thread()
             return folds(observations, prior, category, n_draws, seed)
 
-        monkeypatch.setattr(tuning, "_held_out_log_densities", recorded)
+        monkeypatch.setattr(gaussian, "_fold_log_densities", recorded)
         return threads
 
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -331,14 +341,14 @@ class TestHeldOutPosteriors:
         categories in order does, though category 3, the largest, starts
         first; every worker has finished when it does."""
         data, space = blocked_data(np.random.default_rng(61), counts=(5, 3, 8))
-        folds = tuning._held_out_log_densities
+        folds = gaussian._fold_log_densities
 
         def failing(observations, prior, category, n_draws, seed):
             if category in (2, 3):
                 raise SingularScatter(f"category {category} fails")
             return folds(observations, prior, category, n_draws, seed)
 
-        monkeypatch.setattr(tuning, "_held_out_log_densities", failing)
+        monkeypatch.setattr(gaussian, "_fold_log_densities", failing)
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
             before = threading.active_count()
