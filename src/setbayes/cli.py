@@ -12,11 +12,20 @@ arguments or an output path that cannot be written (checked before any
 input is read), 4 for violated cross-validation preconditions.  All
 sampling is driven by explicit ``--seed`` values and repeated runs write
 byte identical outputs.
+
+Reports appear only complete: every command writes them to temporary
+files beside their paths and renames them into place once all are
+written (``dataset.open_reports``), so a run that fails leaves each
+report path as it was.  ``classify`` streams its query file in blocks of
+``_BLOCK_ELEMENTS // categories`` rows, each read, scored, decided and
+written before the next is read, so its memory is set by the block, not
+by the rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -31,12 +40,15 @@ from .dataset import (
     format_float,
     generate_rows,
     load_dataset,
+    observation_blocks,
+    open_reports,
     parse_generator_spec,
-    read_observations,
     write_dataset,
-    write_sets,
+    write_sets_header,
+    write_sets_rows,
 )
 from .errors import (
+    AllZeroMass,
     CategoryTooSmall,
     EmptyCategory,
     NoFeasibleB,
@@ -66,14 +78,19 @@ from .tuning import (
 )
 
 
+#: Posterior elements, rows times categories, in one block of ``classify``:
+#: 4,096 rows at 8 categories.  Smaller blocks cost more calls per row, and
+#: larger ones hold more at once.
+_BLOCK_ELEMENTS = 2**15
+
+
 def _err(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_json(fh, obj) -> None:
+    json.dump(obj, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
 def _check_outputs(args) -> None:
@@ -192,7 +209,8 @@ def _cmd_fit(args) -> int:
         "counts": list(loaded.counts),
         "config": {"command": "fit", "draws": args.draws, "seed": args.seed},
     }
-    _write_json(args.out, wrapper)
+    with open_reports(args.out) as (fh,):
+        _write_json(fh, wrapper)
     print(f"{'category':>8}  {'label':<20}  {'block':<12}  {'count':>6}")
     for i, label in enumerate(loaded.labels, start=1):
         block = (
@@ -213,10 +231,6 @@ def _cmd_classify(args) -> int:
     if args.oracle:
         check_exhaustive(model.space)
     spec.check(model.space)
-    points = read_observations(args.data, bundle.feature_names)
-    post = posterior_matrix(model, prior, points)
-    members, values = optimal_sets(spec, post, model.space)
-    oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
     metadata = {
         "command": "classify",
         "reward": reward_obj,
@@ -224,10 +238,22 @@ def _cmd_classify(args) -> int:
         "model_seed": model.seed,
         "model_draws": model.n_draws,
     }
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    rows = max(1, _BLOCK_ELEMENTS // model.n_categories)
+    done = 0
+    blocks = observation_blocks(args.data, bundle.feature_names, rows)
+    with contextlib.closing(blocks), open_reports(args.out) as (fh,):
         fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        write_sets(fh, bundle.labels, post, members, values, oracle)
-    print(f"classified {points.shape[0]} observations -> {args.out}")
+        write_sets_header(fh, bundle.labels, args.oracle)
+        for points in blocks:
+            try:
+                post = posterior_matrix(model, prior, points)
+            except AllZeroMass as exc:
+                raise AllZeroMass(done + exc.row) from None  # the row in the file
+            members, values = optimal_sets(spec, post, model.space)
+            oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
+            write_sets_rows(fh, bundle.labels, post, members, values, oracle, done)
+            done += points.shape[0]
+    print(f"classified {done} observations -> {args.out}")
     return 0
 
 
@@ -257,13 +283,6 @@ def _cmd_tune(args) -> int:
         "block_names": list(loaded.block_names) if loaded.block_names else None,
         "counts": list(loaded.counts),
     }
-    with open(args.out_curve, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["b", "rate_R1", "rate_R2", "rate_R3", "rate_R4"])
-        for row in report.rate_rows():
-            writer.writerow([format_float(v) for v in row])
-
     selections: dict[str, dict] = {"threshold": {}, "minimize": {}}
     for name in ("R3", "R4"):
         try:
@@ -289,7 +308,13 @@ def _cmd_tune(args) -> int:
         }
         print(f"{name} minimum rule:   b = {sel.cost:.4f} "
               f"(non-reward {sel.non_reward_rate:.4f})")
-    _write_json(args.out_selection, {"config": metadata, "selection": selections})
+    with open_reports(args.out_curve, args.out_selection) as (curve, selection):
+        curve.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
+        writer = csv.writer(curve, lineterminator="\n")
+        writer.writerow(["b", "rate_R1", "rate_R2", "rate_R3", "rate_R4"])
+        for row in report.rate_rows():
+            writer.writerow([format_float(v) for v in row])
+        _write_json(selection, {"config": metadata, "selection": selections})
     print(f"curve -> {args.out_curve}\nselection -> {args.out_selection}")
     return 0
 
@@ -323,7 +348,8 @@ def _cmd_conformal(args) -> int:
         report["config"]["audit_samples"] = args.audit_samples
         report["coverage"] = coverage
     if args.out:
-        _write_json(args.out, report)
+        with open_reports(args.out) as (fh,):
+            _write_json(fh, report)
     return 0
 
 

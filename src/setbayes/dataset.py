@@ -1,20 +1,24 @@
 """CSV files and synthetic data generation.
 
 Every CSV format of the package is read and written here: datasets,
-``classify``'s query files and its report of sets.  A dataset file is a
-plain CSV with one or more numeric feature columns, a ``label`` column,
-and an optional ``block`` column.  Labels may appear in any order;
-ingestion numbers them 1..N so that each block occupies a contiguous
-index range (blocks ordered by first appearance, labels within a block
-likewise), because the classifiers expect contiguous blocks.
+``classify``'s query files and its report of sets; and every report file
+is written through ``open_reports``, which lets it appear only complete.
+A dataset file is a plain CSV with one or more numeric feature columns,
+a ``label`` column, and an optional ``block`` column.  Labels may appear
+in any order; ingestion numbers them 1..N so that each block occupies a
+contiguous index range (blocks ordered by first appearance, labels within
+a block likewise), because the classifiers expect contiguous blocks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -68,18 +72,20 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
 #: which spreadsheets write and which would otherwise start the first name.
 _ENCODING = "utf-8-sig"
 
-#: Bytes that ``np.loadtxt`` strips around a number as whitespace and
-#: ``float()`` refuses; a query file holding one is read row by row.
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+#: Characters that ``np.loadtxt`` strips around a number as whitespace and
+#: ``float()`` refuses; a block of query lines holding one is read row by row.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _records(reader):
+def _records(reader, before=0):
     """The rows of a ``csv.reader``; a ``csv.Error``, such as a field over
-    the csv module's size limit, is raised as a ``SchemaError`` naming its line."""
+    the csv module's size limit, is raised as a ``SchemaError`` naming its
+    line, counted from the file's start when ``before`` lines of the file
+    came before the reader's first."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        raise SchemaError(f"line {before + reader.line_num}: {exc}") from None
 
 
 def read_header(reader) -> list[str]:
@@ -109,14 +115,19 @@ def csv_rows(fh, numeric_columns):
     """
     reader = csv.reader(fh)
     header = read_header(reader)
-    cols = numeric_columns(header)
-    for row in _records(reader):
-        lineno = reader.line_num
+    yield from _data_rows(reader, len(header), numeric_columns(header))
+
+
+def _data_rows(reader, width, cols, before=0):
+    """``csv_rows``' rows after the header, from a ``csv.reader`` whose
+    first line is line ``before + 1`` of the file."""
+    for row in _records(reader, before):
+        lineno = before + reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise SchemaError(
-                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+                f"line {lineno}: expected {width} fields, got {len(row)}"
             )
         try:
             values = [float(row[c]) for c in cols]
@@ -191,18 +202,22 @@ def load_dataset(path) -> LoadedDataset:
     )
 
 
-def read_observations(path, feature_names) -> np.ndarray:
-    """Numeric matrix of the named feature columns of a query CSV file.
+def observation_blocks(path, feature_names, rows):
+    """The named feature columns of a query CSV file, as float matrices
+    of at most ``rows`` rows each, in file order.
 
-    The file is read once, into one text stream decoded as ``load_dataset``
-    decodes.  Its header is found as ``csv_rows`` finds it, and the rows
-    after it go through ``np.loadtxt``'s C tokenizer, which converts each
-    number as ``float()`` does.  That table is used when it has a row, each
-    as wide as the header, with finite feature values, and the file holds
-    none of the ``_SEPARATORS``.  Otherwise ``csv_rows`` parses the stream
-    again from its start: it words every error with its line number, and
-    reads what loadtxt refuses, such as quoted numbers, ``1_0``, non-ASCII
-    digits, whitespace-only rows and non-numeric columns.
+    The file is decoded as ``load_dataset`` decodes it and read once, one
+    block at a time.  Its header is found as ``csv_rows`` finds it.  Each
+    block of ``rows`` lines after it goes through ``np.loadtxt``'s C
+    tokenizer, which converts each number as ``float()`` does.  Its table
+    is used when it has a row, each as wide as the header, with finite
+    feature values, and the block holds none of the ``_SEPARATORS``.  From
+    the first block that fails these, the rest of the file, that block's
+    lines included, goes through ``csv_rows``' row parser on the same
+    handle: it words every error with its line number in the file, and
+    reads what loadtxt refuses, such as quoted numbers (a record may span
+    blocks), ``1_0``, non-ASCII digits, whitespace-only rows and
+    non-numeric columns.  A file with no data row raises ``SchemaError``.
     """
 
     def feature_columns(header):
@@ -213,28 +228,44 @@ def read_observations(path, feature_names) -> np.ndarray:
             raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
         return [names.index(name) for name in feature_names]
 
-    with open(path, "rb") as raw:
-        data = raw.read()
-    fh = io.TextIOWrapper(io.BytesIO(data), encoding=_ENCODING, newline="")
-    header = read_header(csv.reader(fh))
-    cols = feature_columns(header)
-    if not any(sep in data for sep in _SEPARATORS):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt warns on a file of no rows
-                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except (ValueError, Warning):
-            pass
-        else:
-            if table.shape[0] and table.shape[1] == len(header):
-                points = table.take(cols, axis=1)  # C order, as np.asarray(rows) gives
-                if np.isfinite(points).all():
-                    return points
-    fh.seek(0)
-    rows = [values for _, _, values in csv_rows(fh, feature_columns)]
-    if not rows:
+    found = False
+    with open(path, newline="", encoding=_ENCODING) as fh:
+        reader = csv.reader(fh)
+        header = read_header(reader)
+        cols = feature_columns(header)
+        before = reader.line_num
+        while lines := list(itertools.islice(fh, rows)):
+            points = _loadtxt_block(lines, len(header), cols)
+            if points is None:
+                rest = csv.reader(itertools.chain(lines, fh))
+                parsed = _data_rows(rest, len(header), cols, before)
+                while block := [values for _, _, values in itertools.islice(parsed, rows)]:
+                    found = True
+                    yield np.asarray(block, dtype=float)
+                break
+            found = True
+            yield points
+            before += len(lines)
+    if not found:
         raise SchemaError("no observation rows")
-    return np.asarray(rows, dtype=float)
+
+
+def _loadtxt_block(lines, width, cols):
+    """The feature columns of ``lines`` through ``np.loadtxt``, or None
+    where ``observation_blocks`` reads them row by row."""
+    text = "".join(lines)
+    if any(sep in text for sep in _SEPARATORS):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on lines of no rows
+            table = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if not table.shape[0] or table.shape[1] != width:
+        return None
+    points = table.take(cols, axis=1)  # C order, as np.asarray(rows) gives
+    return points if np.isfinite(points).all() else None
 
 
 def format_float(x: float) -> str:
@@ -332,71 +363,99 @@ def _hidden() -> np.ndarray:
 
 def _mul128(g: np.ndarray, lo: np.ndarray, hi: np.ndarray, cp: np.ndarray):
     """(high, low) 64-bit words of the products g * cp, with ``lo`` and
-    ``hi`` the 32-bit halves of ``cp``."""
-    gl, gh = g & _M32, g >> _32
-    p01, p10 = gl * hi, gh * lo
-    mid = ((gl * lo) >> _32) + (p01 & _M32) + (p10 & _M32)
-    return gh * hi + (p01 >> _32) + (p10 >> _32) + (mid >> _32), g * cp
+    ``hi`` the 32-bit halves of ``cp``.  Five arrays at most are held,
+    and the two returned are among them."""
+    low, high = g & _M32, g >> _32
+    p01, p10 = low * hi, high * lo
+    low *= lo
+    low >>= _32
+    high *= hi
+    for p in (p01, p10):
+        high += p >> _32
+        p &= _M32
+        low += p
+    del p, p01, p10
+    low >>= _32
+    high += low
+    return high, np.multiply(g, cp, out=low)
 
 
-def _add128(a: tuple, b: tuple, sign: int) -> tuple:
-    """a + b, or a - b when ``sign`` < 0, on (high, low) word pairs."""
+def _add128(a: tuple, high: np.ndarray, low: np.ndarray, sign: int) -> tuple:
+    """a + (high, low), or a - (high, low) when ``sign`` < 0, on (high,
+    low) word pairs, written over ``high`` and ``low``."""
     if sign > 0:
-        low = a[1] + b[1]
-        return a[0] + b[0] + (low < b[1]), low
-    return a[0] - b[0] - (a[1] < b[1]), a[1] - b[1]
+        low += a[1]
+        high += a[0]
+        high += low < a[1]
+    else:
+        borrow = a[1] < low
+        np.subtract(a[1], low, out=low)
+        np.subtract(a[0], high, out=high)
+        high -= borrow
+    return high, low
 
 
-def _round_odd(p0: tuple, p1: tuple) -> np.ndarray:
+def _round_odd(high0: np.ndarray, p1: tuple) -> np.ndarray:
     """Schubfach's rop: floor((p1 * 2**63 + p0) / 2**127), its lowest bit
-    set when the bits dropped are not all zero, where the (high, low)
-    pairs ``p0`` and ``p1`` are the products of g0 and g1."""
-    z = (p1[1] >> _1) + p0[0]
-    return (p1[0] + (z >> _63)) | (((z & _M63) + _M63) >> _63)
+    set when the bits dropped are not all zero, where ``p1`` is the
+    (high, low) pair of the product of g1 and ``high0`` the high word of
+    that of g0.  Written over ``p1``'s words; the result is its high word."""
+    top, z = p1
+    z >>= _1
+    z += high0
+    top += z >> _63
+    z &= _M63
+    z += _M63
+    z >>= _63
+    top |= z
+    return top
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Digits ``f`` and decimal exponents ``k`` of the shortest decimals
     f * 10**k that round to the normal floats ``x``, the nearest of them
     where there are several, ties to even ``f``: the decimals ``repr``
-    shows.  ``f`` has 16 or 17 digits, trailing zeros included."""
+    shows.  ``f`` has 16 or 17 digits, trailing zeros included.
+
+    The uint64 steps write over arrays that are spent and release them
+    once spent, so that a pass holds fewer at a time."""
     g1_table, g0_table = _schubfach_table()
     bits = x.view(np.uint64)
-    bq = ((bits >> _52) & _EXP_MASK).astype(np.intp)
-    q = bq - 1075
-    t = bits & _M52
-    c = t | _HIDDEN_BIT
+    q = ((bits >> _52) & _EXP_MASK).astype(np.intp)
+    c = bits & _M52
     # a significand of 2**52 above the lowest binade has a rounding
     # interval half as wide below as above
-    asym = (t == _0) & (bq > 1)
+    asym = (c == _0) & (q > 1)
+    q -= 1075
+    c |= _HIDDEN_BIT
     k = _floor_log10_pow2(q, asym)
     h = (q + _floor_log2_pow10(-k) + 2).astype(np.uint64)
+    del q
     g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
-    odd = c & _1
+    odd = (c & _1).astype(bool)
     # vb, vbl, vbr: the float and the bounds of its rounding interval, as
     # 4 (c, c -/+ 1/2) * 2**q * 10**-k, rounded to odd
-    cp = (c << _2) << h
-    lo, hi = cp & _M32, cp >> _32
-    p0 = _mul128(g0, lo, hi, cp)
-    p1 = _mul128(g1, lo, hi, cp)
-    # scratch arrays are released once spent, so that a pass holds fewer
-    # at a time
-    del bq, q, t, c, cp, lo, hi
-    vb = _round_odd(p0, p1)
-    s_right = h + _1
-    s_left = s_right - asym
+    c <<= _2
+    c <<= h
+    lo, hi = c & _M32, c >> _32
+    p0 = _mul128(g0, lo, hi, c)
+    p1 = _mul128(g1, lo, hi, c)
+    del c, lo, hi
+    h += _1
     bounds = []
     # a bound's cp is cp -/+ 2**(h + 1), or cp - 2**h below an asym
     # interval, so its products are vb's -/+ g0 and g1 shifted that far
-    for shift, sign in ((s_left, -1), (s_right, 1)):
+    for shift, sign in ((h - asym, -1), (h, 1)):
         back = _U(64) - shift
-        bounds.append(_round_odd(
-            _add128(p0, (g0 >> back, g0 << shift), sign),
-            _add128(p1, (g1 >> back, g1 << shift), sign),
-        ))
-    del p0, p1, g0, g1, h, s_left, s_right, shift, back
+        high0 = _add128(p0, g0 >> back, g0 << shift, sign)[0]
+        bounds.append(_round_odd(high0, _add128(p1, g1 >> back, g1 << shift, sign)))
+    del g0, g1, h, asym, shift, back, high0
+    vb = _round_odd(p0[0], p1)
+    del p0, p1
     # an odd significand's interval is open: its bounds round away
-    vbl, vbr = bounds[0] + odd, bounds[1] - odd
+    vbl, vbr = bounds
+    vbl += odd
+    vbr -= odd
     del bounds, odd
     s = vb >> _2
     sp10 = (s // _10) * _10
@@ -405,6 +464,7 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     wpin = tp10 << _2 <= vbr
     uin = vbl <= s << _2
     win = (s + _1) << _2 <= vbr
+    del vbl, vbr, sp10
     mid = (s << _2) + _2
     # s when only s is in the interval, or both or neither are and s is
     # nearer, or as near and even; otherwise s + 1
@@ -463,6 +523,7 @@ def _format_chunk(x: np.ndarray, chars: np.ndarray) -> None:
     bits = x.view(np.uint64)
     biased = (bits >> _52) & _EXP_MASK
     special = (biased == _0) | (biased == _EXP_MASK)
+    del biased
     f, k = _shortest(np.where(special, 1.0, x) if special.any() else x)
     big = f >= _U(10**16)
     point = k + 16 + big  # the point follows digit `point` of f
@@ -512,8 +573,18 @@ def set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     return chars.reshape(len(cells), width), which
 
 
-def write_sets(fh, labels, post, members, values, oracle=None) -> None:
-    """Write ``classify``'s header and one CSV line per row of ``post``.
+def write_sets_header(fh, labels, oracle: bool) -> None:
+    """Write the header line of ``classify``'s report of sets, with the
+    ``oracle_value`` column where ``oracle``."""
+    csv.writer(fh, lineterminator="\n").writerow(
+        ["row", *(f"p_{label}" for label in labels), "set", "set_size", "value",
+         *(["oracle_value"] if oracle else [])]
+    )
+
+
+def write_sets_rows(fh, labels, post, members, values, oracle=None, offset=0) -> None:
+    """Write one line of ``classify``'s report per row of ``post``, the
+    rows numbered from ``offset + 1``.
 
     A block of rows is one ``format_floats`` pass: ``_FORMAT_CHUNK``
     floats, so ``_FORMAT_CHUNK // floats per row`` rows and at least one,
@@ -524,15 +595,12 @@ def write_sets(fh, labels, post, members, values, oracle=None) -> None:
     are written once.  The block's text is that matrix's bytes with every
     ``FILL`` byte deleted.
     """
-    tail, extra = ([values], []) if oracle is None else ([values, oracle], ["oracle_value"])
-    csv.writer(fh, lineterminator="\n").writerow(
-        ["row", *(f"p_{label}" for label in labels), "set", "set_size", "value", *extra]
-    )
+    tail = [values] if oracle is None else [values, oracle]
     cells, which = set_cells(members, labels)
     n_rows, n_post = post.shape
     n_floats = n_post + len(tail)
     block = max(1, min(_FORMAT_CHUNK // n_floats, n_rows))
-    powers = 10 ** np.arange(len(str(n_rows)) - 1, -1, -1)
+    powers = 10 ** np.arange(len(str(offset + n_rows)) - 1, -1, -1)
     # a line: the row number, a comma and a float per posterior column,
     # the set's cells, a comma and a float per tail column, the newline
     field = FLOAT_COLUMNS + 1
@@ -553,21 +621,61 @@ def write_sets(fh, labels, post, members, values, oracle=None) -> None:
         chars = format_floats(floats[:m]).reshape(m, n_floats, FLOAT_COLUMNS)
         head_fields[:m, :, 1:] = chars[:, :n_post]
         tail_fields[:m, :, 1:] = chars[:, n_post:]
-        rows = np.arange(start + 1, stop + 1)[:, None]
+        rows = np.arange(offset + start + 1, offset + stop + 1)[:, None]
         # the row number, its leading zeros filled
         lines[:m, :powers.size] = np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0])
         lines[:m, at_cells:at_tail] = cells[which[start:stop]]
         fh.write(lines[:m].tobytes().translate(None, FILL).decode("utf-8"))
 
 
+@contextlib.contextmanager
+def open_reports(*paths):
+    """Text handles, one per path of ``paths``, whose files appear only
+    complete.
+
+    Each path is written to a temporary file in its directory.  Once the
+    ``with`` block ends without an exception the temporary files replace
+    the paths, in order; on an exception they are removed, and every path
+    keeps what it held.  So a path may also name an input that the block
+    reads.  A symbolic link stays a link to the replaced file, and an
+    existing file that is not a regular one, such as a pipe or
+    ``/dev/null``, is written in place.
+    """
+    staged = []
+    try:
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in paths:
+                target = os.path.realpath(path)
+                if os.path.exists(target) and not os.path.isfile(target):
+                    temp, fh = None, open(target, "w", newline="", encoding="utf-8")
+                else:
+                    folder, name = os.path.split(target)
+                    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+                    fh = open(temp, "x", newline="", encoding="utf-8")
+                staged.append((temp, target))
+                handles.append(stack.enter_context(fh))
+            yield handles
+        for temp, target in staged:
+            if temp:
+                os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            if temp:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(temp)
+        raise
+
+
 def write_dataset(path, feature_names, rows, labels, blocks=None, metadata=None) -> None:
-    """Write a dataset CSV in the format ``load_dataset`` reads.
+    """Write a dataset CSV in the format ``load_dataset`` reads, through
+    ``open_reports``.
 
     ``metadata``, if given, is embedded as a leading ``#`` comment line
     holding a canonical JSON dump of the dictionary.
     """
     rows = np.asarray(rows, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_reports(path) as (fh,):
         if metadata is not None:
             fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
         writer = csv.writer(fh, lineterminator="\n")

@@ -10,7 +10,12 @@ class InvalidDistribution(SetBayesError):
 
 
 class AllZeroMass(SetBayesError):
-    """Every category receives zero unnormalized mass, so no posterior exists."""
+    """Every category receives zero unnormalized mass at 1-based row ``row``,
+    so no posterior exists there."""
+
+    def __init__(self, row: int):
+        super().__init__(f"every category has zero posterior mass at row {row}")
+        self.row = row
 
 
 class DimensionMismatch(SetBayesError):

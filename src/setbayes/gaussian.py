@@ -16,7 +16,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -526,7 +526,9 @@ class GaussianCategoryModel:
 
     Category i's ``n_draws`` draws come from its own stream keyed by
     (``seed``, i), so the same posteriors and seed always give the same
-    draws, and a category's draws do not depend on the others.
+    draws, and a category's draws do not depend on the others.  They are
+    drawn on first use of ``draws``, so a model that is only saved, as
+    ``fit`` saves it, draws none; ``n_draws`` is checked at once.
     """
 
     def __init__(
@@ -540,9 +542,14 @@ class GaussianCategoryModel:
         self.n_draws = n_draws
         self.seed = seed
         self.space = space
-        self.draws = tuple(
-            draw_category_sample(post, n_draws, category_rng(seed, i))
-            for i, post in enumerate(posteriors, start=1)
+        if n_draws < 1:
+            raise OutOfRange(f"need at least one draw, got {n_draws}")
+
+    @cached_property
+    def draws(self) -> tuple[CategoryDraws, ...]:
+        return tuple(
+            draw_category_sample(post, self.n_draws, category_rng(self.seed, i))
+            for i, post in enumerate(self.posteriors, start=1)
         )
 
     @property
@@ -787,14 +794,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_mass(row: int) -> AllZeroMass:
-    """The error for 1-based row ``row`` of a posterior matrix, with the
-    row number kept as its ``row`` attribute."""
-    exc = AllZeroMass(f"every category has zero posterior mass at row {row}")
-    exc.row = row
-    return exc
-
-
 def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     """Posterior rows from an (R, N) matrix of per-category log densities.
 
@@ -817,7 +816,7 @@ def posterior_from_log_densities(logf: np.ndarray, prior) -> np.ndarray:
     norm = _logsumexp(logpost)
     bad = np.flatnonzero(~np.isfinite(norm))
     if bad.size:
-        raise _zero_mass(int(bad[0]) + 1)
+        raise AllZeroMass(int(bad[0]) + 1)
     p = np.exp(logpost - norm[:, None])
     return p / p.sum(axis=1, keepdims=True)
 
@@ -913,7 +912,7 @@ def _own_category_scores(
         try:
             post = posterior_matrix(model, prior, points[block])
         except AllZeroMass as exc:
-            raise _zero_mass(start + exc.row) from None
+            raise AllZeroMass(start + exc.row) from None
         scores[block] = post[np.arange(post.shape[0]), cats[block] - 1]
     return scores
 

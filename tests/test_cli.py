@@ -54,7 +54,7 @@ def workspace(tmp_path):
 
 def reference_write_sets(fh, labels, post, members, values, oracle=None):
     """``classify``'s rows written one at a time through ``csv.writer``:
-    the reference for ``dataset.write_sets``."""
+    the reference for ``write_sets``."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(
         ["row"] + [f"p_{label}" for label in labels] + ["set", "set_size", "value"]
@@ -72,6 +72,13 @@ def reference_write_sets(fh, labels, post, members, values, oracle=None):
         writer.writerow(record)
 
 
+def write_sets(fh, labels, post, members, values, oracle=None):
+    """``classify``'s header and rows through ``dataset``'s writer, the
+    rows in one call."""
+    dataset.write_sets_header(fh, labels, oracle is not None)
+    dataset.write_sets_rows(fh, labels, post, members, values, oracle)
+
+
 def written(write, *args):
     buf = io.StringIO(newline="")
     write(buf, *args)
@@ -84,10 +91,23 @@ def read_csv_rows(path):
     return list(csv.DictReader(lines))
 
 
+#: Block lengths, in rows, at which the query reader is checked: one row,
+#: blocks that split a small file, and ``classify``'s blocks at 8 categories.
+BLOCK_ROWS = (1, 2, 3, cli._BLOCK_ELEMENTS // 8)
+
+
+def read_observations(path, feature_names, rows=BLOCK_ROWS[-1]):
+    """The blocks of ``dataset.observation_blocks`` stacked into one matrix;
+    each block has at least one row and at most ``rows``."""
+    blocks = list(dataset.observation_blocks(path, feature_names, rows))
+    assert all(1 <= block.shape[0] <= rows for block in blocks)
+    return np.concatenate(blocks)
+
+
 def reference_read_observations(path, feature_names):
     """The query matrix read row by row through ``dataset.csv_rows``, from
     the file opened as ``load_dataset`` opens it: the reference for
-    ``dataset.read_observations``."""
+    ``read_observations``."""
 
     def feature_columns(header):
         names = [h.strip() for h in header]
@@ -103,10 +123,10 @@ def reference_read_observations(path, feature_names):
     return np.asarray(rows, dtype=float)
 
 
-def read_outcome(read, path, feature_names=("x1", "x2")):
+def read_outcome(read, path, feature_names=("x1", "x2"), *args):
     """The matrix's shape and bytes, or the error's type and message."""
     try:
-        points = read(path, feature_names)
+        points = read(path, feature_names, *args)
     except Exception as exc:  # the same failure, whatever it is
         return type(exc), str(exc)
     return points.shape, points.dtype, points.tobytes()
@@ -163,6 +183,19 @@ class TestSynth:
 
 
 class TestFit:
+    def test_draws_no_sample(self, workspace, monkeypatch, capsys):
+        """The model file holds the hyperparameters, ``n_draws`` and the
+        seed, so ``fit`` draws no sample, and still refuses ``--draws 0``."""
+        tmp_path, _, data, model = workspace
+        monkeypatch.setattr(gaussian, "draw_category_sample", must_not_run("draw_category_sample"))
+        again = tmp_path / "again.json"
+        assert main(["fit", "--data", str(data), "--out", str(again),
+                     "--draws", "80", "--seed", "2"]) == 0
+        assert again.read_bytes() == model.read_bytes()
+        capsys.readouterr()
+        assert main(["fit", "--data", str(data), "--out", str(again), "--draws", "0"]) == 3
+        assert capsys.readouterr().err == "error: need at least one draw, got 0\n"
+
     def test_prints_category_table(self, workspace, capsys):
         tmp_path, spec, data, model = workspace
         main(["fit", "--data", str(data), "--out", str(model),
@@ -443,6 +476,187 @@ class TestClassify:
         assert not out.exists()
 
 
+class TestClassifyBlocks:
+    """``classify`` reads, scores, decides and writes its query file in
+    blocks of ``cli._BLOCK_ELEMENTS // categories`` rows, and its report
+    appears only once the last block is written."""
+
+    REWARD = '{"kind": "proportion", "c": 0.2}'
+
+    def queries(self, tmp_path, kind, rows=40, seed=17):
+        """A query file of ``rows`` points: plain numbers, or the same
+        numbers beside label and block columns, which the row reader
+        reads, or with row 17's second value a quoted record over two
+        lines."""
+        points = (2.0 + 2.0 * np.random.default_rng(seed).standard_normal((rows, 2))).tolist()
+        header, lines = "x1,x2", [f"{a!r},{b!r}" for a, b in points]
+        if kind == "label and block columns":
+            header = "x1,label,x2,block"
+            lines = [f"{a!r},c{i % 3},{b!r},b{i % 2}" for i, (a, b) in enumerate(points)]
+        elif kind == "quoted record":
+            lines[16] = f'{points[16][0]!r},"{points[16][1]!r}\n"'
+        path = tmp_path / f"{kind.replace(' ', '-')}-{rows}.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        return path
+
+    def classify(self, model, queries, out, *extra):
+        return main(["classify", "--model", str(model), "--data", str(queries),
+                     "--reward", self.REWARD, "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["sets", "oracle"])
+    def test_bytes_do_not_depend_on_the_block(self, workspace, monkeypatch, oracle):
+        """Blocks of one row, of 7 rows and the default give one report,
+        whichever reader reads the rows, also where a quoted record spans
+        two blocks."""
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "sets.csv"
+        assert self.classify(model, self.queries(tmp_path, "numbers"), out, *oracle) == 0
+        expected = out.read_bytes()
+        assert expected.count(b"\n") == 42
+        for budget in (3, 21, cli._BLOCK_ELEMENTS):
+            monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", budget)
+            for kind in ("numbers", "label and block columns", "quoted record"):
+                out.unlink()
+                assert self.classify(model, self.queries(tmp_path, kind), out, *oracle) == 0
+                assert out.read_bytes() == expected, (budget, kind)
+
+    def test_memory_is_set_by_the_block(self, workspace, monkeypatch):
+        """With blocks of 64 rows, the peak of a whole call under
+        ``tracemalloc`` grows by at most 16 bytes a row from 1,000 query
+        rows to 4,000 (it shrank in the runs seen); reading every row
+        before scoring one grows by several hundred bytes a row."""
+        tmp_path, _, _, model = workspace
+        monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", 3 * 64)
+        peaks = []
+        for rows in (1000, 4000):
+            queries, out = self.queries(tmp_path, "numbers", rows), tmp_path / f"sets-{rows}.csv"
+            assert self.classify(model, queries, out) == 0  # the float tables are built on first use
+            tracemalloc.start()
+            try:
+                assert self.classify(model, queries, out) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * 3000
+
+    @pytest.mark.parametrize("last, code, message", [
+        ("0.5,x", 2, "line 42: could not convert string to float: 'x'"),
+        ("1e200,1.0", 3, "every category has zero posterior mass at row 41"),
+    ], ids=["malformed", "no mass"])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new", "existing"])
+    def test_error_in_the_last_row_leaves_the_report_path_as_it_was(
+        self, workspace, monkeypatch, capsys, last, code, message, earlier
+    ):
+        """An error in the last of 41 rows keeps its exit code and names
+        its line or row in the file, in any block, and leaves no report
+        and no temporary file: a new ``--out`` is not created, an existing
+        one keeps its bytes."""
+        tmp_path, _, _, model = workspace
+        queries = self.queries(tmp_path, "numbers")
+        queries.write_text(queries.read_text() + last + "\n")
+        out = tmp_path / "sets.csv"
+        if earlier:
+            out.write_bytes(b"earlier report\n")
+        before = sorted(tmp_path.iterdir())
+        for budget in (3, 21, cli._BLOCK_ELEMENTS):
+            monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", budget)
+            capsys.readouterr()
+            assert self.classify(model, queries, out) == code
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert sorted(tmp_path.iterdir()) == before
+            assert out.read_bytes() == b"earlier report\n" if earlier else not out.exists()
+
+    def test_out_may_name_the_query_file(self, workspace, monkeypatch):
+        """The report replaces the query file only after its last block was
+        read, also when the blocks are single rows."""
+        tmp_path, _, _, model = workspace
+        queries = self.queries(tmp_path, "numbers")
+        assert self.classify(model, queries, tmp_path / "sets.csv") == 0
+        monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", 3)
+        assert self.classify(model, queries, queries) == 0
+        assert queries.read_bytes() == (tmp_path / "sets.csv").read_bytes()
+
+
+class TestReportsAppearComplete:
+    """Every command writes its reports through ``dataset.open_reports``: a
+    write that fails half-way leaves each report path as it was and no
+    temporary file, and exits 3 as any failed write does."""
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "classify", "tune", "conformal"])
+    def test_failed_write_leaves_the_earlier_reports(self, workspace, monkeypatch, capsys,
+                                                     command):
+        tmp_path, spec, data, model = workspace
+        out, curve, selection = tmp_path / "out", tmp_path / "curve.csv", tmp_path / "sel.json"
+        argv = TestUnwritableOutput().argvs(workspace, curve, selection, out)[command]
+        for path in (out, curve, selection):
+            path.write_bytes(b"earlier " + path.name.encode())
+        before = sorted(tmp_path.iterdir())
+        calls = []
+
+        def half_written(write):
+            def failing(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise OSError("No space left on device")
+                return write(*args, **kwargs)
+            return failing
+
+        if command == "synth":  # one call per value: fails in the first row
+            monkeypatch.setattr(dataset, "format_float", half_written(dataset.format_float))
+        elif command == "classify":  # one call per block of one row
+            monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", 3)
+            monkeypatch.setattr(cli, "write_sets_rows", half_written(cli.write_sets_rows))
+        else:
+            # the second JSON report; tune writes its curve, then its selection
+            def dump(obj, fh, **kwargs):
+                fh.write(json.dumps(obj, **kwargs)[:40])
+                raise OSError("No space left on device")
+            monkeypatch.setattr(json, "dump", dump)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert sorted(tmp_path.iterdir()) == before
+        for path in (out, curve, selection):
+            assert path.read_bytes() == b"earlier " + path.name.encode()
+
+    def test_reports_replace_earlier_files(self, workspace):
+        """A second run of each command replaces its reports with the same
+        bytes as the first wrote, and leaves no other file."""
+        tmp_path, spec, data, model = workspace
+        out, curve, selection = tmp_path / "out", tmp_path / "curve.csv", tmp_path / "sel.json"
+        for command, argv in TestUnwritableOutput().argvs(workspace, curve, selection, out).items():
+            assert main(argv) == 0
+            paths = (curve, selection) if command == "tune" else (out,)
+            first = [path.read_bytes() for path in paths]
+            before = sorted(tmp_path.iterdir())
+            assert main(argv) == 0
+            assert [path.read_bytes() for path in paths] == first
+            assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        """A path that is not a regular file, such as a pipe, cannot be
+        replaced, so it is written directly."""
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with dataset.open_reports(fifo) as (fh,):
+            fh.write("report\n")
+        reader.join(timeout=30)
+        assert got == [b"report\n"]
+        assert sorted(tmp_path.iterdir()) == [fifo]
+
+    def test_a_link_stays_a_link(self, tmp_path):
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        target.write_text("earlier\n")
+        link.symlink_to(target)
+        with dataset.open_reports(link) as (fh,):
+            fh.write("new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+
 #: Query files, as bytes, that the two readers must read alike.
 QUERY_FILES = {
     "lf": b"x1,x2\n1.5,2\n-3e-2,4\n",
@@ -521,17 +735,18 @@ def query_files(draw):
 
 
 class TestReadObservations:
-    """``dataset.read_observations`` reads every file as the row reader does:
-    the same matrix bytes, or the same error."""
+    """``dataset.observation_blocks`` reads every file as the row reader
+    does, in blocks of any length: the same matrix bytes, or the same
+    error."""
 
     @pytest.mark.parametrize("name", QUERY_FILES)
     def test_matches_the_row_reader(self, tmp_path, name):
         path = tmp_path / "queries.csv"
         path.write_bytes(QUERY_FILES[name])
         names = QUERY_FEATURES.get(name, ("x1", "x2"))
-        assert read_outcome(dataset.read_observations, path, names) == read_outcome(
-            reference_read_observations, path, names
-        )
+        expected = read_outcome(reference_read_observations, path, names)
+        for rows in BLOCK_ROWS:
+            assert read_outcome(read_observations, path, names, rows) == expected, rows
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -539,9 +754,9 @@ class TestReadObservations:
     def test_generated_files_match_the_row_reader(self, tmp_path, data):
         path = tmp_path / "queries.csv"
         path.write_bytes(data)
-        assert read_outcome(dataset.read_observations, path) == read_outcome(
-            reference_read_observations, path
-        )
+        expected = read_outcome(reference_read_observations, path)
+        for rows in BLOCK_ROWS:
+            assert read_outcome(read_observations, path, ("x1", "x2"), rows) == expected, rows
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("name", ["lf", "quoted numbers", "ragged short"])
@@ -555,7 +770,7 @@ class TestReadObservations:
         threads = [
             threading.Thread(target=fifo.write_bytes, args=(QUERY_FILES[name],), daemon=True),
             threading.Thread(daemon=True, target=lambda: got.update(
-                outcome=read_outcome(dataset.read_observations, fifo))),
+                outcome=read_outcome(read_observations, fifo, ("x1", "x2"), 1))),
         ]
         for thread in threads:
             thread.start()
@@ -566,6 +781,8 @@ class TestReadObservations:
         assert got["outcome"] == read_outcome(reference_read_observations, regular)
 
     def test_benchmark_shaped_file_never_reaches_the_row_reader(self, tmp_path, monkeypatch):
+        """Every block of a file that loadtxt parses, whole blocks and the
+        last short one, is C-ordered and read without the row reader."""
         points = 2.0 + 2.0 * np.random.default_rng(7).standard_normal((3000, 3))
         path = tmp_path / "queries.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -576,12 +793,33 @@ class TestReadObservations:
         expected = reference_read_observations(path, names)
 
         def row_reader(*args):
-            pytest.fail("csv_rows read a file that loadtxt parses")
+            pytest.fail("the row reader read a file that loadtxt parses")
 
-        monkeypatch.setattr(dataset, "csv_rows", row_reader)
-        got = dataset.read_observations(path, names)
-        assert got.tobytes() == expected.tobytes() == points.tobytes()
-        assert got.shape == points.shape and got.flags.c_contiguous
+        monkeypatch.setattr(dataset, "_data_rows", row_reader)
+        for rows in (7, 3000, 4096):
+            blocks = list(dataset.observation_blocks(path, names, rows))
+            sizes = [rows] * (3000 // rows) + ([3000 % rows] if 3000 % rows else [])
+            assert [b.shape[0] for b in blocks] == sizes
+            assert all(b.flags.c_contiguous and b.shape[1] == 3 for b in blocks)
+            got = np.concatenate(blocks)
+            assert got.tobytes() == expected.tobytes() == points.tobytes()
+
+    def test_fallback_counts_lines_from_the_start_of_the_file(self, tmp_path):
+        """The row reader takes over at the first block loadtxt refuses, and
+        its errors name lines of the file, also where a comment and a
+        quoted record that spans two lines come before the error."""
+        lines = ["# queries", '"x1","x2"'] + [f"{i}.5,{i}" for i in range(12)]
+        lines += ['7,"8', '"', "1,2", "3,x"]
+        path = tmp_path / "queries.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for rows in BLOCK_ROWS:
+            with pytest.raises(SchemaError, match="^line 18: could not convert string to float: 'x'$"):
+                read_observations(path, ("x1", "x2"), rows)
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        for rows in BLOCK_ROWS:
+            got = read_observations(path, ("x1", "x2"), rows)
+            assert got.tobytes() == reference_read_observations(path, ("x1", "x2")).tobytes()
+            assert got[-2:].tolist() == [[7.0, 8.0], [1.0, 2.0]]
 
 
 class TestByteOrderMark:
@@ -646,7 +884,7 @@ class TestSetsWriter:
         post, members, values = self.inputs(50)
         extra = (values[::-1],) if oracle else ()
         args = (self.LABELS, post, members, values, *extra)
-        text = written(dataset.write_sets, *args)
+        text = written(write_sets, *args)
         assert text == written(reference_write_sets, *args)
         assert '"say ""hi""' in text and '"a,b' in text
         assert ",,0," in text  # row 1's empty set is an empty field
@@ -657,7 +895,7 @@ class TestSetsWriter:
         oracle = -np.abs(values)
         oracle[:3] = [-0.0, -self.SUBNORMALS[1], -1e16]
         args = (self.LABELS, post, members, values, oracle)
-        text = written(dataset.write_sets, *args)
+        text = written(write_sets, *args)
         assert text == written(reference_write_sets, *args)
         assert ",-0.0\n" in text and ",-2.225073858507201e-308\n" in text and ",-1e+16\n" in text
 
@@ -688,10 +926,10 @@ class TestSetsWriter:
             monkeypatch.setattr(dataset, "_FORMAT_CHUNK", chunk)
             args = (self.LABELS, post, members, values) + ((values[::-1],) if oracle else ())
             passes.clear()
-            assert written(dataset.write_sets, *args) == written(reference_write_sets, *args)
+            assert written(write_sets, *args) == written(reference_write_sets, *args)
             assert passes == expected, (chunk, oracle)
         empty = (self.LABELS, post[:0], members[:0], values[:0])
-        assert written(dataset.write_sets, *empty) == written(reference_write_sets, *empty)
+        assert written(write_sets, *empty) == written(reference_write_sets, *empty)
 
     def test_memory_is_set_by_the_chunk(self, monkeypatch):
         """With the chunk at 2**8 floats, the writer's peak under
@@ -704,10 +942,10 @@ class TestSetsWriter:
             for rows in (1000, 4000):
                 post, members, values = self.inputs(rows, seed=3)
                 args = (sink, self.LABELS, post, members, values, values[::-1])
-                dataset.write_sets(*args)  # the float tables are built on first use
+                dataset.write_sets_rows(*args)  # the float tables are built on first use
                 tracemalloc.start()
                 try:
-                    dataset.write_sets(*args)
+                    dataset.write_sets_rows(*args)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
