@@ -11,7 +11,11 @@ unparseable values), 3 for incompatible dimensions, out-of-range
 arguments or an output path that cannot be written (checked before any
 input is read), 4 for violated cross-validation preconditions.  All
 sampling is driven by explicit ``--seed`` values and repeated runs write
-byte identical outputs.
+byte identical outputs on one CPU and numpy/BLAS build.  Across BLAS
+kernels and numpy's SIMD dispatch, ``tune``'s rates and threshold costs
+and ``classify``'s chosen sets stayed the same where measured, while
+``classify``'s posteriors and the minimum rule's costs moved by at most
+2.1e-14 relative.
 
 Reports appear only complete: every command writes them to temporary
 files beside their paths and renames them into place once all are

@@ -12,12 +12,12 @@ category's scatter and batches of draws sized by a memory budget.
 The held-out posterior matrix is computed and ranked once.  A fold's
 score is a step function of the cost, so one bisection, started from a
 few ulps around each join test's closed-form cost, finds the costs at
-which each fold scores 1, and a rate is then one dot product.  Two rules
-select the cost: the largest grid cost whose error stays under a bound
-(for scores whose error grows with the cost), and the exact minimum of the
+which each fold scores 1, and a rate is then a sum of weight times count
+over the folds' distinct weights, rounded once.  Two rules select the
+cost: the largest grid cost whose error stays under a bound (for scores
+whose error grows with the cost), and the exact minimum of the
 piecewise-constant error over the grid's range (for the singleton-style
-scores), which running sums of the fold weights over the sorted interval
-ends locate and the dot product confirms near the minimum.
+scores), rated at the right end of each piece between interval ends.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from .gaussian import conjugate_update  # unused here, but bench/tracing.py wrap
 from .gaussian import draw_category_sample  # unused here, but bench/tracing.py wraps tuning.draw_category_sample
 from .rewards import BinaryReward, CompositeProportion
 
-#: Most points a ``CVConfig`` cost grid may have.  A point costs four dot
-#: products over the folds, so a larger grid would run for minutes or fail
-#: to allocate its curves after all the folds.
+#: Most points a ``CVConfig`` cost grid may have: a larger grid would run
+#: for minutes or fail to allocate its curves after all the folds.
 MAX_GRID_POINTS = 10**6
 
 #: Half-width, in ulps, of the bracket around each closed-form join cost
@@ -177,7 +176,7 @@ class HeldOutPosteriors:
         return Ranking(self.matrix, self.space)
 
     def fold_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Per-fold weight w_i / n_i, so the four rates are plain dot products."""
+        """Per-fold weight w_k / n_k, the same for every fold of category k."""
         w = np.asarray(weights, dtype=float)
         if w.shape != (self.space.n_categories,):
             raise DimensionMismatch(
@@ -327,10 +326,25 @@ class CVReport:
         ]
 
 
-def _rate(fold_w: np.ndarray, interval: tuple[np.ndarray, np.ndarray], cost: float) -> float:
-    """Weighted held-out rate of one score at one cost, from its intervals."""
-    lower, upper = interval
-    return min(1.0, max(0.0, float(fold_w @ ((lower < cost) & (cost <= upper)).astype(float))))
+def _rates(fold_w: np.ndarray, interval: tuple[np.ndarray, np.ndarray], costs: np.ndarray) -> np.ndarray:
+    """Exact weighted rate of one score at each of ``costs``, rounded once
+    and clamped to [0, 1].  Live folds (L < R) of equal weight form a
+    group, which scores #(L < b) - #(R < b) folds at b.  Veltkamp's split
+    (Dekker 1971) cuts each weight into halves of at most 26 significant
+    bits, so half x count is exact while a group holds fewer than 2**26
+    folds, and ``math.fsum`` rounds the sum of those terms once.
+    """
+    live = interval[0] < interval[1]
+    lower, upper = interval[0][live], interval[1][live]
+    weights, group = np.unique(fold_w[live], return_inverse=True)
+    counts = np.zeros((weights.size, costs.size))
+    for g in range(weights.size):
+        counts[g] = (np.searchsorted(np.sort(lower[group == g]), costs)
+                     - np.searchsorted(np.sort(upper[group == g]), costs))
+    scaled = weights * 134217729.0  # 2**27 + 1
+    high = scaled - (scaled - weights)
+    terms = np.concatenate([high[:, None] * counts, (weights - high)[:, None] * counts])
+    return np.array([min(1.0, max(0.0, math.fsum(t))) for t in terms.T.tolist()])
 
 
 def evaluate_curves(
@@ -343,7 +357,7 @@ def evaluate_curves(
     grid = config.grid()
     fold_w = held.fold_weights(weights)
     intervals = held.score_intervals(config.epsilon, grid[0], grid[-1])
-    curves = {v: np.array([_rate(fold_w, intervals[v], b) for b in grid]) for v in BinaryReward}
+    curves = {v: _rates(fold_w, intervals[v], grid) for v in BinaryReward}
     return CVReport(grid, curves, config, intervals, fold_w)
 
 
@@ -382,7 +396,7 @@ def select_b_threshold(report: CVReport, variant: BinaryReward) -> ThresholdSele
         )
     delta = report.config.delta
     curve = report.non_reward(variant)
-    if np.any(np.diff(curve) < -1e-12):
+    if np.any(np.diff(curve) < 0):
         raise AssertionError(
             "non-reward rate decreased along the cost grid; this should be "
             "impossible for containment scores"
@@ -412,13 +426,8 @@ def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelect
 
     The rate is constant between consecutive ends of the folds' score
     intervals, so each piece is rated at its right end (grid[-1] for the
-    last).  Running sums of the fold weights over the sorted lower and
-    upper ends rate every piece in one pass, up to rounding; only the
-    pieces within ``1e-9`` of the best of those (scaled by the total
-    weight above one) are rated again with the curve's dot product, which
-    picks the piece, so the selected rate is never above the curve's
-    minimum.  The cost is grid[0] for the first piece, else the float just
-    above the previous end.
+    last), exactly as the curve is.  The cost is grid[0] for the first
+    piece, else the float just above the previous end.
     """
     if variant not in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
         raise OutOfRange(
@@ -427,23 +436,9 @@ def select_b_minimize(report: CVReport, variant: BinaryReward) -> MinimizeSelect
         )
     lo, hi = report.grid[0], report.grid[-1]
     lower, upper = report.intervals[variant]
-    live = lower < upper
-    ends = np.concatenate([lower[live], upper[live]])
+    ends = np.concatenate([lower[lower < upper], upper[lower < upper]])
     ends = np.unique(ends[(lo <= ends) & (ends < hi)])
-    rights = np.append(ends, hi)
-    w = report.fold_weights[live]
-
-    def weight_below(end):
-        # Weight of the live folds whose ``end`` is below each piece's right end.
-        order = np.argsort(end)
-        total = np.concatenate([[0.0], np.cumsum(w[order])])
-        return total[np.searchsorted(end[order], rights)]
-
-    # A live fold scores 1 at b when lower < b, unless also upper < b.
-    approx = 1.0 - np.clip(weight_below(lower[live]) - weight_below(upper[live]), 0.0, 1.0)
-    tol = 1e-9 * max(1.0, float(np.abs(w).sum()))
-    near = np.flatnonzero(approx <= approx.min() + tol)
-    non_reward = [1.0 - _rate(report.fold_weights, report.intervals[variant], rights[i]) for i in near]
-    idx = int(near[np.argmin(non_reward)])
+    non_reward = 1.0 - _rates(report.fold_weights, report.intervals[variant], np.append(ends, hi))
+    idx = int(np.argmin(non_reward))
     cost = lo if idx == 0 else np.nextafter(ends[idx - 1], np.inf)
-    return MinimizeSelection(float(cost), min(non_reward))
+    return MinimizeSelection(float(cost), float(non_reward[idx]))

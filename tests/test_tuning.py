@@ -2,9 +2,12 @@ import multiprocessing
 import queue
 import threading
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -82,11 +85,25 @@ def reference_rate(held, within_cost, cross_cost, weights, variant):
     The reference path: each held-out posterior is classified by the
     exhaustive oracle and scored with ``binary_reward`` directly.
     """
-    fold_w = held.fold_weights(weights)
-    total = 0.0
-    for r, chosen in enumerate(oracle_sets(held, within_cost, cross_cost)):
-        total += fold_w[r] * binary_reward(variant, chosen, int(held.categories[r]), held.space)
-    return float(min(1.0, max(0.0, total)))
+    scoring = [
+        binary_reward(variant, chosen, int(held.categories[r]), held.space) == 1
+        for r, chosen in enumerate(oracle_sets(held, within_cost, cross_cost))
+    ]
+    return exact_rate(held.fold_weights(weights), np.array(scoring))
+
+
+def exact_rate(fold_w, scoring):
+    """The weighted rate of the folds marked in ``scoring``: the exact sum
+    of their weights, rounded once and clamped to [0, 1].  The reference
+    for every rate of the sweep."""
+    total = sum(Fraction(w) for w in np.asarray(fold_w)[scoring].tolist())
+    return min(1.0, max(0.0, float(total)))
+
+
+def interval_rate(fold_w, interval, cost):
+    """``exact_rate`` of the folds whose interval (L, R] holds ``cost``."""
+    lower, upper = interval
+    return exact_rate(fold_w, (lower < cost) & (cost <= upper))
 
 
 class TestWeights:
@@ -429,9 +446,8 @@ class TestKernelAgainstReference:
             a = 0.5 * b
             scores = held.binary_scores(a, b)
             for variant in VARIANTS:
-                kernel_rate = min(1.0, max(0.0, float(fold_w @ scores[variant])))
-                ref = reference_rate(held, a, b, weights, variant)
-                assert kernel_rate == pytest.approx(ref, abs=1e-12)
+                kernel_rate = exact_rate(fold_w, scores[variant] == 1)
+                assert kernel_rate == reference_rate(held, a, b, weights, variant)
 
 
 #: Block sizes of the three categories: blocked, one block, all singletons.
@@ -488,9 +504,7 @@ class TestScoreIntervals:
             ends = ends[(lo <= ends) & (ends < hi)]
             costs = np.unique(np.concatenate([[lo, hi], ends, np.nextafter(ends, np.inf)]))
             rates = [
-                1.0 - min(1.0, max(0.0, float(
-                    report.fold_weights @ held.binary_scores(epsilon * b, b)[variant]
-                )))
+                1.0 - exact_rate(report.fold_weights, held.binary_scores(epsilon * b, b)[variant] == 1)
                 for b in costs
             ]
             sel = select_b_minimize(report, variant)
@@ -598,17 +612,19 @@ def test_join_passes_on_warbler_like_folds(monkeypatch):
 
 
 def per_piece_minimum(report, variant):
-    """``select_b_minimize`` by rating every piece with the dot product:
-    the reference for the running-sum pass."""
+    """``select_b_minimize`` by rating every piece's right end with the
+    exact reference: the smallest cost at the lowest non-reward rate."""
     lo, hi = report.grid[0], report.grid[-1]
     lower, upper = report.intervals[variant]
     ends = np.concatenate([lower[lower < upper], upper[lower < upper]])
     ends = np.unique(ends[(lo <= ends) & (ends < hi)])
-    rights = np.append(ends, hi)
-    non_reward = [1.0 - tuning._rate(report.fold_weights, report.intervals[variant], b) for b in rights]
+    non_reward = [
+        1.0 - interval_rate(report.fold_weights, report.intervals[variant], b)
+        for b in np.append(ends, hi)
+    ]
     idx = int(np.argmin(non_reward))
     cost = lo if idx == 0 else np.nextafter(ends[idx - 1], np.inf)
-    return float(cost), non_reward[idx], dict(zip(rights, non_reward))
+    return float(cost), non_reward[idx]
 
 
 def fold_report(lower, upper, weights, variant=BinaryReward.EXACT_SINGLETON):
@@ -621,9 +637,7 @@ def fold_report(lower, upper, weights, variant=BinaryReward.EXACT_SINGLETON):
 def tied_report(n=6):
     """Fold 0 spans the range and folds 1..n each cover one piece, with a
     piece between them that none covers.  The n covered pieces tie
-    exactly, as each rate sums the same two nonzero weights, but the
-    running sums reach them with different rounding: 1 - (0.47 + 0.16)
-    read through them is an ulp lower at the third piece than at the first."""
+    exactly, as each rate sums the same two nonzero weights."""
     ends = np.linspace(0.1, 4.9, 2 * n)
     lower = np.concatenate([[-np.inf], ends[0::2]])
     upper = np.concatenate([[np.inf], ends[1::2]])
@@ -638,53 +652,48 @@ def gap_report(tiny, later):
     return fold_report(lower, upper, [0.4, 0.3, 0.3, tiny])
 
 
-def counted_minimum(report, variant, monkeypatch):
-    """``select_b_minimize`` with the costs at which it calls ``_rate``."""
-    costs = []
-    rate = tuning._rate
-
-    def counted(fold_w, interval, cost):
-        costs.append(cost)
-        return rate(fold_w, interval, cost)
-
-    monkeypatch.setattr(tuning, "_rate", counted)
-    sel = select_b_minimize(report, variant)
-    monkeypatch.setattr(tuning, "_rate", rate)
-    return sel, costs
-
-
 class TestRunningSumMinimum:
-    """The one-pass selection against the per-piece loop."""
+    """The one-pass selection against the per-piece exact reference."""
 
-    def check(self, report, monkeypatch, variant=BinaryReward.EXACT_SINGLETON):
-        cost, non_reward, by_piece = per_piece_minimum(report, variant)
-        sel, costs = counted_minimum(report, variant, monkeypatch)
-        assert (sel.cost, sel.non_reward_rate) == (cost, non_reward)
-        assert costs
-        for b in costs:  # exact dot products only near the minimum
-            assert by_piece[b] <= non_reward + 1e-9
-        return sel, costs
+    def check(self, report, variant=BinaryReward.EXACT_SINGLETON):
+        sel = select_b_minimize(report, variant)
+        assert (sel.cost, sel.non_reward_rate) == per_piece_minimum(report, variant)
+        return sel
 
-    def test_exact_ties_take_the_first_piece(self, monkeypatch):
-        report = tied_report()
-        sel, costs = self.check(report, monkeypatch)
-        assert sel.cost == np.nextafter(0.1, np.inf)
-        assert len(costs) == 6  # every tied piece, no other
+    def test_exact_ties_take_the_first_piece(self):
+        assert self.check(tied_report()).cost == np.nextafter(0.1, np.inf)
 
     @pytest.mark.parametrize("tiny", [1e-12, 1e-6])
     @pytest.mark.parametrize("later", [True, False], ids=["later", "earlier"])
-    def test_one_fold_apart(self, monkeypatch, tiny, later):
-        sel, costs = self.check(gap_report(tiny, later), monkeypatch)
+    def test_one_fold_apart(self, tiny, later):
+        sel = self.check(gap_report(tiny, later))
         assert sel.cost == np.nextafter(2.0 if later else 0.5, np.inf)
-        assert len(costs) == (2 if tiny < 1e-9 else 1)
 
     @pytest.mark.parametrize("epsilon", [0.0, 0.5, 2.0])
-    def test_warbler_like_folds(self, monkeypatch, epsilon):
+    def test_warbler_like_folds(self, epsilon):
         held, weights = warbler_like_folds()
         report = evaluate_curves(CVConfig(epsilon, 0.05, 0.05, 5.0, 0.05), held, weights)
         for variant in (BinaryReward.EXACT_SINGLETON, BinaryReward.WITHIN_BLOCK):
-            _, costs = self.check(report, monkeypatch, variant)
-            assert len(costs) <= 4  # 1 to 3 of 54 to 85 pieces are near the minimum here
+            self.check(report, variant)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_intervals_with_shared_weights(self, data):
+        """Random fold intervals, some outside the range or empty, whose
+        weights take a few shared values: the minimum and the rate of
+        every piece are the exact reference's."""
+        n = data.draw(st.integers(1, 30))
+        shared = data.draw(st.lists(st.floats(1e-9, 0.05), min_size=1, max_size=4))
+        weights = [data.draw(st.sampled_from(shared)) for _ in range(n)]
+        ends = st.one_of(st.floats(0.0, 6.0), st.sampled_from([-np.inf, 0.05, 5.0, np.inf]))
+        lower = np.array([data.draw(ends) for _ in range(n)])
+        upper = np.array([data.draw(ends) for _ in range(n)])
+        report = fold_report(lower, upper, weights)
+        self.check(report)
+        costs = np.unique(np.concatenate([lower, upper, np.nextafter(upper, np.inf), [0.05, 5.0]]))
+        costs = costs[np.isfinite(costs)]
+        rates = tuning._rates(report.fold_weights, (lower, upper), costs)
+        assert rates.tolist() == [interval_rate(report.fold_weights, (lower, upper), b) for b in costs]
 
 
 @pytest.fixture(scope="module")
@@ -709,9 +718,9 @@ class TestCurves:
                 held, weights,
             )
             r1, r2, r3, r4 = (report.rates[v] for v in VARIANTS)
-            assert np.all(r1 <= r2 + 1e-12)
-            assert np.all(r2 <= r3 + 1e-12)
-            assert np.all(r3 <= r4 + 1e-12)
+            assert np.all(r1 <= r2)
+            assert np.all(r2 <= r3)
+            assert np.all(r3 <= r4)
 
     def test_containment_curves_monotone(self, curve_setup):
         space, prior, held, weights = curve_setup
@@ -721,7 +730,22 @@ class TestCurves:
         )
         for variant in (BinaryReward.CONTAINS_TRUTH, BinaryReward.HITS_TRUE_BLOCK):
             non_reward = report.non_reward(variant)
-            assert np.all(np.diff(non_reward) >= -1e-12)
+            assert np.all(np.diff(non_reward) >= 0)
+
+    @pytest.mark.parametrize("kind, real_prior", [
+        ("per_observation", None), ("per_category", None), ("rarity", [0.7, 0.2, 0.1]),
+    ])
+    def test_rates_are_the_exact_sums(self, curve_setup, kind, real_prior):
+        """Every grid point's rate is the exact sum of its scoring folds'
+        weights, rounded once, under each weighting."""
+        space, prior, held, _ = curve_setup
+        weights = make_weights(kind, held.counts, real_prior)
+        for eps in (0.5, 2.0):
+            report = evaluate_curves(self.config(epsilon=eps), held, weights)
+            for variant in VARIANTS:
+                want = [interval_rate(report.fold_weights, report.intervals[variant], b)
+                        for b in report.grid]
+                assert report.rates[variant].tolist() == want
 
     def test_rates_stay_in_unit_interval(self, curve_setup):
         space, prior, held, weights = curve_setup
@@ -755,6 +779,16 @@ class TestCurves:
                 else:
                     assert curve[pos + 1] > delta
 
+    def test_threshold_refuses_a_one_ulp_dip(self):
+        """A containment curve whose non-reward rate falls by one ulp is not
+        monotone, and the threshold rule refuses it."""
+        cfg = self.config(lo=0.1, hi=0.3, step=0.1)
+        rates = np.array([0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 1.0)])
+        report = tuning.CVReport(cfg.grid(), {BinaryReward.CONTAINS_TRUTH: rates}, cfg, {}, np.ones(1))
+        assert np.diff(report.non_reward(BinaryReward.CONTAINS_TRUTH)).min() < 0
+        with pytest.raises(AssertionError, match="decreased"):
+            select_b_threshold(report, BinaryReward.CONTAINS_TRUTH)
+
     def test_threshold_rejects_singleton_scores(self, curve_setup):
         space, prior, held, weights = curve_setup
         report = evaluate_curves(self.config(), held, weights)
@@ -775,7 +809,7 @@ class TestCurves:
             cfg = self.config()
             report = evaluate_curves(cfg, held, weights)
             sel = select_b_minimize(report, variant)
-            assert sel.non_reward_rate <= report.non_reward(variant).min() + 1e-15
+            assert sel.non_reward_rate <= report.non_reward(variant).min()
             assert cfg.grid_lo <= sel.cost <= cfg.grid_hi
 
     def test_minimize_plateau_takes_smallest_cost(self):
