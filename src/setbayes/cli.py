@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -47,9 +46,9 @@ from .dataset import (
     observation_blocks,
     open_reports,
     parse_generator_spec,
+    write_curve,
     write_dataset,
-    write_sets_header,
-    write_sets_rows,
+    write_sets,
 )
 from .errors import (
     AllZeroMass,
@@ -242,12 +241,10 @@ def _cmd_classify(args) -> int:
         "model_seed": model.seed,
         "model_draws": model.n_draws,
     }
-    rows = max(1, _BLOCK_ELEMENTS // model.n_categories)
-    done = 0
-    blocks = observation_blocks(args.data, bundle.feature_names, rows)
-    with contextlib.closing(blocks), open_reports(args.out) as (fh,):
-        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        write_sets_header(fh, bundle.labels, args.oracle)
+
+    def decided(blocks):
+        """Each block's posteriors, sets, values and oracle values or None."""
+        done = 0
         for points in blocks:
             try:
                 post = posterior_matrix(model, prior, points)
@@ -255,8 +252,13 @@ def _cmd_classify(args) -> int:
                 raise AllZeroMass(done + exc.row) from None  # the row in the file
             members, values = optimal_sets(spec, post, model.space)
             oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
-            write_sets_rows(fh, bundle.labels, post, members, values, oracle, done)
+            yield post, members, values, oracle
             done += points.shape[0]
+
+    rows = max(1, _BLOCK_ELEMENTS // model.n_categories)
+    blocks = observation_blocks(args.data, bundle.feature_names, rows)
+    with contextlib.closing(blocks), open_reports(args.out) as (fh,):
+        done = write_sets(fh, bundle.labels, metadata, decided(blocks), args.oracle)
     print(f"classified {done} observations -> {args.out}")
     return 0
 
@@ -313,11 +315,7 @@ def _cmd_tune(args) -> int:
         print(f"{name} minimum rule:   b = {sel.cost:.4f} "
               f"(non-reward {sel.non_reward_rate:.4f})")
     with open_reports(args.out_curve, args.out_selection) as (curve, selection):
-        curve.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        writer = csv.writer(curve, lineterminator="\n")
-        writer.writerow(["b", "rate_R1", "rate_R2", "rate_R3", "rate_R4"])
-        for row in report.rate_rows():
-            writer.writerow([format_float(v) for v in row])
+        write_curve(curve, metadata, report.rate_rows())
         _write_json(selection, {"config": metadata, "selection": selections})
     print(f"curve -> {args.out_curve}\nselection -> {args.out_selection}")
     return 0

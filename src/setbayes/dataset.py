@@ -1,8 +1,9 @@
 """CSV files and synthetic data generation.
 
 Every CSV format of the package is read and written here: datasets,
-``classify``'s query files and its report of sets; and every report file
-is written through ``open_reports``, which lets it appear only complete.
+``classify``'s query files and report of sets, and ``tune``'s rate
+curves, each CSV report in one writer call; and every report file is
+written through ``open_reports``, which lets it appear only complete.
 A dataset file is a plain CSV with one or more numeric feature columns,
 a ``label`` column, and an optional ``block`` column.  Labels may appear
 in any order; ingestion numbers them 1..N so that each block occupies a
@@ -97,30 +98,16 @@ def read_header(reader) -> list[str]:
     raise SchemaError("empty file; expected a header row")
 
 
-def csv_rows(fh, numeric_columns):
-    """Yield ``(line number, fields, values)`` for each data row of a CSV
-    text file opened with ``newline=""``.
-
-    Comment lines starting with ``#`` before the header are skipped, and so
-    are blank rows.  ``numeric_columns(header)`` checks the header row and
-    returns the indices of the columns read as numbers; ``values`` holds
-    those columns as floats, in that order.
-
-    Raises
-    ------
-    SchemaError
-        On an empty file, a line the csv module refuses, a row whose field
-        count differs from the header's, or a value that is not a finite
-        number, with the offending line number.
-    """
-    reader = csv.reader(fh)
-    header = read_header(reader)
-    yield from _data_rows(reader, len(header), numeric_columns(header))
-
-
 def _data_rows(reader, width, cols, before=0):
-    """``csv_rows``' rows after the header, from a ``csv.reader`` whose
-    first line is line ``before + 1`` of the file."""
+    """Yield ``(line number, fields, values)`` for each row after the
+    header of a ``csv.reader`` on a text file opened with ``newline=""``,
+    whose first line is line ``before + 1`` of the file.  Blank rows are
+    skipped; ``values`` holds the columns ``cols`` as floats, in order.
+
+    Raises ``SchemaError``, naming the line, on a line the csv module
+    refuses, a row of other than ``width`` fields, or a value that is not
+    a finite number.
+    """
     for row in _records(reader, before):
         lineno = before + reader.line_num
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -150,18 +137,15 @@ def load_dataset(path) -> LoadedDataset:
     SchemaError
         On any malformed content, with the offending line number.
     """
-    features = label_col = block_col = None
-
-    def feature_columns(header):
-        nonlocal features, label_col, block_col
-        features, label_col, block_col = _parse_header(header)
-        return [idx for idx in range(len(header)) if idx not in (label_col, block_col)]
-
     rows_by_label: dict[str, list[list[float]]] = {}
     block_of_label: dict[str, str] = {}
     block_order: list[str] = []
     with open(path, newline="", encoding=_ENCODING) as fh:
-        for lineno, row, values in csv_rows(fh, feature_columns):
+        reader = csv.reader(fh)
+        header = read_header(reader)
+        features, label_col, block_col = _parse_header(header)
+        cols = [idx for idx in range(len(header)) if idx not in (label_col, block_col)]
+        for lineno, row, values in _data_rows(reader, len(header), cols):
             label = row[label_col].strip()
             if not label:
                 raise SchemaError(f"line {lineno}: empty label")
@@ -207,13 +191,13 @@ def observation_blocks(path, feature_names, rows):
     of at most ``rows`` rows each, in file order.
 
     The file is decoded as ``load_dataset`` decodes it and read once, one
-    block at a time.  Its header is found as ``csv_rows`` finds it.  Each
-    block of ``rows`` lines after it goes through ``np.loadtxt``'s C
+    block at a time, after the header, found as ``load_dataset`` finds it.
+    Each block of ``rows`` lines goes through ``np.loadtxt``'s C
     tokenizer, which converts each number as ``float()`` does.  Its table
     is used when it has a row, each as wide as the header, with finite
     feature values, and the block holds none of the ``_SEPARATORS``.  From
     the first block that fails these, the rest of the file, that block's
-    lines included, goes through ``csv_rows``' row parser on the same
+    lines included, goes through ``load_dataset``'s row parser on the same
     handle: it words every error with its line number in the file, and
     reads what loadtxt refuses, such as quoted numbers (a record may span
     blocks), ``1_0``, non-ASCII digits, whitespace-only rows and
@@ -573,47 +557,60 @@ def set_cells(members: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     return chars.reshape(len(cells), width), which
 
 
-def write_sets_header(fh, labels, oracle: bool) -> None:
-    """Write the header line of ``classify``'s report of sets, with the
-    ``oracle_value`` column where ``oracle``."""
-    csv.writer(fh, lineterminator="\n").writerow(
-        ["row", *(f"p_{label}" for label in labels), "set", "set_size", "value",
-         *(["oracle_value"] if oracle else [])]
-    )
+def _csv_writer(fh, metadata, header):
+    """Write a report's first lines, ``metadata`` as a ``#`` line of its
+    canonical JSON where given and the ``header`` row; return the writer."""
+    if metadata is not None:
+        fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
 
 
-def write_sets_rows(fh, labels, post, members, values, oracle=None, offset=0) -> None:
-    """Write one line of ``classify``'s report per row of ``post``, the
-    rows numbered from ``offset + 1``.
+def write_sets(fh, labels, metadata, blocks, oracle: bool) -> int:
+    """Write ``classify``'s report of sets, with the ``oracle_value``
+    column where ``oracle``: a line per row of each ``(post, members,
+    values, oracle values or None)`` block of ``blocks``, the rows
+    numbered from 1 across the blocks.  Returns the number of rows."""
+    _csv_writer(fh, metadata, ["row", *(f"p_{label}" for label in labels), "set", "set_size",
+                               "value", *(["oracle_value"] if oracle else [])])
+    done = 0
+    for block in blocks:
+        done += _write_set_lines(fh, labels, done, *block)
+        del block  # released, as the writer's scratch is, before the next is decided
+    return done
 
-    A block of rows is one ``format_floats`` pass: ``_FORMAT_CHUNK``
-    floats, so ``_FORMAT_CHUNK // floats per row`` rows and at least one,
-    and the formatting scratch is set by the chunk, not by the rows.  Each
-    block fills one byte matrix, reused from block to block, with a line
-    per row: the row's number, its floats as ``format_floats`` lays them
-    out, its set's cells from ``set_cells``, and the separators, which
-    are written once.  The block's text is that matrix's bytes with every
-    ``FILL`` byte deleted.
+
+def _write_set_lines(fh, labels, before, post, members, values, oracle) -> int:
+    """Write one block's lines of ``write_sets``, its rows numbered on from
+    ``before``, and return its row count.  Its scratch is released on
+    return, before ``blocks`` decides the next block.
+
+    A pass over the block formats ``_FORMAT_CHUNK`` floats at most (and one
+    row at least), so the scratch is set by the chunk, not by the rows.
+    It fills a byte matrix, reused from pass to pass, with the row numbers,
+    the floats, the set cells from ``set_cells`` and the separators, and
+    writes the matrix with every ``FILL`` byte deleted.
     """
     tail = [values] if oracle is None else [values, oracle]
     cells, which = set_cells(members, labels)
     n_rows, n_post = post.shape
     n_floats = n_post + len(tail)
-    block = max(1, min(_FORMAT_CHUNK // n_floats, n_rows))
-    powers = 10 ** np.arange(len(str(offset + n_rows)) - 1, -1, -1)
+    per_pass = max(1, min(_FORMAT_CHUNK // n_floats, n_rows))
+    powers = 10 ** np.arange(len(str(before + n_rows)) - 1, -1, -1)
     # a line: the row number, a comma and a float per posterior column,
     # the set's cells, a comma and a float per tail column, the newline
     field = FLOAT_COLUMNS + 1
     at_cells = powers.size + field * n_post
     at_tail = at_cells + cells.shape[1]
-    lines = np.empty((block, at_tail + field * len(tail) + 1), dtype=np.uint8)
-    head_fields = lines[:, powers.size:at_cells].reshape(block, n_post, field)
-    tail_fields = lines[:, at_tail:-1].reshape(block, len(tail), field)
+    lines = np.empty((per_pass, at_tail + field * len(tail) + 1), dtype=np.uint8)
+    head_fields = lines[:, powers.size:at_cells].reshape(per_pass, n_post, field)
+    tail_fields = lines[:, at_tail:-1].reshape(per_pass, len(tail), field)
     head_fields[:, :, 0] = tail_fields[:, :, 0] = ord(",")
     lines[:, -1] = ord("\n")
-    floats = np.empty((block, n_floats))
-    for start in range(0, n_rows, block):
-        stop = min(start + block, n_rows)
+    floats = np.empty((per_pass, n_floats))
+    for start in range(0, n_rows, per_pass):
+        stop = min(start + per_pass, n_rows)
         m = stop - start
         floats[:m, :n_post] = post[start:stop]
         for j, column in enumerate(tail, start=n_post):
@@ -621,11 +618,19 @@ def write_sets_rows(fh, labels, post, members, values, oracle=None, offset=0) ->
         chars = format_floats(floats[:m]).reshape(m, n_floats, FLOAT_COLUMNS)
         head_fields[:m, :, 1:] = chars[:, :n_post]
         tail_fields[:m, :, 1:] = chars[:, n_post:]
-        rows = np.arange(offset + start + 1, offset + stop + 1)[:, None]
+        rows = np.arange(before + start + 1, before + stop + 1)[:, None]
         # the row number, its leading zeros filled
         lines[:m, :powers.size] = np.where(rows >= powers, rows // powers % 10 + ord("0"), FILL[0])
         lines[:m, at_cells:at_tail] = cells[which[start:stop]]
         fh.write(lines[:m].tobytes().translate(None, FILL).decode("utf-8"))
+    return n_rows
+
+
+def write_curve(fh, metadata, rows) -> None:
+    """Write ``tune``'s report of rate curves, a line per ``(cost,
+    rate_R1..rate_R4)`` row of ``rows`` in ``format_float``'s form."""
+    writer = _csv_writer(fh, metadata, ["b", "rate_R1", "rate_R2", "rate_R3", "rate_R4"])
+    writer.writerows([format_float(v) for v in row] for row in rows)
 
 
 @contextlib.contextmanager
@@ -669,23 +674,13 @@ def open_reports(*paths):
 
 def write_dataset(path, feature_names, rows, labels, blocks=None, metadata=None) -> None:
     """Write a dataset CSV in the format ``load_dataset`` reads, through
-    ``open_reports``.
-
-    ``metadata``, if given, is embedded as a leading ``#`` comment line
-    holding a canonical JSON dump of the dictionary.
-    """
-    rows = np.asarray(rows, dtype=float)
+    ``open_reports``, led by ``metadata``'s ``#`` line where given."""
+    names = [labels] if blocks is None else [labels, blocks]
+    header = [*feature_names, "label"] + ([] if blocks is None else ["block"])
     with open_reports(path) as (fh,):
-        if metadata is not None:
-            fh.write("# " + json.dumps(metadata, sort_keys=True) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(feature_names) + ["label"] + (["block"] if blocks is not None else [])
-        writer.writerow(header)
-        for idx in range(rows.shape[0]):
-            record = [format_float(v) for v in rows[idx]] + [labels[idx]]
-            if blocks is not None:
-                record.append(blocks[idx])
-            writer.writerow(record)
+        writer = _csv_writer(fh, metadata, header)
+        for row, *text in zip(np.asarray(rows, dtype=float), *names, strict=True):
+            writer.writerow([*map(format_float, row), *text])
 
 
 @dataclass(frozen=True)

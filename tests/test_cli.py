@@ -21,11 +21,11 @@ from setbayes.dataset import format_float
 from setbayes.errors import SchemaError
 
 
-#: The child of ``TestTune.test_blas_kernel_and_simd_dispatch_keep_the_rates``.
-#: It prints, as its first line of output, what the environment can
-#: switch: the kernel numpy's bundled OpenBLAS picked (None where that
-#: library or its name query is missing) and the SIMD targets numpy
-#: dispatches to; then it runs the CLI calls given as JSON.
+#: The child of ``run_switched``.  It prints, as its first line of
+#: output, what the environment can switch: the kernel numpy's bundled
+#: OpenBLAS picked (None where that library or its name query is
+#: missing) and the SIMD targets numpy dispatches to; then it runs the
+#: CLI calls given as JSON.
 SWITCHES_CHILD = """\
 import ctypes, glob, json, os, sys
 import numpy
@@ -45,6 +45,30 @@ simd = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
 print(json.dumps({"kernel": kernel, "simd": simd}), flush=True)
 sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
 """
+
+#: Each switch that ``SWITCHES_CHILD`` reports, and the environment that
+#: flips it: another OpenBLAS kernel, or numpy's AVX-512 loops off.
+SWITCHES = [
+    ("kernel", {"OPENBLAS_CORETYPE": "Prescott"}),
+    ("simd", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL AVX512_SKX AVX512F AVX512CD X86_V4"}),
+]
+
+
+def run_switched(switch, env, argv):
+    """Run the CLI call ``argv(tag)`` in a ``SWITCHES_CHILD`` child without
+    ``env``, tag ``"default"``, and in one with it, tag ``switch``.  Skips
+    where the two children report the same ``switch``, or none: there the
+    environment changes nothing to compare."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    switched = []
+    for tag, extra in (("default", {}), (switch, env)):
+        child_env = {k: v for k, v in os.environ.items() if k not in env}
+        child_env.update(extra, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", SWITCHES_CHILD, json.dumps([argv(tag)])],
+                              env=child_env, check=True, capture_output=True, text=True, timeout=300)
+        switched.append(json.loads(done.stdout.splitlines()[0])[switch])
+    if None in switched or switched[0] == switched[1]:
+        pytest.skip(f"{env} leaves the {switch} at {switched[0]!r}: nothing to compare")
 
 
 def must_not_run(name):
@@ -100,9 +124,9 @@ def reference_write_sets(fh, labels, post, members, values, oracle=None):
 
 def write_sets(fh, labels, post, members, values, oracle=None):
     """``classify``'s header and rows through ``dataset``'s writer, the
-    rows in one call."""
-    dataset.write_sets_header(fh, labels, oracle is not None)
-    dataset.write_sets_rows(fh, labels, post, members, values, oracle)
+    rows in one block and no metadata line."""
+    block = (post, members, values, oracle)
+    assert dataset.write_sets(fh, labels, None, [block], oracle is not None) == len(post)
 
 
 def written(write, *args):
@@ -131,9 +155,9 @@ def read_observations(path, feature_names, rows=BLOCK_ROWS[-1]):
 
 
 def reference_read_observations(path, feature_names):
-    """The query matrix read row by row through ``dataset.csv_rows``, from
-    the file opened as ``load_dataset`` opens it: the reference for
-    ``read_observations``."""
+    """The query matrix read row by row through ``load_dataset``'s header
+    and row parsers, from the file opened as ``load_dataset`` opens it: the
+    reference for ``read_observations``."""
 
     def feature_columns(header):
         names = [h.strip() for h in header]
@@ -143,7 +167,10 @@ def reference_read_observations(path, feature_names):
         return [names.index(name) for name in feature_names]
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [values for _, _, values in dataset.csv_rows(fh, feature_columns)]
+        reader = csv.reader(fh)
+        header = dataset.read_header(reader)
+        parsed = dataset._data_rows(reader, len(header), feature_columns(header))
+        rows = [values for _, _, values in parsed]
     if not rows:
         raise SchemaError("no observation rows")
     return np.asarray(rows, dtype=float)
@@ -417,6 +444,29 @@ class TestClassify:
             written.append(out.read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("switch, env", SWITCHES)
+    def test_blas_kernel_and_simd_dispatch_keep_the_sets(self, workspace, switch, env):
+        """``classify`` run in a child under another OpenBLAS kernel, or
+        with numpy's AVX-512 loops off, chooses the sets of a child
+        without the switch.  Its posteriors and values rest on the density
+        GEMM's and numpy's ``exp`` bits, so they may move in the last
+        digits: by at most 2.1e-14 relative on the classify benchmarks'
+        seed-101 inputs under four kernels, the bound here.  Skips where
+        the switch changes nothing."""
+        tmp_path, _, _, model = workspace
+        points = 2.0 + 2.0 * np.random.default_rng(8).standard_normal((300, 2))
+        probe = tmp_path / "probe.csv"
+        probe.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+        run_switched(switch, env, lambda tag: [
+            "classify", "--model", str(model), "--data", str(probe),
+            "--reward", '{"kind": "proportion", "c": 0.2}', "--out", str(tmp_path / f"{tag}.csv")])
+        base, other = (read_csv_rows(tmp_path / f"{tag}.csv") for tag in ("default", switch))
+        assert [(r["set"], r["set_size"]) for r in other] == [(r["set"], r["set_size"]) for r in base]
+        columns = [f"p_{label}" for label in ("near", "mid", "far")] + ["value"]
+        for row, moved in zip(base, other):
+            assert [float(moved[c]) for c in columns] == pytest.approx(
+                [float(row[c]) for c in columns], rel=2.1e-14, abs=0)
+
     def test_one_row_query_gets_its_batch_line(self, workspace):
         """Each row of a 40-row query file, classified from a file of its
         own, gets the line it gets in the whole file, after the row
@@ -629,9 +679,9 @@ class TestReportsAppearComplete:
 
         if command == "synth":  # one call per value: fails in the first row
             monkeypatch.setattr(dataset, "format_float", half_written(dataset.format_float))
-        elif command == "classify":  # one call per block of one row
+        elif command == "classify":  # one call per block of one row, after the first is written
             monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", 3)
-            monkeypatch.setattr(cli, "write_sets_rows", half_written(cli.write_sets_rows))
+            monkeypatch.setattr(dataset, "set_cells", half_written(dataset.set_cells))
         else:
             # the second JSON report; tune writes its curve, then its selection
             def dump(obj, fh, **kwargs):
@@ -957,6 +1007,23 @@ class TestSetsWriter:
         empty = (self.LABELS, post[:0], members[:0], values[:0])
         assert written(write_sets, *empty) == written(reference_write_sets, *empty)
 
+    def test_rows_are_numbered_across_blocks(self):
+        """One call writes the metadata line, the header and every block's
+        rows, numbered on from the block before, also where the numbers
+        grow a digit within or between blocks and where a block is empty,
+        and returns the row count: the text of one block of every row."""
+        post, members, values = self.inputs(120, seed=4)
+        oracle = values[::-1]
+        metadata = {"command": "classify", "note": "naïve"}
+        buf = io.StringIO(newline="")
+        bounds = [0, 5, 9, 9, 10, 98, 101, 120]
+        blocks = [(post[a:b], members[a:b], values[a:b], oracle[a:b])
+                  for a, b in zip(bounds, bounds[1:])]
+        assert dataset.write_sets(buf, self.LABELS, metadata, blocks, True) == 120
+        first, rest = buf.getvalue().split("\n", 1)
+        assert first == "# " + json.dumps(metadata, sort_keys=True)
+        assert rest == written(reference_write_sets, self.LABELS, post, members, values, oracle)
+
     def test_memory_is_set_by_the_chunk(self, monkeypatch):
         """With the chunk at 2**8 floats, the writer's peak under
         ``tracemalloc`` grows by at most 64 bytes a row from 1,000 rows to
@@ -967,11 +1034,11 @@ class TestSetsWriter:
         with open(os.devnull, "w", encoding="utf-8") as sink:
             for rows in (1000, 4000):
                 post, members, values = self.inputs(rows, seed=3)
-                args = (sink, self.LABELS, post, members, values, values[::-1])
-                dataset.write_sets_rows(*args)  # the float tables are built on first use
+                args = (sink, self.LABELS, None, [(post, members, values, values[::-1])], True)
+                dataset.write_sets(*args)  # the float tables are built on first use
                 tracemalloc.start()
                 try:
-                    dataset.write_sets_rows(*args)
+                    dataset.write_sets(*args)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -1099,10 +1166,7 @@ class TestTune:
             assert ((tmp_path / name.format("pinned")).read_bytes()
                     == (tmp_path / name.format("free")).read_bytes())
 
-    @pytest.mark.parametrize("switch, env", [
-        ("kernel", {"OPENBLAS_CORETYPE": "Prescott"}),
-        ("simd", {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL AVX512_SKX AVX512F AVX512CD X86_V4"}),
-    ])
+    @pytest.mark.parametrize("switch, env", SWITCHES)
     def test_blas_kernel_and_simd_dispatch_keep_the_rates(self, workspace, switch, env):
         """``tune`` run in a child under another OpenBLAS kernel, or with
         numpy's AVX-512 loops off, writes the curve bytes, the threshold
@@ -1113,17 +1177,8 @@ class TestTune:
         tune-warbler benchmark's seeds 101-110 under four kernels, here
         bounded by 1e-12.  Skips where the switch changes nothing."""
         tmp_path, _, data, _ = workspace
-        src = str(Path(cli.__file__).resolve().parents[1])
-        switched = []
-        for tag, extra in (("default", {}), (switch, env)):
-            child_env = {k: v for k, v in os.environ.items() if k not in env}
-            child_env.update(extra, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            argv = self.tune_args(data, tmp_path / f"c-{tag}.csv", tmp_path / f"s-{tag}.json")
-            done = subprocess.run([sys.executable, "-c", SWITCHES_CHILD, json.dumps([argv])],
-                                  env=child_env, check=True, capture_output=True, text=True, timeout=300)
-            switched.append(json.loads(done.stdout.splitlines()[0])[switch])
-        if None in switched or switched[0] == switched[1]:
-            pytest.skip(f"{env} leaves the {switch} at {switched[0]!r}: nothing to compare")
+        run_switched(switch, env, lambda tag: self.tune_args(
+            data, tmp_path / f"c-{tag}.csv", tmp_path / f"s-{tag}.json"))
         assert (tmp_path / "c-default.csv").read_bytes() == (tmp_path / f"c-{switch}.csv").read_bytes()
         base, other = (json.loads((tmp_path / f"s-{tag}.json").read_text())["selection"]
                        for tag in ("default", switch))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setbayes import (
     BlockOutOfRange,
@@ -13,6 +15,27 @@ from setbayes import (
 from setbayes.core import Ranking
 
 from conftest import random_posterior, random_space
+
+
+def reference_ranking(row, space):
+    """``Ranking``'s three fields for one posterior row, block by block:
+    the block's places sorted by (-p, category index) in Python, the
+    sorted values padded with -inf, and the block's sum as numpy sums the
+    row's slice alone."""
+    width = max(space.block_sizes)
+    rank, ordered, mass = [0] * len(row), [], []
+    for k in range(1, space.n_blocks + 1):
+        sl = space.block_slice(k)
+        order = sorted(range(sl.start, sl.stop), key=lambda i: (-row[i], i))
+        for place, i in enumerate(order):
+            rank[i] = place
+        ordered.append([row[i] for i in order] + [-np.inf] * (width - len(order)))
+        mass.append(float(np.asarray(row[sl]).sum()))
+    return rank, ordered, mass
+
+
+#: Probabilities drawn often enough that rows hold exact ties and zeros.
+TIED_VALUES = (0.0, 0.0, 0.125, 0.25, 0.25, 1 / 3, 0.5)
 
 
 class TestCategorySpace:
@@ -137,3 +160,26 @@ class TestPosteriorVector:
             p = random_posterior(rng, space)
             total = sum(p.block_mass(k) for k in range(1, space.n_blocks + 1))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("sizes", [(8,), (3, 3, 2), (1, 4, 3), (2, 2, 2, 2)],
+                             ids=lambda sizes: "-".join(map(str, sizes)))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ranking_against_per_row_reference(self, sizes, data):
+        """``Ranking`` sorts each block by decreasing probability, exact
+        ties by the smaller category index first: its ``rank``,
+        ``sorted`` and ``mass`` match a per-row reference bit for bit, on
+        rows with forced ties and zeros."""
+        space = CategorySpace(sum(sizes), sizes)
+        value = st.one_of(st.sampled_from(TIED_VALUES), st.floats(0.0, 1.0))
+        rows = data.draw(st.lists(st.lists(value, min_size=space.n_categories,
+                                           max_size=space.n_categories), min_size=1, max_size=6))
+        P = np.array(rows)
+        ranked = Ranking(P, space)
+        for r, row in enumerate(rows):
+            rank, ordered, mass = reference_ranking(row, space)
+            assert ranked.rank[r].tolist() == rank
+            assert ranked.sorted[r].tobytes() == np.array(ordered).tobytes()
+            assert ranked.mass[r].tobytes() == np.array(mass).tobytes()
