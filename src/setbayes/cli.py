@@ -38,6 +38,7 @@ import numpy as np
 
 from .classifiers import check_exhaustive, exhaustive_sets, optimal_sets
 from .classifiers import optimal_set  # unused here, but bench/tracing.py wraps cli.optimal_set
+from .core import JSON_TYPES, json_fields
 from .core import PosteriorVector  # unused here, but bench/tracing.py wraps cli.PosteriorVector
 from .dataset import (
     format_float,
@@ -127,10 +128,7 @@ def _parse_reward(text: str):
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid reward JSON: {exc}") from None
-    try:
-        return reward_spec_from_json(obj), obj
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return reward_spec_from_json(obj), obj
 
 
 def _number_list(text: str, expected: str) -> list:
@@ -141,9 +139,7 @@ def _number_list(text: str, expected: str) -> list:
         values = json.loads(text)
     except json.JSONDecodeError:
         values = None
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not JSON_TYPES[list[float]][1](values):
         raise SchemaError(f"{expected}, got {text!r}")
     return values
 
@@ -171,15 +167,13 @@ class _ModelFile:
     def __init__(self, obj: dict):
         if not isinstance(obj, dict) or obj.get("format") != "setbayes-model-file":
             raise SchemaError("not a setbayes model file")
-        try:
-            self.model: GaussianCategoryModel = model_from_json(obj["model"])
-            self.labels = tuple(str(s) for s in obj["labels"])
-            names = obj.get("block_names")
-            self.block_names = tuple(str(s) for s in names) if names else None
-            self.feature_names = tuple(str(s) for s in obj["feature_names"])
-            self.counts = tuple(int(c) for c in obj["counts"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed model file: {exc}") from None
+        _, model, self.labels, _, self.feature_names, self.counts, _ = json_fields(
+            obj, "model file", (
+                ("format", str), ("model", dict), ("labels", list[str]),
+                ("block_names", list[str] | None, None), ("feature_names", list[str]),
+                ("counts", list[int]), ("config", dict),
+            ))
+        self.model: GaussianCategoryModel = model_from_json(model)
         if len(self.labels) != self.model.n_categories:
             raise SchemaError("label list does not match the model's categories")
 
@@ -442,19 +436,13 @@ def main(argv=None) -> int:
             raise OutOfRange(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
         _check_outputs(args)
         return args.func(args)
-    except SchemaError as exc:
-        _err(exc)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # SchemaError among them
         _err(exc)
         return 2
     except (CategoryTooSmall, EmptyCategory) as exc:
         _err(exc)
         return 4
-    except OSError as exc:
-        _err(exc)
-        return 3
-    except SetBayesError as exc:
+    except (OSError, SetBayesError) as exc:
         _err(exc)
         return 3
 

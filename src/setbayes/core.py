@@ -1,4 +1,5 @@
-"""Category spaces, posterior vectors, and classified sets.
+"""Category spaces, posterior vectors, classified sets, and the checked
+reader of every JSON object input.
 
 Categories are numbered 1..N throughout the public interface.  A space may
 additionally carry a partition of 1..N into K contiguous blocks; most users
@@ -13,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BlockOutOfRange, DimensionMismatch, InvalidDistribution, OutOfRange
+from .errors import BlockOutOfRange, DimensionMismatch, InvalidDistribution, OutOfRange, SchemaError
 
 #: Largest tolerated deviation of sum(p) from 1 before construction fails.
 SUM_TOLERANCE = 1e-9
@@ -226,3 +227,51 @@ class PosteriorVector:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PosteriorVector({np.array2string(self.p, precision=4)})"
+
+
+def _is(kind):
+    return lambda value: isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _list_of(accepts):
+    return lambda value: isinstance(value, list) and all(map(accepts, value))
+
+
+#: What each type a JSON field may declare accepts, and how a message names
+#: it.  true and false are of no type but bool.
+JSON_TYPES = {
+    float: ("a number", _is((int, float))),
+    int: ("an integer", _is(int)),
+    bool: ("true or false", _is(bool)),
+    str: ("a string", _is(str)),
+    dict: ("an object", _is(dict)),
+    list[float]: ("a list of numbers", _list_of(_is((int, float)))),
+    list[int]: ("a list of integers", _list_of(_is(int))),
+    list[str]: ("a list of strings", _list_of(_is(str))),
+    list[dict]: ("a list of objects", _list_of(_is(dict))),
+    list[list[float]]: ("a list of lists of numbers", _list_of(_list_of(_is((int, float))))),
+    list[str] | None: ("a list of strings or null",
+                       lambda value: value is None or _list_of(_is(str))(value)),
+}
+
+
+def json_fields(obj, where: str, fields) -> list:
+    """The values of the JSON object ``obj``'s ``fields``, in order, each
+    ``(name, type[, default])`` with a type of ``JSON_TYPES``; a field left
+    out takes its default.  ``SchemaError``, led by ``where`` and naming the
+    field, refuses a non-object, an undeclared field, a missing field with
+    no default and a value its type refuses."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
+    unknown = sorted(set(obj) - {name for name, *_ in fields})
+    if unknown:
+        raise SchemaError(f"{where}: unknown parameter {unknown[0]!r}")
+    values = []
+    for name, want, *default in fields:
+        if name not in obj and not default:
+            raise SchemaError(f"{where}: missing parameter {name!r}")
+        what, accepts = JSON_TYPES[want]
+        if name in obj and not accepts(obj[name]):
+            raise SchemaError(f"{where}: {name!r} must be {what}, got {obj[name]!r}")
+        values.append(obj.get(name, *default))
+    return values

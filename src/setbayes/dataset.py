@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import CategorySpace
+from .core import CategorySpace, json_fields
 from .errors import SchemaError
 from .gaussian import TrainingData
 
@@ -71,6 +71,8 @@ def _parse_header(header: list[str]) -> tuple[tuple[str, ...], int, int | None]:
 
 #: How every CSV input is decoded: UTF-8 less a leading byte-order mark,
 #: which spreadsheets write and which would otherwise start the first name.
+#: A byte that is not UTF-8 is decoded as a lone surrogate, U+DC80-U+DCFF,
+#: which ``_records`` refuses, naming the line.
 _ENCODING = "utf-8-sig"
 
 #: Characters that ``np.loadtxt`` strips around a number as whitespace and
@@ -80,11 +82,17 @@ _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 def _records(reader, before=0):
     """The rows of a ``csv.reader``; a ``csv.Error``, such as a field over
-    the csv module's size limit, is raised as a ``SchemaError`` naming its
-    line, counted from the file's start when ``before`` lines of the file
-    came before the reader's first."""
+    the csv module's size limit, or a byte that is not UTF-8 is raised as
+    a ``SchemaError`` naming its line, counted from the file's start when
+    ``before`` lines of the file came before the reader's first."""
     try:
-        yield from reader
+        for row in reader:
+            text = "".join(row)
+            bad = "" if text.isascii() else [c for c in text if "\udc80" <= c <= "\udcff"]
+            if bad:
+                raise SchemaError(f"line {before + reader.line_num}: "
+                                  f"byte 0x{ord(bad[0]) - 0xdc00:02x} is not UTF-8")
+            yield row
     except csv.Error as exc:
         raise SchemaError(f"line {before + reader.line_num}: {exc}") from None
 
@@ -140,7 +148,7 @@ def load_dataset(path) -> LoadedDataset:
     rows_by_label: dict[str, list[list[float]]] = {}
     block_of_label: dict[str, str] = {}
     block_order: list[str] = []
-    with open(path, newline="", encoding=_ENCODING) as fh:
+    with open(path, newline="", encoding=_ENCODING, errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = read_header(reader)
         features, label_col, block_col = _parse_header(header)
@@ -213,7 +221,7 @@ def observation_blocks(path, feature_names, rows):
         return [names.index(name) for name in feature_names]
 
     found = False
-    with open(path, newline="", encoding=_ENCODING) as fh:
+    with open(path, newline="", encoding=_ENCODING, errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = read_header(reader)
         cols = feature_columns(header)
@@ -697,39 +705,30 @@ def parse_generator_spec(obj: dict) -> tuple[list[GeneratorCategory], tuple[str,
 
     The JSON object carries a ``categories`` list; each entry has a label,
     an optional block, a count, a mean vector, and a covariance matrix
-    that must be symmetric positive definite.  An optional top-level
-    ``feature_names`` list names the columns (default f1..fd).  Returns
-    the categories and the feature names.
+    that must be finite, symmetric and positive definite.  An optional
+    top-level ``feature_names`` list names the columns (default f1..fd).
+    Returns the categories and the feature names.
     """
-    if not isinstance(obj, dict) or not isinstance(obj.get("categories"), list):
-        raise SchemaError("generator spec must be an object with a 'categories' list")
-    unknown = set(obj) - {"categories", "feature_names"}
-    if unknown:
-        raise SchemaError(f"unknown generator spec key(s): {', '.join(sorted(unknown))}")
+    entries, names = json_fields(obj, "generator spec", (
+        ("categories", list[dict]), ("feature_names", list[str], None),
+    ))
+    fields = (("label", str), ("block", str, None), ("count", int),
+              ("mean", list[float]), ("cov", list[list[float]]))
     cats = []
     dim = None
-    blocks_seen = []
-    for pos, entry in enumerate(obj["categories"], start=1):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"category {pos}: expected an object")
-        try:
-            label = str(entry["label"])
-            count = int(entry["count"])
-            mean = np.asarray(entry["mean"], dtype=float)
-            cov = np.asarray(entry["cov"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"category {pos}: {exc}") from None
-        block = str(entry["block"]) if "block" in entry else None
+    for pos, entry in enumerate(entries, start=1):
+        label, block, count, mean, cov = json_fields(entry, f"category {pos}", fields)
         if count < 0:
             raise SchemaError(f"category {pos}: negative count {count}")
-        if mean.ndim != 1:
-            raise SchemaError(f"category {pos}: mean must be a vector")
         if dim is None:
-            dim = mean.size
-        if mean.size != dim or cov.shape != (dim, dim):
+            dim = len(mean)
+        if len(mean) != dim or len(cov) != dim or any(len(row) != dim for row in cov):
             raise SchemaError(
                 f"category {pos}: dimensions disagree with earlier categories"
             )
+        mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise SchemaError(f"category {pos}: mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise SchemaError(f"category {pos}: covariance is not symmetric")
         try:
@@ -738,27 +737,21 @@ def parse_generator_spec(obj: dict) -> tuple[list[GeneratorCategory], tuple[str,
             raise SchemaError(
                 f"category {pos}: covariance is not positive definite"
             ) from None
-        blocks_seen.append(block is not None)
         cats.append(GeneratorCategory(label, block, count, mean, cov))
     if not cats:
         raise SchemaError("generator spec has no categories")
-    if any(blocks_seen) and not all(blocks_seen):
+    if len({c.block is None for c in cats}) > 1:
         raise SchemaError("either every category has a block or none does")
     labels = [c.label for c in cats]
     if len(set(labels)) != len(labels):
         raise SchemaError("duplicate category labels in generator spec")
-    names = obj.get("feature_names")
     if names is None:
-        feature_names = tuple(f"f{idx}" for idx in range(1, dim + 1))
-    else:
-        feature_names = tuple(str(n) for n in names)
-        if len(feature_names) != dim:
-            raise SchemaError(
-                f"{len(feature_names)} feature names for dimension {dim}"
-            )
-        if len(set(feature_names)) != dim or {"label", "block"} & set(feature_names):
-            raise SchemaError("feature names must be unique and not 'label'/'block'")
-    return cats, feature_names
+        return cats, tuple(f"f{idx}" for idx in range(1, dim + 1))
+    if len(names) != dim:
+        raise SchemaError(f"{len(names)} feature names for dimension {dim}")
+    if len(set(names)) != dim or {"label", "block"} & set(names):
+        raise SchemaError("feature names must be unique and not 'label'/'block'")
+    return cats, tuple(names)
 
 
 def generate_rows(

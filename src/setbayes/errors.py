@@ -62,5 +62,6 @@ class NoFeasibleB(SetBayesError):
     """No point of the cost grid satisfies the requested error bound."""
 
 
-class SchemaError(SetBayesError):
-    """An input file violates its documented format."""
+class SchemaError(SetBayesError, ValueError):
+    """An input file violates its documented format; a ``ValueError`` too,
+    as ``json`` and ``float()`` raise for malformed text."""

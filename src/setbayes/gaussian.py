@@ -20,7 +20,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .core import CategorySpace, PosteriorVector
+from .core import CategorySpace, PosteriorVector, json_fields
 from .errors import (
     AllZeroMass,
     DimensionMismatch,
@@ -991,29 +991,22 @@ def model_from_json(obj: dict) -> GaussianCategoryModel:
     """Rebuild a model from ``model_to_json`` output, checking it before any draw."""
     if not isinstance(obj, dict) or obj.get("format") != "setbayes-model":
         raise ValueError("not a setbayes model object")
-    n_draws, seed, dim = obj.get("n_draws"), obj.get("seed"), obj.get("dim")
-    if type(n_draws) is not int or not 1 <= n_draws <= MAX_DRAWS:
+    _, dim, n_draws, seed, block_sizes, categories = json_fields(obj, "model", (
+        ("format", str), ("dim", int), ("n_draws", int), ("seed", int),
+        ("block_sizes", list[int]), ("categories", list[dict]),
+    ))
+    if not 1 <= n_draws <= MAX_DRAWS:
         raise ValueError(f"'n_draws' must be an integer in 1..{MAX_DRAWS}, got {n_draws!r}")
-    if type(seed) is not int or seed < 0:
+    if seed < 0:
         raise ValueError(f"'seed' must be a non-negative integer, got {seed!r}")
-    try:
-        space = CategorySpace(
-            sum(int(s) for s in obj["block_sizes"]),
-            tuple(int(s) for s in obj["block_sizes"]),
-        )
-        posteriors = tuple(
-            NormalInverseWishart(
-                tuple(float(v) for v in cat["mean"]),
-                float(cat["kappa"]),
-                float(cat["dof"]),
-                tuple(tuple(float(v) for v in row) for row in cat["scatter"]),
-            )
-            for cat in obj["categories"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model object: {exc}") from None
+    space = CategorySpace(sum(block_sizes), block_sizes)
+    fields = (("mean", list[float]), ("kappa", float), ("dof", float), ("scatter", list[list[float]]))
+    posteriors = tuple(
+        NormalInverseWishart(*json_fields(cat, f"model category {i}", fields))
+        for i, cat in enumerate(categories, start=1)
+    )
     if len(posteriors) != space.n_categories:
         raise ValueError("model categories do not match the block sizes")
-    if type(dim) is not int or any(post.dim != dim for post in posteriors):
+    if any(post.dim != dim for post in posteriors):
         raise ValueError(f"'dim' must be every category's mean length, got {dim!r}")
     return GaussianCategoryModel(posteriors, n_draws, seed, space)

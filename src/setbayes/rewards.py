@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import CategorySpace, ClassifiedSet, PosteriorVector, Ranking
+from .core import CategorySpace, ClassifiedSet, PosteriorVector, Ranking, json_fields
 from .errors import (
     DimensionMismatch,
     NotConvex,
@@ -101,8 +101,8 @@ class RewardSpec:
     """
 
     kind: ClassVar[str]
-    #: JSON parameters in constructor order as (name, type[, default]), the
-    #: type being float (a number), list (of numbers) or bool.
+    #: JSON parameters in constructor order as ``core.json_fields`` reads
+    #: them: (name, type[, default]).
     params: ClassVar[tuple[tuple, ...]] = ()
 
     def __init_subclass__(cls, kind: str, **kwargs):
@@ -175,11 +175,11 @@ class InvariantPenalty(RewardSpec, kind="penalty"):
 
     penalty: PenaltySequence
 
-    params = (("g", list), ("convex", bool, False))
+    params = (("g", list[float]), ("convex", bool, False))
 
     @classmethod
     def from_json_values(cls, g, convex):
-        return cls(PenaltySequence(tuple(g), convex))
+        return cls(PenaltySequence(g, convex))
 
     def check(self, space):
         if self.penalty.max_size != space.n_categories:
@@ -436,18 +436,6 @@ def value_function(spec: RewardSpec, p: PosteriorVector, chosen: ClassifiedSet) 
     return float(spec.expected(p.p[None, :], chosen.as_mask()[None, :], p.space)[0])
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-#: What each declared parameter type accepts from JSON, and how to name it.
-_JSON_TYPES = {
-    float: ("a number", _is_number),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-}
-
-
 def reward_spec_from_json(obj: dict) -> RewardSpec:
     """Build a reward specification from its JSON dictionary form.
 
@@ -455,22 +443,10 @@ def reward_spec_from_json(obj: dict) -> RewardSpec:
     missing, mistyped or unknown parameters, raise ``ValueError`` so callers
     can map the failure to an input-schema error.
     """
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("reward specification must be an object with a 'kind' field")
-    kind = obj["kind"]
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     family = _FAMILIES.get(kind) if isinstance(kind, str) else None
     if family is None:
-        raise ValueError(f"unknown reward kind {kind!r}; expected one of {sorted(_FAMILIES)}")
-    unknown = sorted(set(obj) - {"kind"} - {name for name, *_ in family.params})
-    if unknown:
-        raise ValueError(f"reward kind {kind!r} has unknown parameter {unknown[0]!r}")
-    values = []
-    for name, want, *default in family.params:
-        if name not in obj and not default:
-            raise ValueError(f"reward kind {kind!r} is missing parameter {name!r}")
-        value = obj.get(name, *default)
-        what, accepts = _JSON_TYPES[want]
-        if not accepts(value):
-            raise ValueError(f"reward kind {kind!r}: {name!r} must be {what}, got {value!r}")
-        values.append(value)
-    return family.from_json_values(*values)
+        raise ValueError(f"reward specification must be an object whose 'kind' is one of "
+                         f"{sorted(_FAMILIES)}, got {kind!r}")
+    fields = (("kind", str), *family.params)
+    return family.from_json_values(*json_fields(obj, f"reward kind {kind!r}", fields)[1:])

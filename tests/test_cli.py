@@ -166,7 +166,7 @@ def reference_read_observations(path, feature_names):
             raise SchemaError(f"missing feature column(s): {', '.join(missing)}")
         return [names.index(name) for name in feature_names]
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = dataset.read_header(reader)
         parsed = dataset._data_rows(reader, len(header), feature_columns(header))
@@ -234,6 +234,40 @@ class TestSynth:
         spec.write_text("{invalid json")
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
 
+    #: Edits of ``SPEC``, of its second category or its top level, each
+    #: refused with what the message names.
+    SPEC_EDITS = {
+        "count 2.7": (lambda s: s["categories"][1].update(count=2.7), "'count'"),
+        "count true": (lambda s: s["categories"][1].update(count=True), "'count'"),
+        "count '3'": (lambda s: s["categories"][1].update(count="3"), "'count'"),
+        "null label": (lambda s: s["categories"][1].update(label=None), "'label'"),
+        "null block": (lambda s: s["categories"][1].update(block=None), "'block'"),
+        "feature_names 'xy'": (lambda s: s.update(feature_names="xy"), "'feature_names'"),
+        "colour": (lambda s: s["categories"][1].update(colour="red"), "'colour'"),
+        "cuont": (lambda s: s["categories"][1].update(cuont=s["categories"][1].pop("count")),
+                  "'cuont'"),
+        "NaN mean": (lambda s: s["categories"][1].update(mean=[float("nan"), 0.0]),
+                     "category 2: mean and covariance must be finite"),
+        "NaN cov": (lambda s: s["categories"][1].update(cov=[[1.0, float("nan")], [float("nan"), 1.0]]),
+                    "category 2: mean and covariance must be finite"),
+        "infinite mean": (lambda s: s["categories"][1].update(mean=[0.0, float("inf")]),
+                          "category 2: mean and covariance must be finite"),
+    }
+
+    @pytest.mark.parametrize("edit", SPEC_EDITS)
+    def test_bad_spec_field_exits_2_naming_it(self, tmp_path, capsys, edit):
+        """A field of the wrong JSON type, an unknown field or a value that
+        is not finite is malformed input, named in the message, and writes
+        no dataset."""
+        change, named = self.SPEC_EDITS[edit]
+        obj = json.loads(json.dumps(SPEC))
+        change(obj)
+        spec, out = tmp_path / "gen.json", tmp_path / "d.csv"
+        spec.write_text(json.dumps(obj))
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_draws_no_sample(self, workspace, monkeypatch, capsys):
@@ -275,6 +309,23 @@ class TestFit:
         data.write_text("x,label\n0.0,a\nnan,a\n1.0,b\n2.0,b\n")
         assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
         assert "line 3: feature values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        (b"1.5, ,q", "empty label"), (b"1.5,b, ", "empty block"),
+        (b"\xff1.5,b,q", "byte 0xff is not UTF-8"),
+    ], ids=["empty label", "empty block", "not UTF-8"])
+    def test_malformed_row_past_8_kb_names_its_line(self, tmp_path, capsys, bad, message):
+        """An empty label or block, or a byte that is not UTF-8, on line 701
+        of a dataset, past the first 8 KB that Python decodes at once, is
+        malformed input named with its line."""
+        lines = [b"x,label,block"] + [f"{i + 0.123456789!r},{'ab'[i % 2]},q".encode()
+                                      for i in range(800)]
+        lines[700] = bad
+        assert len(b"\n".join(lines[:700])) > 8192
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["fit", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"line 701: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, text", [
         (1, "x," + "l" * 200_000), (3, "0.5," + "a" * 200_000),
@@ -550,6 +601,26 @@ class TestClassify:
                      "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
         assert "line 3: field larger than field limit (131072)" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_byte_not_utf8_past_8_kb_names_its_line(self, workspace, monkeypatch, capsys):
+        """A byte that is not UTF-8 on line 701 of a query file, past the
+        first 8 KB that Python decodes at once, is malformed input named
+        with its line, whether loadtxt's blocks or the row reader meet it,
+        and writes no file."""
+        tmp_path, _, _, model = workspace
+        points = 2.0 + 2.0 * np.random.default_rng(7).standard_normal((800, 2))
+        lines = [b"x1,x2"] + [f"{a!r},{b!r}".encode() for a, b in points.tolist()]
+        lines[700] = b"\xff" + lines[700]
+        assert len(b"\n".join(lines[:700])) > 8192
+        queries, out = tmp_path / "q.csv", tmp_path / "sets.csv"
+        queries.write_bytes(b"\n".join(lines) + b"\n")
+        for budget in (3, cli._BLOCK_ELEMENTS):  # one row a block, or the whole file
+            monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", budget)
+            assert main(["classify", "--model", str(model), "--data", str(queries),
+                         "--reward", '{"kind": "map"}', "--out", str(out)]) == 2
+            assert "line 701: byte 0xff is not UTF-8" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestClassifyBlocks:
@@ -1097,7 +1168,7 @@ class TestSetsWriter:
         members, values = classifiers.optimal_sets(rspec, post, bundle.model.space)
         oracle = [classifiers.brute_force_optimal(rspec, PosteriorVector(p, bundle.model.space)).value
                   for p in post]
-        assert bundle.labels == self.LABELS
+        assert bundle.labels == list(self.LABELS)
         assert (~members.any(axis=1)).any()
         _, rows = out.read_text(encoding="utf-8").split("\n", 1)
         assert rows == written(reference_write_sets, bundle.labels, post, members, values, oracle)
@@ -1124,6 +1195,29 @@ class TestTune:
         sel = json.loads(selection.read_text())
         assert set(sel["selection"]["threshold"]) == {"R3", "R4"}
         assert set(sel["selection"]["minimize"]) == {"R1", "R2"}
+
+    def test_no_feasible_cost_is_recorded(self, tmp_path, capsys):
+        """An outlier of category a inside category b's cloud, a alone in
+        its block, holds a held-out posterior for a far below every grid
+        cost, so its set misses a's block at every cost.  Its non-reward
+        is 1/41 of the rate, above ``--delta``, so both threshold rules
+        find no feasible cost: stdout says so and the selection records
+        a null cost with the reason."""
+        rng = np.random.default_rng(5)
+        rows = [(x, "a", "left") for x in rng.normal(0.0, 1.0, 20).tolist()]
+        rows += [(x, "b", "right") for x in rng.normal(12.0, 1.0, 20).tolist()]
+        rows.append((12.0, "a", "left"))
+        data, curve, selection = tmp_path / "d.csv", tmp_path / "c.csv", tmp_path / "s.json"
+        data.write_text("x,label,block\n" + "".join(f"{x!r},{a},{b}\n" for x, a, b in rows))
+        assert main(self.tune_args(data, curve, selection) + ["--delta", "0.01"]) == 0
+        printed = capsys.readouterr().out
+        threshold = json.loads(selection.read_text())["selection"]["threshold"]
+        for name in ("R3", "R4"):
+            assert f"{name} threshold rule: no feasible cost" in printed
+            assert threshold[name] == {
+                "selected_b": None,
+                "note": "no grid cost keeps the non-reward rate within 0.01",
+            }
 
     def test_rerun_into_fresh_directory_is_byte_identical(self, workspace):
         tmp_path, _, data, _ = workspace
@@ -1265,6 +1359,17 @@ class TestConformal:
         printed = capsys.readouterr().out
         assert "conformal cost" in printed
 
+    def test_prior_without_mass_on_two_categories(self, workspace):
+        """A prior of zero on two of the three categories samples neither:
+        every calibration and audit draw comes from the first, whose
+        posterior is then 1, so the cost and the coverage are 1."""
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "r.json"
+        assert main(["conformal", "--model", str(model), "--delta", "0.1", "--prior", "[1, 0, 0]",
+                     "--samples", "500", "--audit", "--audit-samples", "500", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["cost"], report["coverage"]) == (1.0, 1.0)
+
     def test_cpu_affinity_leaves_the_outputs_unchanged(self, workspace):
         """``conformal`` and ``classify`` run in a child process pinned to
         one CPU, so the density kernel runs in one thread, write the same
@@ -1330,11 +1435,38 @@ class TestModelFileFields:
                                                field, value):
         """A hand-edited model file is refused with the field named (a
         ``None`` value drops the field), before any draw is made."""
+        def change(bundle):
+            bundle["model"].pop(field)
+            if value is not None:
+                bundle["model"][field] = value
+        self.refused_before_any_draw(workspace, monkeypatch, capsys, change, f"'{field}'")
+
+    #: Edits of a model file's first category and of the bundle around the
+    #: model, each refused with what the message names.
+    EDITS = {
+        "mean '12'": (lambda b: b["model"]["categories"][0].update(mean="12"), "'mean'"),
+        "kappa true": (lambda b: b["model"]["categories"][0].update(kappa=True), "'kappa'"),
+        "kapa": (lambda b: b["model"]["categories"][0].update(kapa=1.0), "'kapa'"),
+        "labels 'ab'": (lambda b: b.update(labels="ab"), "'labels'"),
+        "unknown key": (lambda b: b.update(note="edited"), "'note'"),
+        "two labels": (lambda b: b.update(labels=["near", "mid"]),
+                       "label list does not match the model's categories"),
+        "block sizes": (lambda b: b["model"].update(block_sizes=[2, 2]),
+                        "model categories do not match the block sizes"),
+    }
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_bad_category_or_bundle_field_exits_2_before_any_draw(
+        self, workspace, monkeypatch, capsys, edit
+    ):
+        self.refused_before_any_draw(workspace, monkeypatch, capsys, *self.EDITS[edit])
+
+    def refused_before_any_draw(self, workspace, monkeypatch, capsys, change, named):
+        """``classify`` and ``conformal`` exit 2 on the model file as
+        ``change`` edits it, naming ``named``, before any draw is made."""
         tmp_path, _, data, model = workspace
         bundle = json.loads(model.read_text())
-        bundle["model"].pop(field)
-        if value is not None:
-            bundle["model"][field] = value
+        change(bundle)
         model.write_text(json.dumps(bundle))
         monkeypatch.setattr(gaussian, "draw_category_sample", must_not_run("draw_category_sample"))
         capsys.readouterr()
@@ -1344,7 +1476,7 @@ class TestModelFileFields:
             ["conformal", "--model", str(model), "--delta", "0.1"],
         ):
             assert main(argv) == 2
-            assert f"'{field}'" in capsys.readouterr().err
+            assert named in capsys.readouterr().err
 
 
 class TestUnwritableOutput:

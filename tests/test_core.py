@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from setbayes import (
     InvalidDistribution,
     OutOfRange,
     PosteriorVector,
+    SchemaError,
 )
-from setbayes.core import Ranking
+from setbayes.core import Ranking, json_fields
 
 from conftest import random_posterior, random_space
 
@@ -183,3 +186,29 @@ class TestRanking:
             assert ranked.rank[r].tolist() == rank
             assert ranked.sorted[r].tobytes() == np.array(ordered).tobytes()
             assert ranked.mass[r].tobytes() == np.array(mass).tobytes()
+
+
+class TestJsonFields:
+    FIELDS = (("n", int), ("x", float, 0.5), ("names", list[str] | None, None))
+
+    def test_values_in_declared_order_with_defaults(self):
+        assert json_fields({"n": 3}, "thing", self.FIELDS) == [3, 0.5, None]
+        assert json_fields({"names": None, "x": 2, "n": 0}, "thing", self.FIELDS) == [0, 2, None]
+        assert json_fields({"n": -1, "names": ["a"]}, "thing", self.FIELDS) == [-1, 0.5, ["a"]]
+
+    @pytest.mark.parametrize("obj, message", [
+        ([1], "thing must be an object"),
+        ({"n": 1, "m": 2, "a": 3}, "thing: unknown parameter 'a'"),
+        ({"x": 1.0}, "thing: missing parameter 'n'"),
+        ({"n": 1.0}, "thing: 'n' must be an integer, got 1.0"),
+        ({"n": True}, "thing: 'n' must be an integer, got True"),
+        ({"n": "3"}, "thing: 'n' must be an integer, got '3'"),
+        ({"n": 1, "x": False}, "thing: 'x' must be a number, got False"),
+        ({"n": 1, "x": None}, "thing: 'x' must be a number, got None"),
+        ({"n": 1, "names": "ab"}, "thing: 'names' must be a list of strings or null, got 'ab'"),
+        ({"n": 1, "names": ["a", 1]},
+         "thing: 'names' must be a list of strings or null, got ['a', 1]"),
+    ])
+    def test_refuses_naming_the_field(self, obj, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            json_fields(obj, "thing", self.FIELDS)
