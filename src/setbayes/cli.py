@@ -112,11 +112,18 @@ def _check_outputs(args) -> None:
 
 
 def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from None
+    """The JSON value in the UTF-8 file ``path``; a byte that is not UTF-8
+    is refused as a ``SchemaError`` naming the file and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}: line {line}: "
+                          f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from None
 
 
 def _parse_reward(text: str):
@@ -176,6 +183,10 @@ class _ModelFile:
         self.model: GaussianCategoryModel = model_from_json(model)
         if len(self.labels) != self.model.n_categories:
             raise SchemaError("label list does not match the model's categories")
+        if len(self.counts) != self.model.n_categories:
+            raise SchemaError("'counts' does not match the model's categories")
+        if len(self.feature_names) != self.model.dim:
+            raise SchemaError("'feature_names' does not match the model's dimension")
 
 
 def _cmd_synth(args) -> int:

@@ -201,15 +201,18 @@ def observation_blocks(path, feature_names, rows):
     The file is decoded as ``load_dataset`` decodes it and read once, one
     block at a time, after the header, found as ``load_dataset`` finds it.
     Each block of ``rows`` lines goes through ``np.loadtxt``'s C
-    tokenizer, which converts each number as ``float()`` does.  Its table
-    is used when it has a row, each as wide as the header, with finite
-    feature values, and the block holds none of the ``_SEPARATORS``.  From
-    the first block that fails these, the rest of the file, that block's
-    lines included, goes through ``load_dataset``'s row parser on the same
-    handle: it words every error with its line number in the file, and
-    reads what loadtxt refuses, such as quoted numbers (a record may span
-    blocks), ``1_0``, non-ASCII digits, whitespace-only rows and
-    non-numeric columns.  A file with no data row raises ``SchemaError``.
+    tokenizer, which converts each number as ``float()`` does.  The lines
+    are taken with ``itertools.islice``, not read by ``loadtxt`` from the
+    open file with ``max_rows``, so that the row parser can be handed them
+    again.  The table is used when it has a row, each as wide as the
+    header, with finite feature values, and the block holds none of the
+    ``_SEPARATORS``.  From the first block that fails these, the rest of
+    the file, that block's lines included, goes through ``load_dataset``'s
+    row parser on the same handle: it words every error with its line
+    number in the file, and reads what loadtxt refuses, such as quoted
+    numbers (a record may span blocks), ``1_0``, non-ASCII digits,
+    whitespace-only rows and non-numeric columns.  A file with no data row
+    raises ``SchemaError``.
     """
 
     def feature_columns(header):

@@ -252,6 +252,9 @@ class TestSynth:
                     "category 2: mean and covariance must be finite"),
         "infinite mean": (lambda s: s["categories"][1].update(mean=[0.0, float("inf")]),
                           "category 2: mean and covariance must be finite"),
+        "negative count": (lambda s: s["categories"][1].update(count=-1),
+                           "category 2: negative count -1"),
+        "no categories": (lambda s: s.update(categories=[]), "generator spec has no categories"),
     }
 
     @pytest.mark.parametrize("edit", SPEC_EDITS)
@@ -1424,6 +1427,32 @@ class TestConformal:
         assert captured.err == f"error: need at least one audit sample, got {audit_samples}\n"
 
 
+class TestJsonInputs:
+    @pytest.mark.parametrize("option", ["--spec", "--model", "--reward @file"])
+    def test_byte_not_utf8_names_file_and_line(self, workspace, capsys, option):
+        """A byte that is not UTF-8 in a JSON input is malformed input, with
+        the file and the byte's line named, and writes no report."""
+        tmp_path, spec, data, model = workspace
+        reward = tmp_path / "reward.json"
+        reward.write_text('{\n  "kind": "map"\n}\n')
+        path = {"--spec": spec, "--model": model, "--reward @file": reward}[option]
+        lines = json.dumps(json.loads(path.read_text()), indent=2).encode().split(b"\n")
+        lines[1] = lines[1].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out.csv"
+        argv = {
+            "--spec": ["synth", "--spec", str(spec), "--out", str(out)],
+            "--model": ["classify", "--model", str(model), "--data", str(data),
+                        "--reward", '{"kind": "map"}', "--out", str(out)],
+            "--reward @file": ["classify", "--model", str(model), "--data", str(data),
+                               "--reward", f"@{reward}", "--out", str(out)],
+        }[option]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
+
 class TestModelFileFields:
     @pytest.mark.parametrize("field, value", [
         ("n_draws", 2.7), ("n_draws", True), ("n_draws", "80"), ("n_draws", 0),
@@ -1453,6 +1482,8 @@ class TestModelFileFields:
                        "label list does not match the model's categories"),
         "block sizes": (lambda b: b["model"].update(block_sizes=[2, 2]),
                         "model categories do not match the block sizes"),
+        "extra count": (lambda b: b["counts"].append(5), "'counts'"),
+        "extra feature name": (lambda b: b["feature_names"].append("z"), "'feature_names'"),
     }
 
     @pytest.mark.parametrize("edit", EDITS)

@@ -82,6 +82,12 @@ class TestNormalInverseWishart:
             NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((1.0, 0.5), (0.4, 1.0)))
         with pytest.raises(SingularScatter):
             NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((1.0, 1.0), (1.0, 1.0)))
+        with pytest.raises(DimensionMismatch, match="scatter has shape"):
+            NormalInverseWishart((0.0, 0.0, 0.0), 1.0, 4.0, eye)
+        with pytest.raises(OutOfRange, match="hyperparameters must be finite"):
+            NormalInverseWishart((0.0, np.nan), 1.0, 4.0, eye)
+        with pytest.raises(OutOfRange, match="hyperparameters must be finite"):
+            NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((np.inf, 0.0), (0.0, 1.0)))
 
     def test_dim(self):
         niw = NormalInverseWishart((0.0, 1.0, 2.0), 1.0, 5.0, tuple(tuple(r) for r in np.eye(3)))
@@ -143,6 +149,17 @@ class TestTrainingData:
         with pytest.raises(DimensionMismatch):
             TrainingData([np.zeros((2, 2)), np.zeros((2, 3))])
 
+    @pytest.mark.parametrize("groups, error, match", [
+        ([np.zeros((2, 2, 2))], DimensionMismatch, r"\(n, d\) array, got shape \(2, 2, 2\)"),
+        ([np.zeros((2, 2)), [[0.0, np.nan]]], OutOfRange, "observations must be finite"),
+        ([np.zeros((2, 2)), [[np.inf, 0.0]]], OutOfRange, "observations must be finite"),
+        ([], DimensionMismatch, "need at least one category"),
+        ([[], np.empty((0, 2))], EmptyCategory, "no category has any observations"),
+    ], ids=["3-D group", "NaN", "infinite", "no groups", "every group empty"])
+    def test_refused(self, groups, error, match):
+        with pytest.raises(error, match=match):
+            TrainingData(groups)
+
     def test_groups_read_only(self):
         data = TrainingData([np.zeros((2, 2))])
         with pytest.raises(ValueError):
@@ -163,6 +180,12 @@ class TestDefaultHyperprior:
         np.testing.assert_allclose(
             prior.scatter_array(), np.diag(pooled.var(axis=0, ddof=1))
         )
+
+    def test_one_row_takes_unit_variance(self):
+        """One row has no sample variance, so each axis takes variance 1."""
+        prior = default_hyperprior(TrainingData([np.array([[3.0, -1.0]]), []]))
+        np.testing.assert_array_equal(prior.mean_array(), [3.0, -1.0])
+        np.testing.assert_array_equal(prior.scatter_array(), np.eye(2))
 
     def test_constant_column_fails(self):
         data = TrainingData([np.array([[1.0, 0.0], [1.0, 2.0]])])
@@ -211,6 +234,14 @@ class TestFitDeterminism:
         with pytest.raises(EmptyCategory):
             fit(TrainingData([rows, np.empty((0, 1))]), hyper, n_draws=10)
 
+    def test_space_and_hyperprior_must_match_the_data(self):
+        data = small_training_data(np.random.default_rng(43), n_cats=3, d=2)
+        with pytest.raises(DimensionMismatch, match="space has 4 categories, data has 3"):
+            fit(data, n_draws=10, space=CategorySpace(4))
+        hyper = NormalInverseWishart((0.0,), 1.0, 3.0, ((1.0,),))
+        with pytest.raises(DimensionMismatch, match="hyperprior dimension 1 does not match"):
+            fit(data, hyper, n_draws=10)
+
 
 class TestSampler:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -238,6 +269,11 @@ class TestSampler:
         np.testing.assert_allclose(draws.chols, chols, rtol=1e-12)
         np.testing.assert_allclose(draws.means, means, rtol=1e-12)
         assert ours.random() == theirs.random()
+
+    def test_no_draws_refused(self):
+        post = NormalInverseWishart((0.0,), 1.0, 3.0, ((1.0,),))
+        with pytest.raises(OutOfRange, match="need at least one draw, got 0"):
+            gaussian.draw_category_sample(post, 0, np.random.default_rng(0))
 
 
 class TestFoldStreams:
@@ -805,6 +841,12 @@ class TestPosteriors:
         with pytest.raises(DimensionMismatch, match=match):
             model.draws[0].log_density(np.zeros(shape))
 
+    @pytest.mark.parametrize("category", [0, 4])
+    def test_predictive_density_refuses_a_category_out_of_range(self, category):
+        model = fit(small_training_data(np.random.default_rng(61)), n_draws=20, seed=1)
+        with pytest.raises(OutOfRange, match=f"category {category} outside 1..3"):
+            predictive_density(model, category, np.zeros(2))
+
     def test_one_point_gets_its_batch_row(self):
         """``posterior_matrix`` of one point gives the bits of the point's
         row in a call on 200 points."""
@@ -999,6 +1041,8 @@ class TestCalibration:
         for n in (99, 50, 0):
             with pytest.raises(OutOfRange, match=f"at least 100 calibration samples, got {n}$"):
                 calibrate_conformal_cost(model, [0.5, 0.5], 0.1, n, seed=0)
+        with pytest.raises(OutOfRange, match="at least one audit sample, got 0$"):
+            conformal_coverage(model, [0.5, 0.5], 0.5, 0, seed=0)
 
 
 class TestModelSerialization:

@@ -64,3 +64,20 @@ def test_named_calls_resolve():
         for part in name.split("."):
             assert hasattr(obj, part), f"README.md names {name}, which does not resolve"
             obj = getattr(obj, part)
+
+
+def _private_names(text):
+    """Every identifier that begins with a single underscore, bare or after
+    a dot, in the fenced blocks and then the inline code spans of ``text``;
+    dunders such as ``__init__`` are not private names."""
+    fence = re.compile(r"^```.*?^```", re.M | re.S)
+    code = fence.findall(text) + re.findall(r"`([^`\n]+)`", fence.sub("", text))
+    return [name for piece in code for name in re.findall(r"(?<!\w)_(?!_)\w+", piece)]
+
+
+def test_names_no_private_name():
+    """The README specifies what a user can rely on, so it names no private
+    name that a refactor could change without a change of behaviour."""
+    assert _private_names("`a._b`, `_c`, `__d__`, `e_f`, _g and\n```\nh(_i)\n```\n") == [
+        "_i", "_b", "_c"]
+    assert _private_names(README.read_text(encoding="utf-8")) == []

@@ -39,6 +39,8 @@ class TestPenaltySequence:
     def test_convex_declaration_verified(self):
         with pytest.raises(NotConvex):
             PenaltySequence((0.0, 0.0, 1.0, 1.0), convex=True)
+        with pytest.raises(NotConvex):  # linear increments, but g(0) > 0
+            PenaltySequence((0.1, 0.2, 0.3), convex=True)
         # convex even with float noise in the increments
         PenaltySequence(tuple(0.3 * m for m in range(8)), convex=True)
 
@@ -53,6 +55,10 @@ class TestPenaltySequence:
     def test_negative_entries_rejected(self):
         with pytest.raises(OutOfRange):
             PenaltySequence((0.0, -0.1))
+
+    def test_one_entry_rejected(self):
+        with pytest.raises(DimensionMismatch, match="sizes 0..N with N >= 1"):
+            PenaltySequence((0.0,))
 
 
 class TestRewardEvaluation:
@@ -89,6 +95,9 @@ class TestRewardEvaluation:
         assert reward(spec, ClassifiedSet.of([1, 2], 4), 1, space) == 0.0
         with pytest.raises(OutOfRange):
             reward(RipleyReject(0.2), ClassifiedSet.of([1], 4), 1, space)
+        for r in (0.0, 1.0, float("nan")):
+            with pytest.raises(OutOfRange, match="outside \\(0, 1\\)"):
+                RipleyReject(r)
 
     def test_composite_counts_by_block(self):
         space = CategorySpace(4, (2, 2))
@@ -115,6 +124,9 @@ class TestRewardEvaluation:
         assert reward(spec, ClassifiedSet.of([], 4), 1, space) == 0.0
         assert reward(spec, ClassifiedSet.of([2], 4), 4, space) == 0.0
         assert reward(spec, ClassifiedSet.of([1, 2], 4), 1, space) == 0.0
+        for r in (0.0, -0.5):
+            with pytest.raises(OutOfRange, match="must be positive"):
+                IndifferenceZone(r)
 
     def test_true_category_bounds(self):
         space = CategorySpace(3)

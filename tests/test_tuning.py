@@ -133,6 +133,10 @@ class TestWeights:
         with pytest.raises(OutOfRange, match="finite and nonnegative"):
             make_weights(kind, [3, bad], [0.5, 0.5] if kind == "rarity" else None)
 
+    def test_per_observation_counts_summing_to_zero(self):
+        with pytest.raises(OutOfRange, match="counts sum to zero"):
+            make_weights("per_observation", [0, 0])
+
     def test_all_schemes_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
