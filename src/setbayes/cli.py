@@ -8,22 +8,22 @@ sets miss the truth a prescribed fraction of the time.
 
 Exit codes: 0 on success, 2 for malformed inputs (bad file schemas or
 unparseable values), 3 for incompatible dimensions, out-of-range
-arguments or an output path that cannot be written (checked before any
-input is read), 4 for violated cross-validation preconditions.  All
-sampling is driven by explicit ``--seed`` values and repeated runs write
-byte identical outputs on one CPU and numpy/BLAS build.  Across BLAS
-kernels and numpy's SIMD dispatch, ``tune``'s rates and threshold costs
-and ``classify``'s chosen sets stayed the same where measured, while
-``classify``'s posteriors and the minimum rule's costs moved by at most
-2.1e-14 relative.
+arguments or an output path that cannot be written, 4 for violated
+cross-validation preconditions.  All sampling is driven by explicit
+``--seed`` values and repeated runs write byte identical outputs on one
+CPU and numpy/BLAS build.  Across BLAS kernels and numpy's SIMD
+dispatch, ``tune``'s rates and threshold costs and ``classify``'s chosen
+sets stayed the same where measured, while ``classify``'s posteriors and
+the minimum rule's costs moved by at most 2.1e-14 relative.
 
-Reports appear only complete: every command writes them to temporary
-files beside their paths and renames them into place once all are
-written (``dataset.open_reports``), so a run that fails leaves each
-report path as it was.  ``classify`` streams its query file in blocks of
-``_BLOCK_ELEMENTS // categories`` rows, each read, scored, decided and
-written before the next is read, so its memory is set by the block, not
-by the rows.
+Reports appear only complete, and their paths are checked before any
+input is read: every command first opens its reports through
+``dataset.open_reports``, which writes them to temporary files beside
+their paths and renames them into place once all are written, so a run
+that fails leaves each report path as it was.  ``classify`` streams its
+query file in blocks of ``_BLOCK_ELEMENTS // categories`` rows, each
+read, scored, decided and written before the next is read, so its memory
+is set by the block, not by the rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -62,8 +61,10 @@ from .errors import (
 )
 from .gaussian import (
     MAX_DRAWS,
+    MAX_SAMPLES,
     GaussianCategoryModel,
     calibrate_conformal_cost,
+    check_audit_samples,
     check_prior,
     conformal_coverage,
     fit,
@@ -95,20 +96,6 @@ def _err(message) -> None:
 def _write_json(fh, obj) -> None:
     json.dump(obj, fh, sort_keys=True, indent=2)
     fh.write("\n")
-
-
-def _check_outputs(args) -> None:
-    """Refuse, before any input is read, an output path whose directory is
-    missing or not writable, or that names a directory."""
-    for option in args.outputs:
-        path = getattr(args, option.lstrip("-").replace("-", "_"))
-        if path is None:
-            continue
-        folder = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path) or not (
-            os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)
-        ):
-            raise OutOfRange(f"cannot write {option} {path}: not a file in a writable directory")
 
 
 def _read_json(path) -> dict:
@@ -190,35 +177,35 @@ class _ModelFile:
 
 
 def _cmd_synth(args) -> int:
-    categories, feature_names = parse_generator_spec(_read_json(args.spec))
-    rows, labels, blocks = generate_rows(categories, args.seed)
-    metadata = {
-        "command": "synth",
-        "seed": args.seed,
-        "categories": [
-            {"label": c.label, "block": c.block, "count": c.count}
-            for c in categories
-        ],
-    }
-    write_dataset(args.out, feature_names, rows, labels, blocks, metadata)
+    with open_reports(args.out) as (fh,):
+        categories, feature_names = parse_generator_spec(_read_json(args.spec))
+        rows, labels, blocks = generate_rows(categories, args.seed)
+        metadata = {
+            "command": "synth",
+            "seed": args.seed,
+            "categories": [
+                {"label": c.label, "block": c.block, "count": c.count}
+                for c in categories
+            ],
+        }
+        write_dataset(fh, feature_names, rows, labels, blocks, metadata)
     print(f"wrote {rows.shape[0]} rows x {rows.shape[1]} features to {args.out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    loaded = load_dataset(args.data)
-    model = fit(loaded.data, None, args.draws, args.seed, loaded.space)
-    wrapper = {
-        "format": "setbayes-model-file",
-        "model": model_to_json(model),
-        "labels": list(loaded.labels),
-        "block_names": list(loaded.block_names) if loaded.block_names else None,
-        "feature_names": list(loaded.feature_names),
-        "counts": list(loaded.counts),
-        "config": {"command": "fit", "draws": args.draws, "seed": args.seed},
-    }
     with open_reports(args.out) as (fh,):
-        _write_json(fh, wrapper)
+        loaded = load_dataset(args.data)
+        model = fit(loaded.data, None, args.draws, args.seed, loaded.space)
+        _write_json(fh, {
+            "format": "setbayes-model-file",
+            "model": model_to_json(model),
+            "labels": list(loaded.labels),
+            "block_names": list(loaded.block_names) if loaded.block_names else None,
+            "feature_names": list(loaded.feature_names),
+            "counts": list(loaded.counts),
+            "config": {"command": "fit", "draws": args.draws, "seed": args.seed},
+        })
     print(f"{'category':>8}  {'label':<20}  {'block':<12}  {'count':>6}")
     for i, label in enumerate(loaded.labels, start=1):
         block = (
@@ -232,38 +219,39 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    bundle = _ModelFile(_read_json(args.model))
-    model = bundle.model
-    spec, reward_obj = _parse_reward(args.reward)
-    prior = _resolve_prior(args.prior, bundle.counts)
-    if args.oracle:
-        check_exhaustive(model.space)
-    spec.check(model.space)
-    metadata = {
-        "command": "classify",
-        "reward": reward_obj,
-        "prior": args.prior,
-        "model_seed": model.seed,
-        "model_draws": model.n_draws,
-    }
+    with open_reports(args.out) as (fh,):
+        bundle = _ModelFile(_read_json(args.model))
+        model = bundle.model
+        spec, reward_obj = _parse_reward(args.reward)
+        prior = _resolve_prior(args.prior, bundle.counts)
+        if args.oracle:
+            check_exhaustive(model.space)
+        spec.check(model.space)
+        metadata = {
+            "command": "classify",
+            "reward": reward_obj,
+            "prior": args.prior,
+            "model_seed": model.seed,
+            "model_draws": model.n_draws,
+        }
 
-    def decided(blocks):
-        """Each block's posteriors, sets, values and oracle values or None."""
-        done = 0
-        for points in blocks:
-            try:
-                post = posterior_matrix(model, prior, points)
-            except AllZeroMass as exc:
-                raise AllZeroMass(done + exc.row) from None  # the row in the file
-            members, values = optimal_sets(spec, post, model.space)
-            oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
-            yield post, members, values, oracle
-            done += points.shape[0]
+        def decided(blocks):
+            """Each block's posteriors, sets, values and oracle values or None."""
+            done = 0
+            for points in blocks:
+                try:
+                    post = posterior_matrix(model, prior, points)
+                except AllZeroMass as exc:
+                    raise AllZeroMass(done + exc.row) from None  # the row in the file
+                members, values = optimal_sets(spec, post, model.space)
+                oracle = exhaustive_sets(spec, post, model.space)[1] if args.oracle else None
+                yield post, members, values, oracle
+                done += points.shape[0]
 
-    rows = max(1, _BLOCK_ELEMENTS // model.n_categories)
-    blocks = observation_blocks(args.data, bundle.feature_names, rows)
-    with contextlib.closing(blocks), open_reports(args.out) as (fh,):
-        done = write_sets(fh, bundle.labels, metadata, decided(blocks), args.oracle)
+        rows = max(1, _BLOCK_ELEMENTS // model.n_categories)
+        blocks = observation_blocks(args.data, bundle.feature_names, rows)
+        with contextlib.closing(blocks):
+            done = write_sets(fh, bundle.labels, metadata, decided(blocks), args.oracle)
     print(f"classified {done} observations -> {args.out}")
     return 0
 
@@ -271,55 +259,55 @@ def _cmd_classify(args) -> int:
 def _cmd_tune(args) -> int:
     if args.threads < 1:
         raise OutOfRange(f"need at least one thread, got {args.threads}")
-    loaded = load_dataset(args.data)
-    prior = _resolve_prior(args.prior, loaded.counts)
-    real_prior = None
-    if args.real_prior is not None:
-        real_prior = _number_list(args.real_prior, "real prior must be a JSON list of numbers")
-    weights = make_weights(args.weights, loaded.counts, real_prior)
-    config = CVConfig(args.epsilon, args.delta, args.grid_lo, args.grid_hi, args.grid_step)
-    held = loocv_posteriors(loaded.data, loaded.space, prior, None, args.draws, args.seed)
-    report = evaluate_curves(config, held, weights)
-    metadata = {
-        "command": "tune",
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "weights": args.weights,
-        "real_prior": real_prior or None,
-        "prior": args.prior,
-        "grid": [args.grid_lo, args.grid_hi, args.grid_step],
-        "draws": args.draws,
-        "seed": args.seed,
-        "labels": list(loaded.labels),
-        "block_names": list(loaded.block_names) if loaded.block_names else None,
-        "counts": list(loaded.counts),
-    }
-    selections: dict[str, dict] = {"threshold": {}, "minimize": {}}
-    for name in ("R3", "R4"):
-        try:
-            sel = select_b_threshold(report, BinaryReward(name))
-            selections["threshold"][name] = {
+    with open_reports(args.out_curve, args.out_selection) as (curve, selection):
+        loaded = load_dataset(args.data)
+        prior = _resolve_prior(args.prior, loaded.counts)
+        real_prior = None
+        if args.real_prior is not None:
+            real_prior = _number_list(args.real_prior, "real prior must be a JSON list of numbers")
+        weights = make_weights(args.weights, loaded.counts, real_prior)
+        config = CVConfig(args.epsilon, args.delta, args.grid_lo, args.grid_hi, args.grid_step)
+        held = loocv_posteriors(loaded.data, loaded.space, prior, None, args.draws, args.seed)
+        report = evaluate_curves(config, held, weights)
+        metadata = {
+            "command": "tune",
+            "epsilon": args.epsilon,
+            "delta": args.delta,
+            "weights": args.weights,
+            "real_prior": real_prior or None,
+            "prior": args.prior,
+            "grid": [args.grid_lo, args.grid_hi, args.grid_step],
+            "draws": args.draws,
+            "seed": args.seed,
+            "labels": list(loaded.labels),
+            "block_names": list(loaded.block_names) if loaded.block_names else None,
+            "counts": list(loaded.counts),
+        }
+        selections: dict[str, dict] = {"threshold": {}, "minimize": {}}
+        for name in ("R3", "R4"):
+            try:
+                sel = select_b_threshold(report, BinaryReward(name))
+                selections["threshold"][name] = {
+                    "selected_b": sel.cost,
+                    "within_cost": args.epsilon * sel.cost,
+                    "non_reward_rate": sel.non_reward_rate,
+                    "at_grid_top": sel.at_grid_top,
+                    "display": sel.display(),
+                }
+                print(f"{name} threshold rule: b = {sel.display()} "
+                      f"(non-reward {sel.non_reward_rate:.4f})")
+            except NoFeasibleB as exc:
+                selections["threshold"][name] = {"selected_b": None, "note": str(exc)}
+                print(f"{name} threshold rule: no feasible cost ({exc})")
+        for name in ("R1", "R2"):
+            sel = select_b_minimize(report, BinaryReward(name))
+            selections["minimize"][name] = {
                 "selected_b": sel.cost,
                 "within_cost": args.epsilon * sel.cost,
                 "non_reward_rate": sel.non_reward_rate,
-                "at_grid_top": sel.at_grid_top,
-                "display": sel.display(),
             }
-            print(f"{name} threshold rule: b = {sel.display()} "
+            print(f"{name} minimum rule:   b = {sel.cost:.4f} "
                   f"(non-reward {sel.non_reward_rate:.4f})")
-        except NoFeasibleB as exc:
-            selections["threshold"][name] = {"selected_b": None, "note": str(exc)}
-            print(f"{name} threshold rule: no feasible cost ({exc})")
-    for name in ("R1", "R2"):
-        sel = select_b_minimize(report, BinaryReward(name))
-        selections["minimize"][name] = {
-            "selected_b": sel.cost,
-            "within_cost": args.epsilon * sel.cost,
-            "non_reward_rate": sel.non_reward_rate,
-        }
-        print(f"{name} minimum rule:   b = {sel.cost:.4f} "
-              f"(non-reward {sel.non_reward_rate:.4f})")
-    with open_reports(args.out_curve, args.out_selection) as (curve, selection):
         write_curve(curve, metadata, report.rate_rows())
         _write_json(selection, {"config": metadata, "selection": selections})
     print(f"curve -> {args.out_curve}\nselection -> {args.out_selection}")
@@ -327,35 +315,35 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_conformal(args) -> int:
-    bundle = _ModelFile(_read_json(args.model))
-    prior = _resolve_prior(args.prior, bundle.counts)
-    if args.audit and args.audit_samples < 1:
-        raise OutOfRange(f"need at least one audit sample, got {args.audit_samples}")
-    cost = calibrate_conformal_cost(
-        bundle.model, prior, args.delta, args.samples, args.seed
-    )
-    print(f"conformal cost: {format_float(cost)}")
-    report = {
-        "config": {
-            "command": "conformal",
-            "delta": args.delta,
-            "samples": args.samples,
-            "seed": args.seed,
-            "prior": args.prior,
-            "model_seed": bundle.model.seed,
-            "model_draws": bundle.model.n_draws,
-        },
-        "cost": cost,
-    }
     if args.audit:
-        coverage = conformal_coverage(
-            bundle.model, prior, cost, args.audit_samples, args.seed
+        check_audit_samples(args.audit_samples)
+    with open_reports(*[args.out] if args.out else []) as handles:
+        bundle = _ModelFile(_read_json(args.model))
+        prior = _resolve_prior(args.prior, bundle.counts)
+        cost = calibrate_conformal_cost(
+            bundle.model, prior, args.delta, args.samples, args.seed
         )
-        print(f"fresh-sample coverage: {format_float(coverage)}")
-        report["config"]["audit_samples"] = args.audit_samples
-        report["coverage"] = coverage
-    if args.out:
-        with open_reports(args.out) as (fh,):
+        print(f"conformal cost: {format_float(cost)}")
+        report = {
+            "config": {
+                "command": "conformal",
+                "delta": args.delta,
+                "samples": args.samples,
+                "seed": args.seed,
+                "prior": args.prior,
+                "model_seed": bundle.model.seed,
+                "model_draws": bundle.model.n_draws,
+            },
+            "cost": cost,
+        }
+        if args.audit:
+            coverage = conformal_coverage(
+                bundle.model, prior, cost, args.audit_samples, args.seed
+            )
+            print(f"fresh-sample coverage: {format_float(coverage)}")
+            report["config"]["audit_samples"] = args.audit_samples
+            report["coverage"] = coverage
+        for fh in handles:
             _write_json(fh, report)
     return 0
 
@@ -367,33 +355,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic Gaussian dataset CSV")
+    prior_help = "'flat', 'prop' (training counts), or a JSON list"
+
+    def add(name, **kwargs):
+        return sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                              **kwargs)
+
+    p = add("synth", help="generate a synthetic Gaussian dataset CSV")
     p.add_argument("--spec", required=True, help="generator spec JSON file")
     p.add_argument("--out", required=True, help="output dataset CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_synth, outputs=("--out",))
+    p.add_argument("--seed", type=int, default=0, help="random seed, non-negative")
+    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("fit", help="fit the Gaussian category model to a dataset")
+    p = add("fit", help="fit the Gaussian category model to a dataset")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--draws", type=int, default=1000,
                    help=f"Monte Carlo draws per category, at most {MAX_DRAWS}")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_fit, outputs=("--out",))
+    p.add_argument("--seed", type=int, default=0, help="random seed, non-negative")
+    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("classify", help="optimal sets for new observations")
+    p = add("classify", help="optimal sets for new observations")
     p.add_argument("--model", required=True, help="model JSON from fit")
     p.add_argument("--data", required=True, help="observations CSV")
     p.add_argument("--reward", required=True,
                    help="reward spec JSON literal or @file")
     p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--prior", default="prop",
-                   help="'flat', 'prop' (training counts), or a JSON list")
+    p.add_argument("--prior", default="prop", help=prior_help)
     p.add_argument("--oracle", action="store_true",
                    help="add the exhaustive-search value column")
-    p.set_defaults(func=_cmd_classify, outputs=("--out",))
+    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("tune", help="leave-one-out tuning of the cost parameters")
+    p = add("tune", help="leave-one-out tuning of the cost parameters")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out-curve", required=True, help="output rate-curve CSV")
     p.add_argument("--out-selection", required=True, help="output selection JSON")
@@ -402,35 +395,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05,
                    help="non-reward bound for the threshold rule")
     p.add_argument("--weights", default="per_observation",
-                   choices=["per_observation", "per_category", "rarity"])
+                   choices=["per_observation", "per_category", "rarity"],
+                   help="weight of each held-out observation in the rates")
     p.add_argument("--real-prior", default=None,
                    help="JSON list of real-world frequencies (rarity weights)")
-    p.add_argument("--prior", default="prop")
-    p.add_argument("--grid-lo", type=float, default=0.05)
-    p.add_argument("--grid-hi", type=float, default=5.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--prior", default="prop", help=prior_help)
+    p.add_argument("--grid-lo", type=float, default=0.05, help="lowest cost of the grid")
+    p.add_argument("--grid-hi", type=float, default=5.0, help="highest cost of the grid")
+    p.add_argument("--grid-step", type=float, default=0.05, help="step of the cost grid")
     p.add_argument("--draws", type=int, default=200,
                    help=f"Monte Carlo draws per fold, at most {MAX_DRAWS}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="random seed, non-negative")
     p.add_argument("--threads", type=int, default=1,
                    help="at least 1; accepted for compatibility, it changes nothing: "
                         "the leave-one-out categories and the density kernel run "
                         "on one worker per CPU the process may use (taskset -c 0 "
                         "gives one)")
-    p.set_defaults(func=_cmd_tune, outputs=("--out-curve", "--out-selection"))
+    p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("conformal", help="calibrate the coverage-controlling cost")
+    p = add("conformal", help="calibrate the coverage-controlling cost")
     p.add_argument("--model", required=True, help="model JSON from fit")
     p.add_argument("--delta", type=float, required=True,
                    help="target miss probability in (0, 1)")
-    p.add_argument("--prior", default="prop")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prior", default="prop", help=prior_help)
+    p.add_argument("--samples", type=int, default=10000,
+                   help=f"calibration samples, 100 to {MAX_SAMPLES}")
+    p.add_argument("--seed", type=int, default=0, help="random seed, non-negative")
     p.add_argument("--audit", action="store_true",
                    help="estimate coverage on a fresh sample")
-    p.add_argument("--audit-samples", type=int, default=10000)
+    p.add_argument("--audit-samples", type=int, default=10000,
+                   help=f"audit samples with --audit, 1 to {MAX_SAMPLES}")
     p.add_argument("--out", default=None, help="optional JSON report")
-    p.set_defaults(func=_cmd_conformal, outputs=("--out",))
+    p.set_defaults(func=_cmd_conformal)
     return parser
 
 
@@ -445,7 +441,6 @@ def main(argv=None) -> int:
             raise OutOfRange(f"--seed must be non-negative, got {args.seed}")
         if getattr(args, "draws", 0) > MAX_DRAWS:
             raise OutOfRange(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
-        _check_outputs(args)
         return args.func(args)
     except ValueError as exc:  # SchemaError among them
         _err(exc)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import CategorySpace, json_fields
 from .errors import SchemaError
-from .gaussian import TrainingData
+from .gaussian import MAX_SAMPLES, TrainingData
 
 
 @dataclass(frozen=True)
@@ -654,8 +654,10 @@ def open_reports(*paths):
     the paths, in order; on an exception they are removed, and every path
     keeps what it held.  So a path may also name an input that the block
     reads.  A symbolic link stays a link to the replaced file, and an
-    existing file that is not a regular one, such as a pipe or
-    ``/dev/null``, is written in place.
+    existing file that is not a regular one, such as a pipe,
+    ``/dev/null`` or ``/dev/stdout``, is written in place.  Opening is the
+    check of the paths: one that cannot be opened so raises
+    ``OSError("cannot write PATH: reason")`` before anything is written.
     """
     staged = []
     try:
@@ -663,12 +665,15 @@ def open_reports(*paths):
             handles = []
             for path in paths:
                 target = os.path.realpath(path)
-                if os.path.exists(target) and not os.path.isfile(target):
-                    temp, fh = None, open(target, "w", newline="", encoding="utf-8")
-                else:
-                    folder, name = os.path.split(target)
-                    temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
-                    fh = open(temp, "x", newline="", encoding="utf-8")
+                try:
+                    if os.path.exists(path) and not os.path.isfile(path):
+                        temp, fh = None, open(path, "w", newline="", encoding="utf-8")
+                    else:
+                        folder, name = os.path.split(target)
+                        temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+                        fh = open(temp, "x", newline="", encoding="utf-8")
+                except OSError as exc:
+                    raise OSError(f"cannot write {path}: {exc.strerror}") from None
                 staged.append((temp, target))
                 handles.append(stack.enter_context(fh))
             yield handles
@@ -683,15 +688,14 @@ def open_reports(*paths):
         raise
 
 
-def write_dataset(path, feature_names, rows, labels, blocks=None, metadata=None) -> None:
-    """Write a dataset CSV in the format ``load_dataset`` reads, through
-    ``open_reports``, led by ``metadata``'s ``#`` line where given."""
+def write_dataset(fh, feature_names, rows, labels, blocks=None, metadata=None) -> None:
+    """Write a dataset CSV in the format ``load_dataset`` reads to the text
+    handle ``fh``, led by ``metadata``'s ``#`` line where given."""
     names = [labels] if blocks is None else [labels, blocks]
     header = [*feature_names, "label"] + ([] if blocks is None else ["block"])
-    with open_reports(path) as (fh,):
-        writer = _csv_writer(fh, metadata, header)
-        for row, *text in zip(np.asarray(rows, dtype=float), *names, strict=True):
-            writer.writerow([*map(format_float, row), *text])
+    writer = _csv_writer(fh, metadata, header)
+    for row, *text in zip(np.asarray(rows, dtype=float), *names, strict=True):
+        writer.writerow([*map(format_float, row), *text])
 
 
 @dataclass(frozen=True)
@@ -707,9 +711,10 @@ def parse_generator_spec(obj: dict) -> tuple[list[GeneratorCategory], tuple[str,
     """Validate a synthetic-data specification.
 
     The JSON object carries a ``categories`` list; each entry has a label,
-    an optional block, a count, a mean vector, and a covariance matrix
-    that must be finite, symmetric and positive definite.  An optional
-    top-level ``feature_names`` list names the columns (default f1..fd).
+    an optional block, a count in 0..``MAX_SAMPLES``, a mean vector, and a
+    covariance matrix that must be finite, symmetric and positive definite.
+    An optional top-level ``feature_names`` list names the columns
+    (default f1..fd).
     Returns the categories and the feature names.
     """
     entries, names = json_fields(obj, "generator spec", (
@@ -723,6 +728,8 @@ def parse_generator_spec(obj: dict) -> tuple[list[GeneratorCategory], tuple[str,
         label, block, count, mean, cov = json_fields(entry, f"category {pos}", fields)
         if count < 0:
             raise SchemaError(f"category {pos}: negative count {count}")
+        if count > MAX_SAMPLES:
+            raise SchemaError(f"category {pos}: count {count} above {MAX_SAMPLES}")
         if dim is None:
             dim = len(mean)
         if len(mean) != dim or len(cov) != dim or any(len(row) != dim for row in cov):

@@ -888,6 +888,14 @@ def sample_mixture(
     return points, cats + 1
 
 
+def check_audit_samples(n_samples: int) -> None:
+    """Raise ``OutOfRange`` unless the audit's ``n_samples`` lies in 1..``MAX_SAMPLES``."""
+    if n_samples < 1:
+        raise OutOfRange(f"need at least one audit sample, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise OutOfRange(f"need at most {MAX_SAMPLES} audit samples, got {n_samples}")
+
+
 def check_delta(delta: float) -> None:
     """Raise ``OutOfRange`` unless the miss rate ``delta`` lies in (0, 1)."""
     if not 0.0 < delta < 1.0:
@@ -930,11 +938,13 @@ def calibrate_conformal_cost(
     probability reaches the returned cost then covers the truth with
     probability about 1 - delta under the model.  As delta grows the cost
     grows and the sets shrink.  A delta outside (0, 1) or fewer than 100
-    samples are refused before any sampling.
+    or more than ``MAX_SAMPLES`` samples are refused before any sampling.
     """
     check_delta(delta)
     if n_samples < 100:
         raise OutOfRange(f"need at least 100 calibration samples, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise OutOfRange(f"need at most {MAX_SAMPLES} calibration samples, got {n_samples}")
     rng = np.random.default_rng([int(seed), 0])
     scores = np.sort(_own_category_scores(model, prior, n_samples, rng))
     j = math.floor(delta * n_samples)
@@ -948,10 +958,10 @@ def conformal_coverage(
 
     Uses a sampling stream distinct from ``calibrate_conformal_cost``'s
     even for an identical seed, so calibrating and auditing with one seed
-    still gives an honest fresh-sample estimate.
+    still gives an honest fresh-sample estimate.  A sample count outside
+    1..``MAX_SAMPLES`` is refused before any sampling.
     """
-    if n_samples < 1:
-        raise OutOfRange(f"need at least one audit sample, got {n_samples}")
+    check_audit_samples(n_samples)
     rng = np.random.default_rng([int(seed), 1])
     return float(np.mean(_own_category_scores(model, prior, n_samples, rng) >= cost))
 
@@ -961,6 +971,12 @@ def conformal_coverage(
 #: (draws, d, d) arrays at once, 7.2 MB each at the limit and d = 3, so
 #: memory stays bounded whatever the input.
 MAX_DRAWS = 100_000
+
+#: Most samples ``calibrate_conformal_cost`` or ``conformal_coverage`` may
+#: draw, and most rows a generator spec's category may ask for: 100 times
+#: ``conformal``'s default ``--samples``.  Each sample holds a point and
+#: its category, so memory stays bounded whatever the input.
+MAX_SAMPLES = 1_000_000
 
 
 def model_to_json(model: GaussianCategoryModel) -> dict:

@@ -254,6 +254,8 @@ class TestSynth:
                           "category 2: mean and covariance must be finite"),
         "negative count": (lambda s: s["categories"][1].update(count=-1),
                            "category 2: negative count -1"),
+        "count 10**15": (lambda s: s["categories"][1].update(count=10**15),
+                         f"category 2: count {10**15} above 1000000"),
         "no categories": (lambda s: s.update(categories=[]), "generator spec has no categories"),
     }
 
@@ -796,6 +798,32 @@ class TestReportsAppearComplete:
         reader.join(timeout=30)
         assert got == [b"report\n"]
         assert sorted(tmp_path.iterdir()) == [fifo]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("command", ["classify", "conformal"])
+    def test_dev_null_is_written_in_place(self, workspace, command):
+        tmp_path = workspace[0]
+        argv = TestUnwritableOutput().argvs(workspace, None, None, "/dev/null")[command]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 0
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_stdout_pipe_is_written_in_place(self, workspace):
+        """``--out /dev/stdout`` writes into the pipe that stdout is, whose
+        link target is no path a file could be staged beside."""
+        tmp_path = workspace[0]
+        argv = TestUnwritableOutput().argvs(workspace, None, None, "/dev/stdout")["classify"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "setbayes.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main([*argv[:-1], str(tmp_path / "sets.csv")]) == 0
+        report = (tmp_path / "sets.csv").read_text()
+        rows = len(report.splitlines()) - 2  # after the metadata and header lines
+        assert done.stdout == report + f"classified {rows} observations -> /dev/stdout\n"
 
     def test_a_link_stays_a_link(self, tmp_path):
         target, link = tmp_path / "report.json", tmp_path / "link.json"
@@ -1426,6 +1454,20 @@ class TestConformal:
         assert captured.out == ""
         assert captured.err == f"error: need at least one audit sample, got {audit_samples}\n"
 
+    @pytest.mark.parametrize("option, samples", [("--samples", "calibration"),
+                                                 ("--audit-samples", "audit")])
+    def test_too_many_samples_exit_3_before_sampling(self, workspace, monkeypatch, capsys,
+                                                     option, samples):
+        tmp_path, _, _, model = workspace
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(gaussian, "sample_mixture", must_not_run("sample_mixture"))
+        assert main(["conformal", "--model", str(model), "--delta", "0.1", "--audit",
+                     option, str(10**15), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need at most 1000000 {samples} samples, got {10**15}\n"
+        assert not out.exists()
+
 
 class TestJsonInputs:
     @pytest.mark.parametrize("option", ["--spec", "--model", "--reward @file"])
@@ -1512,8 +1554,8 @@ class TestModelFileFields:
 
 class TestUnwritableOutput:
     """Every output path is checked before any input is read: a missing
-    directory, or a path naming a directory, exits 3 with the path named,
-    and no output file is created."""
+    directory, a symbolic link into one, or a path naming a directory,
+    exits 3 with the path named, and no output file is created."""
 
     def argvs(self, workspace, curve, selection, out):
         tmp_path, spec, data, model = workspace
@@ -1532,12 +1574,19 @@ class TestUnwritableOutput:
         ("synth", "out"), ("fit", "out"), ("classify", "out"),
         ("tune", "curve"), ("tune", "selection"), ("conformal", "out"),
     ])
-    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory",
+                                       "link into a missing directory"])
     def test_exits_3_before_any_input(self, workspace, monkeypatch, capsys,
                                       command, bad, where):
         tmp_path = workspace[0]
         paths = {name: tmp_path / f"new-{name}" for name in ("curve", "selection", "out")}
-        paths[bad] = tmp_path / "missing" / "file" if where == "missing directory" else tmp_path
+        paths[bad], reason = {
+            "missing directory": (tmp_path / "missing" / "file", "No such file or directory"),
+            "a directory": (tmp_path, "Is a directory"),
+            "link into a missing directory": (tmp_path / "link", "No such file or directory"),
+        }[where]
+        if where == "link into a missing directory":
+            paths[bad].symlink_to(tmp_path / "missing" / "file")
         argv = self.argvs(workspace, **paths)[command]
         for name in ("load_dataset", "_read_json", "posterior_matrix", "loocv_posteriors",
                      "calibrate_conformal_cost"):
@@ -1546,9 +1595,7 @@ class TestUnwritableOutput:
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        option = "--out" if bad == "out" else f"--out-{bad}"
-        assert captured.err == (f"error: cannot write {option} {paths[bad]}: "
-                                "not a file in a writable directory\n")
+        assert captured.err == f"error: cannot write {paths[bad]}: {reason}\n"
         assert sorted(tmp_path.iterdir()) == before
 
     def test_conformal_without_out_checks_nothing(self, workspace, capsys):
@@ -1600,3 +1647,9 @@ class TestArgparseBehavior:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "synth" in capsys.readouterr().out
+
+    def test_command_help_shows_the_defaults(self, capsys):
+        assert main(["tune", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())  # unwrapped
+        assert f"--draws DRAWS Monte Carlo draws per fold, at most {gaussian.MAX_DRAWS} " \
+               "(default: 200)" in text

@@ -126,7 +126,8 @@ class TestWriteDataset:
         labels = ["a", "a", "b", "b", "c", "c"]
         blocks = ["b1", "b1", "b1", "b1", "b2", "b2"]
         f = tmp_path / "d.csv"
-        write_dataset(f, ("u", "v"), rows, labels, blocks, metadata={"seed": 1})
+        with dataset.open_reports(f) as (fh,):
+            write_dataset(fh, ("u", "v"), rows, labels, blocks, metadata={"seed": 1})
         loaded = load_dataset(f)
         assert loaded.labels == ("a", "b", "c")
         assert loaded.block_names == ("b1", "b2")

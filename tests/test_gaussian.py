@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import queue
 import re
 import sys
@@ -606,6 +607,17 @@ class TestPredictiveDensity:
                     assert len(threads) == max(1, min(workers, most, -(-n // step) // 2))
                     assert any(shift for _, shift in seen) == (rows is mixed and n > 4)
 
+    def test_cores_without_an_affinity_mask(self, monkeypatch):
+        """Where the platform has no ``os.sched_getaffinity``, the kernel
+        takes a worker per CPU, with the same bits."""
+        rng = np.random.default_rng(149)
+        model = fit(small_training_data(rng), n_draws=50, seed=3)
+        points, prior = rng.standard_normal((300, 2)), [0.2, 0.3, 0.5]
+        before = posterior_matrix(model, prior, points)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert gaussian._cores() == os.cpu_count()
+        np.testing.assert_array_equal(posterior_matrix(model, prior, points), before)
+
     def test_kernel_memory_is_bounded_by_the_budget(self):
         """Beyond the features (rows x k) and the output, a call on 20000
         points at 1000 draws allocates one scratch buffer of about
@@ -1043,6 +1055,20 @@ class TestCalibration:
                 calibrate_conformal_cost(model, [0.5, 0.5], 0.1, n, seed=0)
         with pytest.raises(OutOfRange, match="at least one audit sample, got 0$"):
             conformal_coverage(model, [0.5, 0.5], 0.5, 0, seed=0)
+
+    def test_maximum_sample_size(self, monkeypatch):
+        """More than ``MAX_SAMPLES`` calibration or audit samples are
+        refused before sampling, as no host could hold 10**15 of them."""
+        rng = np.random.default_rng(89)
+        model = fit(small_training_data(rng, n_cats=2), n_draws=30, seed=1)
+        monkeypatch.setattr(gaussian, "sample_mixture",
+                            lambda *args: pytest.fail("sampled before the count was checked"))
+        with pytest.raises(OutOfRange, match=f"at most {gaussian.MAX_SAMPLES} calibration "
+                                             f"samples, got {10**15}$"):
+            calibrate_conformal_cost(model, [0.5, 0.5], 0.1, 10**15, seed=0)
+        with pytest.raises(OutOfRange, match=f"at most {gaussian.MAX_SAMPLES} audit "
+                                             f"samples, got {10**15}$"):
+            conformal_coverage(model, [0.5, 0.5], 0.5, 10**15, seed=0)
 
 
 class TestModelSerialization:
