@@ -644,6 +644,12 @@ def write_curve(fh, metadata, rows) -> None:
     writer.writerows([format_float(v) for v in row] for row in rows)
 
 
+def _standard_stream(path) -> int | None:
+    """1 or 2 if ``path`` names the file that stdout or stderr writes to."""
+    with contextlib.suppress(OSError):
+        return next((fd for fd in (1, 2) if os.path.samestat(os.stat(path), os.fstat(fd))), None)
+
+
 @contextlib.contextmanager
 def open_reports(*paths):
     """Text handles, one per path of ``paths``, whose files appear only
@@ -655,8 +661,9 @@ def open_reports(*paths):
     keeps what it held.  So a path may also name an input that the block
     reads.  A symbolic link stays a link to the replaced file, and an
     existing file that is not a regular one, such as a pipe,
-    ``/dev/null`` or ``/dev/stdout``, is written in place.  Opening is the
-    check of the paths: one that cannot be opened so raises
+    ``/dev/null`` or ``/dev/stdout``, is written in place; stdout's or
+    stderr's file through a copy of the stream, so one offset serves both.
+    Opening is the check of the paths: one that cannot be opened so raises
     ``OSError("cannot write PATH: reason")`` before anything is written.
     """
     staged = []
@@ -666,7 +673,9 @@ def open_reports(*paths):
             for path in paths:
                 target = os.path.realpath(path)
                 try:
-                    if os.path.exists(path) and not os.path.isfile(path):
+                    if (stream := _standard_stream(path)) is not None:
+                        temp, fh = None, open(os.dup(stream), "w", newline="", encoding="utf-8")
+                    elif os.path.exists(path) and not os.path.isfile(path):
                         temp, fh = None, open(path, "w", newline="", encoding="utf-8")
                     else:
                         folder, name = os.path.split(target)

@@ -16,7 +16,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -32,19 +32,18 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Elements of scratch one ``CategoryDraws.log_density`` call may hold
-#: over all its workers: 1 MiB of float64, room for ``_BUDGET // _SHARE``
-#: workers.  Also the block size, in elements, of the calibration's
-#: scoring and factor application.
+#: Elements of scratch one density call may hold over all its workers:
+#: 1 MiB of float64, room for ``_BUDGET // _SHARE`` workers.  Also the
+#: block size, in elements, of the calibration's scoring and factor
+#: application.
 _BUDGET = 1 << 17
 
 #: Elements of one worker's scratch buffer of (rows, draws) log densities:
 #: 512 KB of float64, which stays in a 2 MiB per-core L2 cache while each
-#: chunk's passes run over it.  A chunk holds ``min(_SHARE, _BUDGET) //
-#: n_draws`` rows (at least two) at any worker count, so a call's scratch
-#: stays within ``max(_BUDGET, 2 n_draws)`` elements.  One 1 MiB buffer ran
-#: slower on one CPU at d = 3, and two workers with smaller shares lost
-#: the gain to the hand-offs of the interpreter lock.
+#: chunk's passes run over it (``_chunking``).  At any worker count a
+#: call's scratch stays within ``max(_BUDGET, 2 n_draws)`` elements.  One
+#: 1 MiB buffer ran slower on one CPU at d = 3, and two workers with
+#: smaller shares lost the gain to the hand-offs of the interpreter lock.
 _SHARE = 1 << 16
 
 #: Elements of one batch's (folds, draws, d, d) Bartlett factors in
@@ -332,31 +331,29 @@ def _in_workers(tasks, workers: int, run) -> None:
         raise failed[min(failed)]
 
 
-def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
-    """``_log_sum_exp_chunk`` over every row of ``feats``, in chunks of
-    ``min(_SHARE, _BUDGET) // draws`` rows (at least two).
-
-    One worker per CPU, up to ``_BUDGET // max(_SHARE, chunk)`` for a
-    chunk of ``chunk`` elements and one per two chunks, takes every
-    workers-th chunk into its own buffer and writes its rows of the
-    output (see ``_in_workers``).  The GEMM, exp and sums release the
-    interpreter lock, so the workers run at once.  Starting a thread and
-    passing the lock back and forth cost about one chunk's work, so a
-    worker with a single chunk would lose time.  The chunks do not
-    depend on the worker count, so neither do the bits.
-    """
-    n, draws = feats.shape[0], coef.shape[1]
+def _chunking(rows: int, draws: int) -> tuple[int, int]:
+    """Rows per chunk, ``min(_SHARE, _BUDGET) // draws`` (at least two), and
+    workers for ``rows`` rows: one per CPU, up to ``_BUDGET // max(_SHARE,
+    chunk elements)``, one per two chunks, as a thread costs about a chunk."""
     step = max(2, min(_SHARE, _BUDGET) // draws)
-    starts = range(0, n, step)
-    workers = max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), len(starts) // 2))
-    bufs = np.empty((workers, min(step, max(n, 2)), draws))
+    return step, max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), -(-rows // step) // 2))
+
+
+def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool, buf=None) -> np.ndarray:
+    """``_log_sum_exp_chunk`` over every row of ``feats``, in ``_chunking``'s
+    chunks: in turn through the scratch ``buf`` if given, else every
+    workers-th in each of ``_chunking``'s workers, through a buffer each,
+    at once, as the GEMM, exp and sums release the interpreter lock."""
+    n, draws = feats.shape[0], coef.shape[1]
+    step, workers = _chunking(n, draws)
+    bufs = np.empty((workers, min(step, max(n, 2)), draws)) if buf is None else buf[None]
     out = np.empty(n)
 
     def chunk(k, start):
         rows = slice(start, start + step)
         _log_sum_exp_chunk(feats[rows], coef, bufs[k], out[rows], shift)
 
-    _in_workers(starts, workers, chunk)
+    _in_workers(range(0, n, step), len(bufs), chunk)
     return out
 
 
@@ -393,12 +390,15 @@ class CategoryDraws:
         y = np.einsum("lij,lj->li", inv, means - self.center)  # L_l^-1 m_l
         logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
         self.peak = float(-0.5 * (logdets.min() + d * _LOG_2PI))
-        self.coef = -0.5 * np.vstack([
-            (inv[:, :, i] * inv[:, :, j]).sum(axis=1).T,
-            -2.0 * np.einsum("lji,lj->il", inv, y),
-            (y * y).sum(axis=1) + logdets + d * _LOG_2PI,
-        ])
-        self.coef[-1] -= self.peak
+        self.coef = coef = np.empty((i.size + d + 1, means.shape[0]))
+        rows, pairs = inv.transpose(1, 2, 0), coef[:i.size]  # A_l, summed over r in order
+        np.multiply(rows[0, i], rows[0, j], out=pairs)
+        for r in range(1, d):
+            pairs += rows[r, i] * rows[r, j]
+        coef[i.size:-1] = -2.0 * np.einsum("lji,lj->il", inv, y)
+        coef[-1] = (y * y).sum(axis=1) + logdets + d * _LOG_2PI
+        coef *= -0.5
+        coef[-1] -= self.peak
 
     @property
     def n_draws(self) -> int:
@@ -408,22 +408,21 @@ class CategoryDraws:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_density(self, points: np.ndarray) -> np.ndarray:
+    def log_density(self, points: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
-        The features of every row are built once; the rows then go in
-        chunks of ``_SHARE // n_draws`` (at least two), split among the
-        call's workers (see ``_chunked_log_sum_exp``) with a scratch
-        buffer each, each chunk one GEMM of its features against
-        ``coef``, which is shifted by the bound ``peak``, then an in-place
-        exp, sum and log; the bits do not depend on the worker count.  A
-        row whose sum falls below 2**-800, or is not finite, goes
-        through the chunks once more, shifted by its own maximum, so heavy
-        tails and tiny densities cannot underflow to an unusable zero.  A
-        row has the same bits alone as in any batch (see
-        ``_log_sum_exp_chunk``).  A finite point so far out that the
-        arithmetic overflows gets -inf, as every draw's density underflows
-        there.
+        The features of every row are built once; the rows then go in chunks
+        of ``_SHARE // n_draws`` (at least two), split among the call's
+        workers with a buffer each, or in turn through ``buf``, of
+        ``min(chunk, max(rows, 2))`` rows (``_chunked_log_sum_exp``), each
+        chunk one GEMM of its features against ``coef``, which is shifted by
+        the bound ``peak``, then an in-place exp, sum and log; the bits do not
+        depend on the worker count.  A row whose sum falls below 2**-800, or is
+        not finite, goes through the chunks once more, shifted by its own
+        maximum, so heavy tails and tiny densities cannot underflow to an
+        unusable zero.  A row has the same bits alone as in any batch (see
+        ``_log_sum_exp_chunk``).  A finite point so far out that the arithmetic
+        overflows gets -inf, as every draw's density underflows there.
         """
         z = np.atleast_2d(np.asarray(points, dtype=float))
         if z.ndim != 2 or z.shape[1] != self.dim:
@@ -431,13 +430,13 @@ class CategoryDraws:
         # An overflow leaves inf, -inf or nan (inf - inf) in a row.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             feats = _features(z, self.center)
-            out = _chunked_log_sum_exp(feats, self.coef, shift=False)
+            out = _chunked_log_sum_exp(feats, self.coef, False, buf)
             redo = np.flatnonzero(~((out >= _LOG_FLOOR) & (out < np.inf)))
             if redo.size:
                 # Built again rather than indexed out of ``feats``, so they
                 # keep its column-major layout, on which a GEMM's rounding
                 # depends.
-                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, shift=True)
+                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, True, buf)
                 again[~np.isfinite(again) & np.isfinite(z[redo]).all(axis=1)] = -np.inf
                 out[redo] = again
         out += self.peak - math.log(self.n_draws)
@@ -526,9 +525,9 @@ class GaussianCategoryModel:
 
     Category i's ``n_draws`` draws come from its own stream keyed by
     (``seed``, i), so the same posteriors and seed always give the same
-    draws, and a category's draws do not depend on the others.  They are
-    drawn on first use of ``draws``, so a model that is only saved, as
-    ``fit`` saves it, draws none; ``n_draws`` is checked at once.
+    draws, and a category's draws do not depend on the others.  Each is
+    drawn on first use, in the kernel by the worker that evaluates it, so
+    a model only saved, as by ``fit``, draws none; ``n_draws`` is checked.
     """
 
     def __init__(
@@ -544,13 +543,18 @@ class GaussianCategoryModel:
         self.space = space
         if n_draws < 1:
             raise OutOfRange(f"need at least one draw, got {n_draws}")
+        self._draws = [None] * len(posteriors)
 
-    @cached_property
+    @property
     def draws(self) -> tuple[CategoryDraws, ...]:
-        return tuple(
-            draw_category_sample(post, self.n_draws, category_rng(self.seed, i))
-            for i, post in enumerate(self.posteriors, start=1)
-        )
+        return tuple(self._category_draws(i) for i in range(self.n_categories))
+
+    def _category_draws(self, i: int) -> CategoryDraws:
+        """Category i + 1's draws, drawn on first use; not for two threads at once."""
+        if self._draws[i] is None:
+            rng = category_rng(self.seed, i + 1)
+            self._draws[i] = draw_category_sample(self.posteriors[i], self.n_draws, rng)
+        return self._draws[i]
 
     @property
     def n_categories(self) -> int:
@@ -771,7 +775,24 @@ def check_prior(prior, n: int) -> np.ndarray:
 
 
 def _log_densities(model: GaussianCategoryModel, points: np.ndarray) -> np.ndarray:
-    return np.column_stack([d.log_density(points) for d in model.draws])
+    """(rows, categories) log densities at ``points``, a category at a time
+    per worker, in as many workers as ``_chunking`` gives one category's
+    rows: more lost to the lock's hand-offs what the overlap gained.  A
+    worker draws its category if need be, in lock-bound numpy calls that
+    overlap the others' GEMM and exp passes, then evaluates it through its
+    one buffer.  With fewer categories than workers, each takes them all.
+    The bits do not depend on the workers; an error is the lowest category's.
+    """
+    n, rows = model.n_categories, np.shape(points)[0]
+    step, workers = _chunking(rows, model.n_draws)
+    bufs = [None] if n < workers else np.empty((workers, min(step, max(rows, 2)), model.n_draws))
+    out = np.empty((rows, n))
+
+    def category(k, i):
+        out[:, i] = model._category_draws(i).log_density(points, bufs[k])
+
+    _in_workers(range(n), len(bufs), category)
+    return out
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

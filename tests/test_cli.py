@@ -825,6 +825,38 @@ class TestReportsAppearComplete:
         rows = len(report.splitlines()) - 2  # after the metadata and header lines
         assert done.stdout == report + f"classified {rows} observations -> /dev/stdout\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", ["classify", "conformal"])
+    def test_stdout_redirected_to_a_file_keeps_the_printed_lines(self, workspace, command):
+        """``--out /dev/stdout`` with stdout sent to a file, as a shell's
+        ``>`` sends it, writes the report in place through stdout's own
+        file offset: the file keeps its inode and holds the report, then
+        the lines the command prints, which Python holds until exit."""
+        tmp_path = workspace[0]
+        argvs = TestUnwritableOutput().argvs
+        argv = argvs(workspace, None, None, "/dev/stdout")[command]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        redirected = tmp_path / "redirected.txt"
+        redirected.write_text("earlier\n")
+        inode = redirected.stat().st_ino
+        with open(redirected, "w") as stdout:
+            done = subprocess.run([sys.executable, "-m", "setbayes.cli", *argv], env=env,
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                  timeout=300, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert redirected.stat().st_ino == inode
+        report = tmp_path / "report"
+        again = subprocess.run([sys.executable, "-m", "setbayes.cli",
+                                *argvs(workspace, None, None, report)[command]],
+                               env=env, capture_output=True, text=True, timeout=300,
+                               cwd=tmp_path, check=True)
+        printed = again.stdout.replace(str(report), "/dev/stdout")
+        assert printed
+        assert redirected.read_text() == report.read_text() + printed
+
     def test_a_link_stays_a_link(self, tmp_path):
         target, link = tmp_path / "report.json", tmp_path / "link.json"
         target.write_text("earlier\n")

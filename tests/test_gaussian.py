@@ -387,7 +387,39 @@ def random_draws(rng, d, n_draws):
     return CategoryDraws(means, np.linalg.cholesky(covs))
 
 
+def reference_coefficients(means, chols):
+    """``CategoryDraws``' ``center``, ``coef`` and ``peak``, by gathering
+    (draws, d, pairs) arrays of the inverse factors' columns."""
+    d = means.shape[1]
+    i, j = np.triu_indices(d)
+    inv = gaussian._lower_factors(np.eye(d), chols)
+    center = means.mean(axis=0)
+    y = np.einsum("lij,lj->li", inv, means - center)
+    logdets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    peak = float(-0.5 * (logdets.min() + d * gaussian._LOG_2PI))
+    coef = -0.5 * np.vstack([
+        (inv[:, :, i] * inv[:, :, j]).sum(axis=1).T,
+        -2.0 * np.einsum("lji,lj->il", inv, y),
+        (y * y).sum(axis=1) + logdets + d * gaussian._LOG_2PI,
+    ])
+    coef[-1] -= peak
+    return center, coef, peak
+
+
 class TestPredictiveDensity:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_draws", [1, 7, 1000])
+    def test_coefficients_have_the_reference_bits(self, d, n_draws):
+        """``coef``, ``center`` and ``peak`` have the bits of the
+        reference expression, whose sums over the inverse factors' rows
+        numpy takes in row order."""
+        rng = np.random.default_rng(1000 * d + n_draws)
+        draws = random_draws(rng, d, n_draws)
+        center, coef, peak = reference_coefficients(draws.means, draws.chols)
+        assert draws.center.tobytes() == center.tobytes()
+        assert draws.coef.tobytes() == coef.tobytes()
+        assert draws.peak == peak
+
     def test_log_density_kernel_against_naive(self):
         """The vectorized draw-average equals a per-draw scipy evaluation."""
         rng = np.random.default_rng(53)
@@ -800,6 +832,154 @@ class TestPredictiveDensity:
                 got = predictive_density(model, i, probe)
                 want = float(exact.pdf(probe))
                 assert got == pytest.approx(want, rel=0.05)
+
+
+class TestCategoryPool:
+    """``_log_densities`` spreads a model's categories over one pool of
+    workers, each drawing its categories on first use."""
+
+    @staticmethod
+    def near_and_far_points(rng, data, rows=300):
+        """``rows`` points about the data, every seventh 200 units out,
+        where its sum falls below 2**-800 and the row goes through its
+        category's chunks again, shifted by its own maximum."""
+        stacked, _ = data.stacked()
+        points = stacked.mean(axis=0) + 3.0 * rng.standard_normal((rows, data.dim))
+        far = np.arange(3, rows, 7)
+        directions = rng.standard_normal((far.size, data.dim))
+        points[far] += 200.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        return points
+
+    @pytest.mark.parametrize("n_cats", [1, 2, 3, 8])
+    def test_bits_do_not_depend_on_the_workers_or_when_draws_are_made(
+        self, monkeypatch, n_cats,
+    ):
+        """``posterior_matrix`` gives the bits of a serial loop over the
+        categories at 1, 2 and 3 workers, whether the draws were made
+        before the call or in its workers, and the draws made in the
+        workers have a fresh model's bits.  Chunks of 10 rows of 40
+        draws, in a budget of three shares, leave room for 3 workers, so
+        models of 1 and 2 categories spread each category's chunks over
+        the workers, and those of 3 and 8 take a category per worker."""
+        rng = np.random.default_rng(170 + n_cats)
+        data = small_training_data(rng, n_cats=n_cats)
+        points = self.near_and_far_points(rng, data)
+        prior = np.full(n_cats, 1.0 / n_cats)
+        monkeypatch.setattr(gaussian, "_SHARE", 10 * 40)
+        monkeypatch.setattr(gaussian, "_BUDGET", 3 * 10 * 40)
+        monkeypatch.setattr(gaussian, "_cores", lambda: 1)
+        fresh = fit(data, n_draws=40, seed=11)
+        want = gaussian.posterior_from_log_densities(
+            np.column_stack([draws.log_density(points) for draws in fresh.draws]), prior
+        )
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
+            for drawn_first in (False, True):
+                model = fit(data, n_draws=40, seed=11)
+                if drawn_first:
+                    model.draws
+                got = posterior_matrix(model, prior, points)
+                np.testing.assert_array_equal(
+                    got, want, err_msg=f"{workers} workers, drawn first: {drawn_first}"
+                )
+                for ours, theirs in zip(model.draws, fresh.draws, strict=True):
+                    for name in ("means", "chols", "coef"):
+                        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+
+    @pytest.mark.parametrize("n_cats", [1, 2, 8])
+    def test_a_call_starts_one_pool(self, monkeypatch, n_cats):
+        """A call on points near the draws starts one pool of two workers,
+        where each category once started its own: the categories' pool,
+        or, for one category, its chunks' pool.  Both workers evaluate
+        densities, and no thread outlives the call."""
+        rng = np.random.default_rng(180 + n_cats)
+        data = small_training_data(rng, n_cats=n_cats)
+        stacked, _ = data.stacked()
+        points = stacked.mean(axis=0) + rng.standard_normal((2000, 2))
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        pools = []
+        in_workers = gaussian._in_workers
+        monkeypatch.setattr(
+            gaussian, "_in_workers",
+            lambda tasks, workers, run: pools.append(workers) or in_workers(tasks, workers, run),
+        )
+        threads = set()
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda *args: threads.add(threading.current_thread()) or chunk(*args),
+        )
+        before = threading.active_count()
+        posterior_matrix(fit(data, n_draws=1000, seed=4), np.full(n_cats, 1.0 / n_cats), points)
+        assert [workers for workers in pools if workers > 1] == [2]
+        assert len(threads) == 2
+        assert threading.active_count() == before
+
+    def test_pool_memory_is_bounded_by_the_budget(self, monkeypatch):
+        """Beyond each busy worker's features (rows x k) and output, and the
+        (rows, categories) result, a call on 20000 points, 8 categories
+        and 1000 draws in two workers allocates about ``_BUDGET`` float64
+        elements of scratch in all, not a buffer per category."""
+        rng = np.random.default_rng(193)
+        model = fit(small_training_data(rng, n_cats=8, d=3), n_draws=1000, seed=2)
+        model.draws
+        points = rng.standard_normal((20000, 3))
+        monkeypatch.setattr(gaussian, "_cores", lambda: 2)
+        # Per row and worker: k = 10 float64 features, the float64 output
+        # and a finiteness flag; per row, the result's 8 float64 columns.
+        bound = 1.25 * 8 * gaussian._BUDGET + points.shape[0] * (2 * (8 * 10 + 8 + 1) + 8 * 8)
+        tracemalloc.start()
+        try:
+            gaussian._log_densities(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("draw_fails, density_fails, raised", [
+        ({5, 3}, {4, 2}, "densities of 2"),
+        ({2, 7}, {3}, "draws of 2"),
+        (set(), {8, 6}, "densities of 6"),
+        ({8}, set(), "draws of 8"),
+    ])
+    def test_an_error_is_the_lowest_failing_categorys(
+        self, monkeypatch, workers, draw_fails, density_fails, raised,
+    ):
+        """A failure in some categories' draws or densities raises the
+        lowest failing category's error, as a loop that draws and
+        evaluates each category in turn raises first, after every worker
+        has finished.  Chunks of 10 rows give 200 rows room for 2 workers."""
+        rng = np.random.default_rng(191)
+        data = small_training_data(rng, n_cats=8)
+        model = fit(data, n_draws=40, seed=6)
+        monkeypatch.setattr(gaussian, "_cores", lambda: workers)
+        monkeypatch.setattr(gaussian, "_SHARE", 10 * 40)
+        draw, failing = gaussian.draw_category_sample, []
+
+        def draw_or_fail(posterior, n_draws, stream):
+            category = model.posteriors.index(posterior) + 1
+            if category in draw_fails:
+                raise ValueError(f"draws of {category}")
+            draws = draw(posterior, n_draws, stream)
+            if category in density_fails:
+                failing.append((draws, category))
+            return draws
+
+        log_density = CategoryDraws.log_density
+
+        def density_or_fail(self, *args):
+            for draws, category in failing:
+                if draws is self:
+                    raise ValueError(f"densities of {category}")
+            return log_density(self, *args)
+
+        monkeypatch.setattr(gaussian, "draw_category_sample", draw_or_fail)
+        monkeypatch.setattr(CategoryDraws, "log_density", density_or_fail)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{raised}$"):
+            posterior_matrix(model, np.full(8, 0.125), rng.standard_normal((200, 2)))
+        assert threading.active_count() == before
 
 
 class TestPosteriors:
