@@ -301,14 +301,14 @@ def _in_workers(tasks, workers: int, run) -> None:
     workers at once: worker k takes tasks k, k + workers, ... of
     ``tasks`` in that order.
 
-    The calling thread is worker 0; the others are threads started for
-    the call and joined before it returns, so no thread outlives a call
-    and a forked child inherits none.  Each worker runs under the
-    caller's floating-point error state, which a new thread does not
-    inherit.  A failed task does not stop its worker.  Once every worker
-    has finished, the error of the lowest failed task is raised, so a
-    call raises what a loop over the tasks in ascending order raises
-    first.
+    The calling thread is worker 0; each other worker with a task is a
+    thread started for the call and joined before it returns, so no
+    thread outlives a call and a forked child inherits none.  Each worker
+    runs under the caller's floating-point error state, which a new
+    thread does not inherit.  A failed task does not stop its worker.
+    Once every worker has finished, the error of the lowest failed task
+    is raised, so a call raises what a loop over the tasks in ascending
+    order raises first.
     """
     state = np.geterr()
     failed = {}
@@ -321,7 +321,7 @@ def _in_workers(tasks, workers: int, run) -> None:
                 except BaseException as exc:  # raised again below, in the calling thread
                     failed[task] = exc
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, min(workers, len(tasks)))]
     for thread in threads:
         thread.start()
     work(0)
@@ -339,14 +339,14 @@ def _chunking(rows: int, draws: int) -> tuple[int, int]:
     return step, max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), -(-rows // step) // 2))
 
 
-def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool, buf=None) -> np.ndarray:
-    """``_log_sum_exp_chunk`` over every row of ``feats``, in ``_chunking``'s
-    chunks: in turn through the scratch ``buf`` if given, else every
-    workers-th in each of ``_chunking``'s workers, through a buffer each,
-    at once, as the GEMM, exp and sums release the interpreter lock."""
+def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool, bufs=None) -> np.ndarray:
+    """``_log_sum_exp_chunk`` over every row of ``feats`` in ``_chunking``'s
+    chunks, every workers-th in each of its workers at once, as the GEMM,
+    exp and sums release the lock: worker k through ``bufs[k]``, so fewer
+    ``bufs`` give fewer workers, or through a new buffer without ``bufs``."""
     n, draws = feats.shape[0], coef.shape[1]
     step, workers = _chunking(n, draws)
-    bufs = np.empty((workers, min(step, max(n, 2)), draws)) if buf is None else buf[None]
+    bufs = np.empty((workers, min(step, max(n, 2)), draws)) if bufs is None else bufs[:workers]
     out = np.empty(n)
 
     def chunk(k, start):
@@ -395,10 +395,9 @@ class CategoryDraws:
         np.multiply(rows[0, i], rows[0, j], out=pairs)
         for r in range(1, d):
             pairs += rows[r, i] * rows[r, j]
-        coef[i.size:-1] = -2.0 * np.einsum("lji,lj->il", inv, y)
-        coef[-1] = (y * y).sum(axis=1) + logdets + d * _LOG_2PI
-        coef *= -0.5
-        coef[-1] -= self.peak
+        pairs *= -0.5
+        coef[i.size:-1] = np.einsum("lji,lj->il", inv, y)  # -0.5 * -2.0, exactly
+        coef[-1] = -0.5 * ((y * y).sum(axis=1) + logdets + d * _LOG_2PI) - self.peak
 
     @property
     def n_draws(self) -> int:
@@ -408,18 +407,17 @@ class CategoryDraws:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_density(self, points: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    def log_density(self, points: np.ndarray, bufs: np.ndarray | None = None) -> np.ndarray:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
         The features of every row are built once; the rows then go in chunks
-        of ``_SHARE // n_draws`` (at least two), split among the call's
-        workers with a buffer each, or in turn through ``buf``, of
-        ``min(chunk, max(rows, 2))`` rows (``_chunked_log_sum_exp``), each
-        chunk one GEMM of its features against ``coef``, which is shifted by
-        the bound ``peak``, then an in-place exp, sum and log; the bits do not
-        depend on the worker count.  A row whose sum falls below 2**-800, or is
-        not finite, goes through the chunks once more, shifted by its own
-        maximum, so heavy tails and tiny densities cannot underflow to an
+        of ``_SHARE // n_draws`` (at least two) among the call's workers, each
+        with a scratch buffer, new or one of ``bufs`` (``_chunked_log_sum_exp``),
+        each chunk one GEMM of its features against ``coef``, which is shifted
+        by the bound ``peak``, then an in-place exp, sum and log; the bits do
+        not depend on the worker count.  A row whose sum falls below 2**-800,
+        or is not finite, goes through the chunks once more, shifted by its
+        own maximum, so heavy tails and tiny densities cannot underflow to an
         unusable zero.  A row has the same bits alone as in any batch (see
         ``_log_sum_exp_chunk``).  A finite point so far out that the arithmetic
         overflows gets -inf, as every draw's density underflows there.
@@ -430,13 +428,13 @@ class CategoryDraws:
         # An overflow leaves inf, -inf or nan (inf - inf) in a row.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             feats = _features(z, self.center)
-            out = _chunked_log_sum_exp(feats, self.coef, False, buf)
+            out = _chunked_log_sum_exp(feats, self.coef, False, bufs)
             redo = np.flatnonzero(~((out >= _LOG_FLOOR) & (out < np.inf)))
             if redo.size:
                 # Built again rather than indexed out of ``feats``, so they
                 # keep its column-major layout, on which a GEMM's rounding
                 # depends.
-                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, True, buf)
+                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, True, bufs)
                 again[~np.isfinite(again) & np.isfinite(z[redo]).all(axis=1)] = -np.inf
                 out[redo] = again
         out += self.peak - math.log(self.n_draws)
@@ -775,23 +773,25 @@ def check_prior(prior, n: int) -> np.ndarray:
 
 
 def _log_densities(model: GaussianCategoryModel, points: np.ndarray) -> np.ndarray:
-    """(rows, categories) log densities at ``points``, a category at a time
-    per worker, in as many workers as ``_chunking`` gives one category's
-    rows: more lost to the lock's hand-offs what the overlap gained.  A
-    worker draws its category if need be, in lock-bound numpy calls that
-    overlap the others' GEMM and exp passes, then evaluates it through its
-    one buffer.  With fewer categories than workers, each takes them all.
-    The bits do not depend on the workers; an error is the lowest category's.
-    """
+    """(rows, categories) log densities at ``points``, in ``_chunking``'s
+    workers for one category's rows; more lost to the lock's hand-offs what
+    the overlap gained.  Whole rounds of categories go one per worker, which
+    draws it if need be, in lock-bound numpy calls that overlap the others'
+    GEMM and exp passes, then evaluates it through its own buffer.  The rest,
+    fewer than the workers, spread their chunks over all of them, so none
+    idles.  The bits do not depend on the workers; an error is the lowest's."""
     n, rows = model.n_categories, np.shape(points)[0]
     step, workers = _chunking(rows, model.n_draws)
-    bufs = [None] if n < workers else np.empty((workers, min(step, max(rows, 2)), model.n_draws))
+    bufs = np.empty((workers, min(step, max(rows, 2)), model.n_draws))
     out = np.empty((rows, n))
+    whole = n - n % workers
 
     def category(k, i):
-        out[:, i] = model._category_draws(i).log_density(points, bufs[k])
+        out[:, i] = model._category_draws(i).log_density(points, bufs[k:k + 1])
 
-    _in_workers(range(n), len(bufs), category)
+    _in_workers(range(whole), workers, category)
+    for i in range(whole, n):
+        out[:, i] = model._category_draws(i).log_density(points, bufs)
     return out
 
 

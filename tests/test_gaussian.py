@@ -859,8 +859,9 @@ class TestCategoryPool:
         before the call or in its workers, and the draws made in the
         workers have a fresh model's bits.  Chunks of 10 rows of 40
         draws, in a budget of three shares, leave room for 3 workers, so
-        models of 1 and 2 categories spread each category's chunks over
-        the workers, and those of 3 and 8 take a category per worker."""
+        each model has whole rounds of categories taken a category per
+        worker, or categories left over that spread their chunks over the
+        workers, or both."""
         rng = np.random.default_rng(170 + n_cats)
         data = small_training_data(rng, n_cats=n_cats)
         points = self.near_and_far_points(rng, data)
@@ -886,12 +887,13 @@ class TestCategoryPool:
                     for name in ("means", "chols", "coef"):
                         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
 
-    @pytest.mark.parametrize("n_cats", [1, 2, 8])
-    def test_a_call_starts_one_pool(self, monkeypatch, n_cats):
-        """A call on points near the draws starts one pool of two workers,
-        where each category once started its own: the categories' pool,
-        or, for one category, its chunks' pool.  Both workers evaluate
-        densities, and no thread outlives the call."""
+    @pytest.mark.parametrize("n_cats, pools_started", [(1, 1), (2, 1), (3, 2), (8, 1)])
+    def test_a_call_starts_a_pool_per_category_left_over(self, monkeypatch, n_cats, pools_started):
+        """A call on points near the draws starts one pool of two workers
+        for the whole rounds of categories, where each category once
+        started its own, and one more per category left over, which
+        spreads its chunks over both workers.  Both workers of every pool
+        evaluate densities, and no thread outlives the call."""
         rng = np.random.default_rng(180 + n_cats)
         data = small_training_data(rng, n_cats=n_cats)
         stacked, _ = data.stacked()
@@ -901,7 +903,8 @@ class TestCategoryPool:
         in_workers = gaussian._in_workers
         monkeypatch.setattr(
             gaussian, "_in_workers",
-            lambda tasks, workers, run: pools.append(workers) or in_workers(tasks, workers, run),
+            lambda tasks, workers, run: (pools.append(min(workers, len(tasks)))
+                                         or in_workers(tasks, workers, run)),
         )
         threads = set()
         chunk = gaussian._log_sum_exp_chunk
@@ -911,23 +914,26 @@ class TestCategoryPool:
         )
         before = threading.active_count()
         posterior_matrix(fit(data, n_draws=1000, seed=4), np.full(n_cats, 1.0 / n_cats), points)
-        assert [workers for workers in pools if workers > 1] == [2]
-        assert len(threads) == 2
+        assert [workers for workers in pools if workers > 1] == [2] * pools_started
+        assert threading.main_thread() in threads
+        assert len(threads) == 1 + pools_started
         assert threading.active_count() == before
 
-    def test_pool_memory_is_bounded_by_the_budget(self, monkeypatch):
+    @pytest.mark.parametrize("n_cats", [3, 8])
+    def test_pool_memory_is_bounded_by_the_budget(self, monkeypatch, n_cats):
         """Beyond each busy worker's features (rows x k) and output, and the
-        (rows, categories) result, a call on 20000 points, 8 categories
-        and 1000 draws in two workers allocates about ``_BUDGET`` float64
-        elements of scratch in all, not a buffer per category."""
+        (rows, categories) result, a call on 20000 points and 1000 draws in
+        two workers allocates about ``_BUDGET`` float64 elements of scratch
+        in all, not a buffer per category, with or without a category left
+        over."""
         rng = np.random.default_rng(193)
-        model = fit(small_training_data(rng, n_cats=8, d=3), n_draws=1000, seed=2)
+        model = fit(small_training_data(rng, n_cats=n_cats, d=3), n_draws=1000, seed=2)
         model.draws
         points = rng.standard_normal((20000, 3))
         monkeypatch.setattr(gaussian, "_cores", lambda: 2)
         # Per row and worker: k = 10 float64 features, the float64 output
-        # and a finiteness flag; per row, the result's 8 float64 columns.
-        bound = 1.25 * 8 * gaussian._BUDGET + points.shape[0] * (2 * (8 * 10 + 8 + 1) + 8 * 8)
+        # and a finiteness flag; per row, the result's float64 columns.
+        bound = 1.25 * 8 * gaussian._BUDGET + points.shape[0] * (2 * (8 * 10 + 8 + 1) + 8 * n_cats)
         tracemalloc.start()
         try:
             gaussian._log_densities(model, points)
