@@ -12,6 +12,7 @@ sampler code.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -341,9 +342,8 @@ def _chunking(rows: int, draws: int) -> tuple[int, int]:
 
 def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool, bufs=None) -> np.ndarray:
     """``_log_sum_exp_chunk`` over every row of ``feats`` in ``_chunking``'s
-    chunks, every workers-th in each of its workers at once, as the GEMM,
-    exp and sums release the lock: worker k through ``bufs[k]``, so fewer
-    ``bufs`` give fewer workers, or through a new buffer without ``bufs``."""
+    chunks, every workers-th in each of its workers at once, as the GEMM, exp
+    and sums release the lock; worker k through ``bufs[k]`` or a new buffer."""
     n, draws = feats.shape[0], coef.shape[1]
     step, workers = _chunking(n, draws)
     bufs = np.empty((workers, min(step, max(n, 2)), draws)) if bufs is None else bufs[:workers]
@@ -548,8 +548,7 @@ class GaussianCategoryModel:
         return tuple(self._category_draws(i) for i in range(self.n_categories))
 
     def _category_draws(self, i: int) -> CategoryDraws:
-        """Category i + 1's draws, drawn on first use; not for two threads at once."""
-        if self._draws[i] is None:
+        if self._draws[i] is None:  # drawn on first use, never by two threads at once
             rng = category_rng(self.seed, i + 1)
             self._draws[i] = draw_category_sample(self.posteriors[i], self.n_draws, rng)
         return self._draws[i]
@@ -774,17 +773,18 @@ def check_prior(prior, n: int) -> np.ndarray:
 
 def _log_densities(model: GaussianCategoryModel, points: np.ndarray) -> np.ndarray:
     """(rows, categories) log densities at ``points``, in ``_chunking``'s
-    workers for one category's rows; more lost to the lock's hand-offs what
-    the overlap gained.  Whole rounds of categories go one per worker, which
-    draws it if need be, in lock-bound numpy calls that overlap the others'
-    GEMM and exp passes, then evaluates it through its own buffer.  The rest,
-    fewer than the workers, spread their chunks over all of them, so none
-    idles.  The bits do not depend on the workers; an error is the lowest's."""
+    workers for one category's rows.  Whole rounds of categories go one per
+    worker, which draws it if need be, overlapping the others' GEMM and exp
+    passes, and evaluates it through its own buffer; a lone worker draws all
+    first.  The rest, fewer than the workers, spread their chunks over all.
+    The bits do not depend on the workers; an error is the lowest category's."""
     n, rows = model.n_categories, np.shape(points)[0]
     step, workers = _chunking(rows, model.n_draws)
+    if workers == 1:  # nothing to overlap, and draws made in a row run faster
+        with contextlib.suppress(Exception):  # a failed draw fails again in its turn
+            model.draws
     bufs = np.empty((workers, min(step, max(rows, 2)), model.n_draws))
-    out = np.empty((rows, n))
-    whole = n - n % workers
+    out, whole = np.empty((rows, n)), n - n % workers
 
     def category(k, i):
         out[:, i] = model._category_draws(i).log_density(points, bufs[k:k + 1])

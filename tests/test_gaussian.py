@@ -942,6 +942,22 @@ class TestCategoryPool:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_one_worker_draws_every_category_first(self, monkeypatch):
+        """With one worker there is nothing for drawing to overlap, and draws
+        made in a row run faster than draws between kernel passes, so every
+        category is drawn before any density is evaluated."""
+        rng = np.random.default_rng(197)
+        model = fit(small_training_data(rng, n_cats=4), n_draws=40, seed=3)
+        monkeypatch.setattr(gaussian, "_cores", lambda: 1)
+        events = []
+        draw, log_density = gaussian.draw_category_sample, CategoryDraws.log_density
+        monkeypatch.setattr(gaussian, "draw_category_sample",
+                            lambda *args: events.append("draw") or draw(*args))
+        monkeypatch.setattr(CategoryDraws, "log_density",
+                            lambda self, *args: events.append("density") or log_density(self, *args))
+        posterior_matrix(model, np.full(4, 0.25), rng.standard_normal((50, 2)))
+        assert events == ["draw"] * 4 + ["density"] * 4
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("draw_fails, density_fails, raised", [
         ({5, 3}, {4, 2}, "densities of 2"),
