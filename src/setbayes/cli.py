@@ -408,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed, non-negative")
     p.add_argument("--threads", type=int, default=1,
                    help="at least 1; accepted for compatibility, it changes nothing: "
-                        "the leave-one-out categories and the density kernel run "
-                        "on one worker per CPU the process may use (taskset -c 0 "
-                        "gives one)")
+                        "the leave-one-out categories, each with its full-fit "
+                        "densities and its folds, run on one worker per CPU the "
+                        "process may use (taskset -c 0 gives one)")
     p.set_defaults(func=_cmd_tune)
 
     p = add("conformal", help="calibrate the coverage-controlling cost")

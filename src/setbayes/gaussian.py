@@ -33,18 +33,18 @@ from .errors import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-#: Elements of scratch one density call may hold over all its workers:
-#: 1 MiB of float64, room for ``_BUDGET // _SHARE`` workers.  Also the
-#: block size, in elements, of the calibration's scoring and factor
-#: application.
+#: Elements of scratch one kernel call (``_log_densities``) may hold over
+#: all its workers: 1 MiB of float64, room for ``_BUDGET // _SHARE``
+#: workers.  Also the block size, in elements, of the calibration's scoring
+#: and factor application.
 _BUDGET = 1 << 17
 
-#: Elements of one worker's scratch buffer of (rows, draws) log densities:
+#: Elements of one category's scratch buffer of (rows, draws) log densities:
 #: 512 KB of float64, which stays in a 2 MiB per-core L2 cache while each
-#: chunk's passes run over it (``_chunking``).  At any worker count a
-#: call's scratch stays within ``max(_BUDGET, 2 n_draws)`` elements.  One
-#: 1 MiB buffer ran slower on one CPU at d = 3, and two workers with
-#: smaller shares lost the gain to the hand-offs of the interpreter lock.
+#: chunk's passes run over it (``_chunk_rows``).  A kernel call holds one
+#: per worker, within ``max(_BUDGET, 2 n_draws)`` elements.  One 1 MiB
+#: buffer ran slower on one CPU at d = 3, and two workers with smaller
+#: shares lost the gain to the hand-offs of the interpreter lock.
 _SHARE = 1 << 16
 
 #: Elements of one batch's (folds, draws, d, d) Bartlett factors in
@@ -79,7 +79,7 @@ class NormalInverseWishart:
             raise DimensionMismatch(
                 f"mean has shape {mean.shape} but scatter has shape {scatter.shape}"
             )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
+        if not all(np.isfinite(v).all() for v in (mean, scatter, self.kappa, self.dof)):
             raise OutOfRange("hyperparameters must be finite")
         if self.kappa <= 0.0:
             raise OutOfRange(f"kappa must be positive, got {self.kappa}")
@@ -300,7 +300,7 @@ def _cores() -> int:
 def _in_workers(tasks, workers: int, run) -> None:
     """Call ``run(k, task)`` for every task, an integer, in ``workers``
     workers at once: worker k takes tasks k, k + workers, ... of
-    ``tasks`` in that order.
+    ``tasks`` in that order.  Each task is a category.
 
     The calling thread is worker 0; each other worker with a task is a
     thread started for the call and joined before it returns, so no
@@ -332,28 +332,21 @@ def _in_workers(tasks, workers: int, run) -> None:
         raise failed[min(failed)]
 
 
-def _chunking(rows: int, draws: int) -> tuple[int, int]:
-    """Rows per chunk, ``min(_SHARE, _BUDGET) // draws`` (at least two), and
-    workers for ``rows`` rows: one per CPU, up to ``_BUDGET // max(_SHARE,
-    chunk elements)``, one per two chunks, as a thread costs about a chunk."""
-    step = max(2, min(_SHARE, _BUDGET) // draws)
-    return step, max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), -(-rows // step) // 2))
+def _chunk_rows(draws: int) -> int:
+    """Rows per chunk of the kernel, from the draw count alone:
+    ``min(_SHARE, _BUDGET) // draws``, at least two."""
+    return max(2, min(_SHARE, _BUDGET) // draws)
 
 
-def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool, bufs=None) -> np.ndarray:
-    """``_log_sum_exp_chunk`` over every row of ``feats`` in ``_chunking``'s
-    chunks, every workers-th in each of its workers at once, as the GEMM, exp
-    and sums release the lock; worker k through ``bufs[k]`` or a new buffer."""
+def _chunked_log_sum_exp(feats: np.ndarray, coef: np.ndarray, shift: bool) -> np.ndarray:
+    """``_log_sum_exp_chunk`` over every row of ``feats``, in ``_chunk_rows``
+    chunks taken in order through one scratch buffer of the call's own."""
     n, draws = feats.shape[0], coef.shape[1]
-    step, workers = _chunking(n, draws)
-    bufs = np.empty((workers, min(step, max(n, 2)), draws)) if bufs is None else bufs[:workers]
+    step = _chunk_rows(draws)
+    buf = np.empty((min(step, max(n, 2)), draws))
     out = np.empty(n)
-
-    def chunk(k, start):
-        rows = slice(start, start + step)
-        _log_sum_exp_chunk(feats[rows], coef, bufs[k], out[rows], shift)
-
-    _in_workers(range(0, n, step), len(bufs), chunk)
+    for start in range(0, n, step):
+        _log_sum_exp_chunk(feats[start:start + step], coef, buf, out[start:start + step], shift)
     return out
 
 
@@ -407,20 +400,20 @@ class CategoryDraws:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def log_density(self, points: np.ndarray, bufs: np.ndarray | None = None) -> np.ndarray:
+    def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log of the draw-averaged Gaussian density at each row of ``points``.
 
-        The features of every row are built once; the rows then go in chunks
-        of ``_SHARE // n_draws`` (at least two) among the call's workers, each
-        with a scratch buffer, new or one of ``bufs`` (``_chunked_log_sum_exp``),
-        each chunk one GEMM of its features against ``coef``, which is shifted
-        by the bound ``peak``, then an in-place exp, sum and log; the bits do
-        not depend on the worker count.  A row whose sum falls below 2**-800,
-        or is not finite, goes through the chunks once more, shifted by its
-        own maximum, so heavy tails and tiny densities cannot underflow to an
-        unusable zero.  A row has the same bits alone as in any batch (see
-        ``_log_sum_exp_chunk``).  A finite point so far out that the arithmetic
-        overflows gets -inf, as every draw's density underflows there.
+        The features of every row are built once; the rows then go in order,
+        in the calling thread, in chunks of ``_SHARE // n_draws`` (at least
+        two) through one scratch buffer (``_chunked_log_sum_exp``), each chunk
+        one GEMM of its features against ``coef``, which is shifted by the
+        bound ``peak``, then an in-place exp, sum and log.  A row whose sum
+        falls below 2**-800, or is not finite, goes through the chunks once
+        more, shifted by its own maximum, so heavy tails and tiny densities
+        cannot underflow to an unusable zero.  A row has the same bits alone
+        as in any batch (see ``_log_sum_exp_chunk``).  A finite point so far
+        out that the arithmetic overflows gets -inf, as every draw's density
+        underflows there.
         """
         z = np.atleast_2d(np.asarray(points, dtype=float))
         if z.ndim != 2 or z.shape[1] != self.dim:
@@ -428,13 +421,13 @@ class CategoryDraws:
         # An overflow leaves inf, -inf or nan (inf - inf) in a row.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             feats = _features(z, self.center)
-            out = _chunked_log_sum_exp(feats, self.coef, False, bufs)
+            out = _chunked_log_sum_exp(feats, self.coef, False)
             redo = np.flatnonzero(~((out >= _LOG_FLOOR) & (out < np.inf)))
             if redo.size:
                 # Built again rather than indexed out of ``feats``, so they
                 # keep its column-major layout, on which a GEMM's rounding
                 # depends.
-                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, True, bufs)
+                again = _chunked_log_sum_exp(_features(z[redo], self.center), self.coef, True)
                 again[~np.isfinite(again) & np.isfinite(z[redo]).all(axis=1)] = -np.inf
                 out[redo] = again
         out += self.peak - math.log(self.n_draws)
@@ -679,24 +672,24 @@ def held_out_log_densities(
 
     The categories run on up to one worker per CPU, largest first, so that
     no worker is left with a large one at the end (``_in_workers``).  Each
-    fills its own rows from its own streams, so the bits do not depend on
-    the worker count, and an error is the lowest failing category's.
+    writes its full fit's column, then its folds over its own rows, from its
+    own streams, so the bits do not depend on the worker count, and an
+    error is the lowest failing category's.
     """
     if hyperprior is None:
         hyperprior = default_hyperprior(data)
     model = fit(data, hyperprior, n_draws, seed)
-    rows, labels = data.stacked()
-    logf = _log_densities(model, rows)
-    groups = data.groups
-    held_out = [None] * len(groups)
+    rows, _ = data.stacked()
+    groups, ends = data.groups, np.cumsum(data.counts)
+    logf = np.empty((rows.shape[0], len(groups)))
 
-    def folds(k, i):
-        held_out[i] = _fold_log_densities(groups[i], hyperprior, i + 1, n_draws, seed)
+    def category(k, i):
+        logf[:, i] = model._category_draws(i).log_density(rows)
+        own = slice(ends[i] - groups[i].shape[0], ends[i])
+        logf[own, i] = _fold_log_densities(groups[i], hyperprior, i + 1, n_draws, seed)
 
     order = sorted(range(len(groups)), key=lambda i: -groups[i].shape[0])
-    _in_workers(order, min(_cores(), len(groups)), folds)
-    # Fold r holds out row j of category i, which is row r of ``rows``.
-    logf[np.arange(rows.shape[0]), labels - 1] = np.concatenate(held_out)
+    _in_workers(order, min(_cores(), len(groups)), category)
     return logf
 
 
@@ -772,26 +765,24 @@ def check_prior(prior, n: int) -> np.ndarray:
 
 
 def _log_densities(model: GaussianCategoryModel, points: np.ndarray) -> np.ndarray:
-    """(rows, categories) log densities at ``points``, in ``_chunking``'s
-    workers for one category's rows.  Whole rounds of categories go one per
-    worker, which draws it if need be, overlapping the others' GEMM and exp
-    passes, and evaluates it through its own buffer; a lone worker draws all
-    first.  The rest, fewer than the workers, spread their chunks over all.
+    """(rows, categories) log densities at ``points``, a task per category
+    in one pool: a worker per CPU, up to ``_BUDGET // max(_SHARE, chunk
+    elements)`` and one per two of a category's chunks, as a thread costs
+    about a chunk.  A task draws its category if need be, overlapping the
+    others' GEMM and exp passes; a lone worker draws every category first.
     The bits do not depend on the workers; an error is the lowest category's."""
-    n, rows = model.n_categories, np.shape(points)[0]
-    step, workers = _chunking(rows, model.n_draws)
+    n, rows, draws = model.n_categories, np.shape(points)[0], model.n_draws
+    step = _chunk_rows(draws)
+    workers = max(1, min(_cores(), _BUDGET // max(_SHARE, step * draws), -(-rows // step) // 2))
     if workers == 1:  # nothing to overlap, and draws made in a row run faster
         with contextlib.suppress(Exception):  # a failed draw fails again in its turn
             model.draws
-    bufs = np.empty((workers, min(step, max(rows, 2)), model.n_draws))
-    out, whole = np.empty((rows, n)), n - n % workers
+    out = np.empty((rows, n))
 
     def category(k, i):
-        out[:, i] = model._category_draws(i).log_density(points, bufs[k:k + 1])
+        out[:, i] = model._category_draws(i).log_density(points)
 
-    _in_workers(range(whole), workers, category)
-    for i in range(whole, n):
-        out[:, i] = model._category_draws(i).log_density(points, bufs)
+    _in_workers(range(n), workers, category)
     return out
 
 

@@ -1567,8 +1567,26 @@ class TestModelFileFields:
     ):
         self.refused_before_any_draw(workspace, monkeypatch, capsys, *self.EDITS[edit])
 
-    def refused_before_any_draw(self, workspace, monkeypatch, capsys, change, named):
-        """``classify`` and ``conformal`` exit 2 on the model file as
+    @pytest.mark.parametrize("field, value", [
+        ("mean", [float("nan"), 0.0]), ("kappa", float("nan")), ("kappa", float("inf")),
+        ("dof", float("nan")), ("dof", float("inf")), ("dof", float("-inf")),
+    ])
+    def test_non_finite_hyperparameter_exits_3_before_any_draw(
+        self, workspace, monkeypatch, capsys, field, value
+    ):
+        """Python's ``json`` reads ``NaN`` and ``Infinity``, which
+        ``json.dumps`` writes here; a category holding one is refused as
+        out of range, before any draw, rather than giving the category
+        zero posterior on every row (a NaN ``kappa``) or a zero-mass error
+        (an infinite ``dof``)."""
+        self.refused_before_any_draw(
+            workspace, monkeypatch, capsys,
+            lambda b: b["model"]["categories"][0].update({field: value}),
+            "hyperparameters must be finite", code=3,
+        )
+
+    def refused_before_any_draw(self, workspace, monkeypatch, capsys, change, named, code=2):
+        """``classify`` and ``conformal`` exit ``code`` on the model file as
         ``change`` edits it, naming ``named``, before any draw is made."""
         tmp_path, _, data, model = workspace
         bundle = json.loads(model.read_text())
@@ -1581,7 +1599,7 @@ class TestModelFileFields:
              "--reward", '{"kind": "map"}', "--out", str(tmp_path / "sets.csv")],
             ["conformal", "--model", str(model), "--delta", "0.1"],
         ):
-            assert main(argv) == 2
+            assert main(argv) == code
             assert named in capsys.readouterr().err
 
 

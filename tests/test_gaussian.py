@@ -89,6 +89,9 @@ class TestNormalInverseWishart:
             NormalInverseWishart((0.0, np.nan), 1.0, 4.0, eye)
         with pytest.raises(OutOfRange, match="hyperparameters must be finite"):
             NormalInverseWishart((0.0, 0.0), 1.0, 4.0, ((np.inf, 0.0), (0.0, 1.0)))
+        for kappa, dof in ((np.nan, 4.0), (np.inf, 4.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(OutOfRange, match="hyperparameters must be finite"):
+                NormalInverseWishart((0.0, 0.0), kappa, dof, eye)
 
     def test_dim(self):
         niw = NormalInverseWishart((0.0, 1.0, 2.0), 1.0, 5.0, tuple(tuple(r) for r in np.eye(3)))
@@ -594,22 +597,25 @@ class TestPredictiveDensity:
 
     @pytest.mark.parametrize("n_draws", [100, 101])
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, n_draws):
-        """Every call of 2 to 40 rows gives the same bits at 1, 2 and 3
-        workers, also with every seventh row, from row 5, 200 units out,
-        where the row goes through the chunks again, shifted by its own
-        maximum.  The budget is 600 elements in shares of 200, so the
-        chunks hold 2 rows, the same bits as one chunk: at 100 draws they
-        fill a share, for up to 3 workers, and at 101 draws, where a share
-        holds one row, they take more than a share, which leaves room for
-        2.  A worker starts only for two chunks of its own."""
+        """Every call of 2 to 40 rows on three categories gives the same
+        bits at 1, 2 and 3 workers as one chunk per category in a loop, also
+        with every seventh row, from row 5, 200 units out, where the row
+        goes through its category's chunks again, shifted by its own
+        maximum, in the worker evaluating that category.  The budget is 600
+        elements in shares of 200, so the chunks hold 2 rows: at 100 draws
+        they fill a share, for up to 3 workers, and at 101 draws, where a
+        share holds one row, they take more than a share, which leaves room
+        for 2.  A worker starts only for two chunks of a category's rows."""
         rng = np.random.default_rng(139)
-        draws = random_draws(rng, 3, n_draws)
-        points = rng.standard_normal((40, 3)) * 2.0
+        data = small_training_data(rng, d=3)
+        model = fit(data, n_draws=n_draws, seed=8)
+        stacked, _ = data.stacked()
+        points = stacked.mean(axis=0) + rng.standard_normal((40, 3)) * 2.0
         mixed = points.copy()
         far = np.arange(4, 40, 7)
         directions = rng.standard_normal((far.size, 3))
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        mixed[far] = draws.center + 200.0 * directions
+        mixed[far] += 200.0 * directions
         seen = []
         chunk = gaussian._log_sum_exp_chunk
         monkeypatch.setattr(
@@ -625,19 +631,45 @@ class TestPredictiveDensity:
                 monkeypatch.setattr(gaussian, "_cores", lambda: 1)
                 monkeypatch.setattr(gaussian, "_BUDGET", n * n_draws)
                 monkeypatch.setattr(gaussian, "_SHARE", n * n_draws)
-                whole = draws.log_density(rows[:n])
+                whole = np.column_stack([draws.log_density(rows[:n]) for draws in model.draws])
                 assert np.all(np.isfinite(whole))
                 monkeypatch.setattr(gaussian, "_BUDGET", 600)
                 monkeypatch.setattr(gaussian, "_SHARE", 200)
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(gaussian, "_cores", lambda workers=workers: workers)
                     seen.clear()
-                    got = draws.log_density(rows[:n])
+                    got = gaussian._log_densities(model, rows[:n])
                     np.testing.assert_array_equal(got, whole, err_msg=f"{n} rows, {workers} workers")
                     # ``seen`` holds the threads, so their ids stay distinct.
                     threads = {id(thread) for thread, shift in seen if not shift}
                     assert len(threads) == max(1, min(workers, most, -(-n // step) // 2))
                     assert any(shift for _, shift in seen) == (rows is mixed and n > 4)
+
+    def test_log_density_starts_no_thread(self, monkeypatch):
+        """``CategoryDraws.log_density`` runs its chunks in order in the
+        calling thread at any CPU count: 2000 rows at 1000 draws fill 31
+        chunks, and every seventh row 200 units out takes a second pass."""
+        rng = np.random.default_rng(161)
+        draws = random_draws(rng, 3, 1000)
+        points = draws.center + rng.standard_normal((2000, 3)) * 2.0
+        points[3::7] += 200.0
+        threads = set()
+        chunk = gaussian._log_sum_exp_chunk
+        monkeypatch.setattr(
+            gaussian, "_log_sum_exp_chunk",
+            lambda *args: threads.add(threading.current_thread()) or chunk(*args),
+        )
+
+        def must_not_run(*args):
+            pytest.fail("log_density started a pool or a thread")
+
+        monkeypatch.setattr(gaussian, "_in_workers", must_not_run)
+        monkeypatch.setattr(threading.Thread, "start", must_not_run)
+        want = draws.log_density(points)
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(gaussian, "_cores", lambda cores=cores: cores)
+            np.testing.assert_array_equal(draws.log_density(points), want)
+        assert threads == {threading.current_thread()}
 
     def test_cores_without_an_affinity_mask(self, monkeypatch):
         """Where the platform has no ``os.sched_getaffinity``, the kernel
@@ -691,18 +723,18 @@ class TestPredictiveDensity:
     def test_overflow_in_a_worker_share_is_minus_inf(self, monkeypatch):
         """Rows whose arithmetic overflows get -inf, with no RuntimeWarning,
         also in a worker thread, which does not inherit the caller's
-        floating-point state: two workers take chunks of 2 of 40 rows, and
-        the worker's first chunk, rows 3 and 4, overflows; so do its
-        chunks of the shifted second pass over the eight far rows."""
-        base = random_draws(np.random.default_rng(109), 3, 30)
-        draws = CategoryDraws(base.means, base.chols * 1e-5)
+        floating-point state: two workers take a category each of 40 rows
+        in chunks of 2, and eight rows overflow, first in the chunks and
+        again in the shifted second pass, in both workers."""
+        model = fit(small_training_data(np.random.default_rng(109), n_cats=2, d=3),
+                    n_draws=30, seed=5)
         points = np.random.default_rng(151).standard_normal((40, 3))
         far = np.array([2, 3, 9, 17, 22, 30, 31, 38])
         points[far] = [1e200, -1e200, 1e200]
         monkeypatch.setattr(gaussian, "_BUDGET", 4 * 30)
         monkeypatch.setattr(gaussian, "_SHARE", 2 * 30)
         monkeypatch.setattr(gaussian, "_cores", lambda: 1)
-        alone = draws.log_density(np.delete(points, far, axis=0))
+        alone = gaussian._log_densities(model, np.delete(points, far, axis=0))
         monkeypatch.setattr(gaussian, "_cores", lambda: 2)
         workers = {False: set(), True: set()}
         chunk = gaussian._log_sum_exp_chunk
@@ -714,16 +746,16 @@ class TestPredictiveDensity:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = draws.log_density(points)
+            got = gaussian._log_densities(model, points)
         assert [len(workers[shift]) for shift in (False, True)] == [2, 2]
         assert np.all(got[far] == -np.inf)
-        np.testing.assert_array_equal(np.delete(got, far), alone)
+        np.testing.assert_array_equal(np.delete(got, far, axis=0), alone)
 
     def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
-        """An exception raised in a worker thread is raised again by the
-        call, after every worker has finished."""
+        """An exception raised in a worker thread, by category 2, is raised
+        again by the call, after every worker has finished."""
         rng = np.random.default_rng(163)
-        draws = random_draws(rng, 3, 1000)
+        model = fit(small_training_data(rng, n_cats=2, d=3), n_draws=1000, seed=5)
         monkeypatch.setattr(gaussian, "_cores", lambda: 2)
         chunk = gaussian._log_sum_exp_chunk
 
@@ -735,7 +767,7 @@ class TestPredictiveDensity:
         monkeypatch.setattr(gaussian, "_log_sum_exp_chunk", fail_in_a_worker)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="worker"):
-            draws.log_density(rng.standard_normal((400, 3)))
+            posterior_matrix(model, [0.5, 0.5], rng.standard_normal((400, 3)))
         assert threading.active_count() == before
 
     def test_workers_run_under_the_callers_floating_point_state(self):
@@ -777,14 +809,14 @@ class TestPredictiveDensity:
         assert threading.active_count() == before
 
     def test_forked_child_after_a_threaded_call_returns_the_densities(self, monkeypatch):
-        """A child forked after a call that ran two workers makes the same
-        call, in two workers again, and returns the parent's densities
-        within a timeout instead of waiting on threads the fork did not
-        copy."""
+        """A child forked after a call that ran two categories in two
+        workers makes the same call, in two workers again, and returns the
+        parent's densities within a timeout instead of waiting on threads
+        the fork did not copy."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         rng = np.random.default_rng(157)
-        draws = random_draws(rng, 3, 1000)
+        model = fit(small_training_data(rng, n_cats=2, d=3), n_draws=1000, seed=5)
         points = rng.standard_normal((400, 3)) * 2.0
         monkeypatch.setattr(gaussian, "_cores", lambda: 2)
         workers = set()
@@ -793,14 +825,14 @@ class TestPredictiveDensity:
             gaussian, "_log_sum_exp_chunk",
             lambda *args: workers.add(threading.current_thread()) or chunk(*args),
         )
-        parent = draws.log_density(points)
+        parent = gaussian._log_densities(model, points)
         assert len(workers) == 2
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
 
         def child():
             workers.clear()
-            results.put((draws.log_density(points), len(workers)))
+            results.put((gaussian._log_densities(model, points), len(workers)))
 
         proc = ctx.Process(target=child)
         proc.start()
@@ -860,8 +892,7 @@ class TestCategoryPool:
         workers have a fresh model's bits.  Chunks of 10 rows of 40
         draws, in a budget of three shares, leave room for 3 workers, so
         each model has whole rounds of categories taken a category per
-        worker, or categories left over that spread their chunks over the
-        workers, or both."""
+        worker, or a last round that leaves a worker idle, or both."""
         rng = np.random.default_rng(170 + n_cats)
         data = small_training_data(rng, n_cats=n_cats)
         points = self.near_and_far_points(rng, data)
@@ -887,13 +918,13 @@ class TestCategoryPool:
                     for name in ("means", "chols", "coef"):
                         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
 
-    @pytest.mark.parametrize("n_cats, pools_started", [(1, 1), (2, 1), (3, 2), (8, 1)])
+    @pytest.mark.parametrize("n_cats, pools_started", [(1, 0), (2, 1), (3, 1), (8, 1)])
     def test_a_call_starts_a_pool_per_category_left_over(self, monkeypatch, n_cats, pools_started):
-        """A call on points near the draws starts one pool of two workers
-        for the whole rounds of categories, where each category once
-        started its own, and one more per category left over, which
-        spreads its chunks over both workers.  Both workers of every pool
-        evaluate densities, and no thread outlives the call."""
+        """A call on points near the draws starts one pool for all its
+        categories and none per category left over after whole rounds: a
+        pool of two workers for 2, 3 and 8 categories, and no thread for
+        one.  Every worker evaluates densities, and no thread outlives the
+        call."""
         rng = np.random.default_rng(180 + n_cats)
         data = small_training_data(rng, n_cats=n_cats)
         stacked, _ = data.stacked()
@@ -914,6 +945,7 @@ class TestCategoryPool:
         )
         before = threading.active_count()
         posterior_matrix(fit(data, n_draws=1000, seed=4), np.full(n_cats, 1.0 / n_cats), points)
+        assert len(pools) == 1
         assert [workers for workers in pools if workers > 1] == [2] * pools_started
         assert threading.main_thread() in threads
         assert len(threads) == 1 + pools_started

@@ -356,6 +356,34 @@ class TestHeldOutPosteriors:
             # ``threads`` holds the threads, so their ids stay distinct.
             assert len({id(thread) for thread in threads.values()}) == min(workers, 3)
 
+    def test_one_pool_runs_each_category_in_one_worker(self, monkeypatch):
+        """A call starts one pool, of a worker per category on three CPUs,
+        and the worker that runs a category's folds also draws its full fit
+        and evaluates it at every row; no thread outlives the call."""
+        data, space = blocked_data(np.random.default_rng(71), counts=(6, 4, 5))
+        monkeypatch.setattr(gaussian, "_cores", lambda: 3)
+        folds = self.fold_threads(monkeypatch)
+        pools, in_workers = [], gaussian._in_workers
+        monkeypatch.setattr(
+            gaussian, "_in_workers",
+            lambda tasks, workers, run: pools.append(workers) or in_workers(tasks, workers, run),
+        )
+        full, draw = {}, gaussian.draw_category_sample
+        monkeypatch.setattr(
+            gaussian, "draw_category_sample",
+            lambda posterior, n_draws, rng: (
+                full.setdefault(threading.current_thread(), []).append(posterior)
+            ) or draw(posterior, n_draws, rng),
+        )
+        before = threading.active_count()
+        loocv_posteriors(data, space, uniform_prior(3), n_draws=30, seed=3)
+        assert threading.active_count() == before
+        assert pools == [3]
+        assert len({id(thread) for thread in folds.values()}) == 3
+        for category, thread in folds.items():
+            assert full[thread] == [gaussian.conjugate_update(
+                data.groups[category - 1], default_hyperprior(data))]
+
     def test_an_error_in_a_worker_reaches_the_caller(self, monkeypatch):
         """With the folds of categories 2 and 3 failing, the call raises
         category 2's error at every worker count, as a loop over the
